@@ -11,16 +11,13 @@ __version__ = "0.1.0"
 from .core import (
     ConfigError,
     DegenerateConfigurationError,
-    IndexMap,
     NumericalError,
     SystemConfig,
     dft_matrix,
-    flat_index,
-    isfft_matrix,
     rng_stream,
     sfft_matrix,
 )
-from .pulse import GramMatrix, RrcPulse, SincPulse, ambiguity_table, build_gram
+from .pulse import GramMatrix, RrcPulse, ambiguity_table, build_gram
 from .channel import (
     DdChannel,
     DdPath,
@@ -41,7 +38,6 @@ from .precode_siso import (
     SisoPrecoder,
     build_effective_channel,
     capacity_bits,
-    precode,
     siso_capacity,
     solve_siso,
     waterfill,
@@ -57,17 +53,10 @@ from .precode_mimo import (
     wf_structured,
 )
 from .link import (
-    BerEstimate,
-    LinkRealization,
-    ber_from_counts,
     bits_per_symbol,
     demap_symbols,
     map_bits,
-    measure_ber,
-    mmse_equalize,
     mmse_weights,
-    simulate_frame,
-    transmit,
     wilson_interval,
 )
 from .montecarlo import (

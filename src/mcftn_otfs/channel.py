@@ -144,21 +144,10 @@ def build_mimo_channel(cfg: SystemConfig, rng: np.random.Generator,
     (rx, tx) uses child rx*n_tx + tx, so block realizations are independent
     and reproducible regardless of assembly order.
     """
-    if pulse is None:
-        pulse = RrcPulse(cfg.theta, cfg.T0)
-    sfft = sfft_matrix(cfg)
     children = rng.spawn(cfg.n_rx * cfg.n_tx)
-    blocks = []
-    matrix = np.zeros((cfg.n_rx * cfg.mn, cfg.n_tx * cfg.mn), dtype=complex)
-    for r in range(cfg.n_rx):
-        row = []
-        for t in range(cfg.n_tx):
-            child = children[r * cfg.n_tx + t]
-            ch = build_dd_channel(sample_paths(cfg, child), cfg, pulse, sfft)
-            row.append(ch)
-            matrix[r * cfg.mn:(r + 1) * cfg.mn, t * cfg.mn:(t + 1) * cfg.mn] = ch.h_dd
-        blocks.append(row)
-    return MimoChannel(blocks=blocks, matrix=matrix)
+    nested = [[sample_paths(cfg, children[r * cfg.n_tx + t]) for t in range(cfg.n_tx)]
+              for r in range(cfg.n_rx)]
+    return mimo_channel_from_paths(cfg, nested, pulse)
 
 
 def paths_to_json(paths: Sequence[DdPath]) -> str:
@@ -191,21 +180,14 @@ def mimo_paths_to_json(mimo: MimoChannel) -> str:
 
 
 def mimo_channel_from_paths(cfg: SystemConfig, nested, pulse=None) -> MimoChannel:
-    """Rebuild a MIMO realization from nested [rx][tx] path lists."""
+    """Build a MIMO realization from nested [rx][tx] path lists."""
     if pulse is None:
         pulse = RrcPulse(cfg.theta, cfg.T0)
     if len(nested) != cfg.n_rx or any(len(row) != cfg.n_tx for row in nested):
         raise ConfigError("nested path layout does not match n_rx x n_tx")
     sfft = sfft_matrix(cfg)
-    blocks = []
-    matrix = np.zeros((cfg.n_rx * cfg.mn, cfg.n_tx * cfg.mn), dtype=complex)
-    for r in range(cfg.n_rx):
-        row = []
-        for t in range(cfg.n_tx):
-            ch = build_dd_channel(nested[r][t], cfg, pulse, sfft)
-            row.append(ch)
-            matrix[r * cfg.mn:(r + 1) * cfg.mn, t * cfg.mn:(t + 1) * cfg.mn] = ch.h_dd
-        blocks.append(row)
+    blocks = [[build_dd_channel(paths, cfg, pulse, sfft) for paths in row] for row in nested]
+    matrix = np.block([[ch.h_dd for ch in row] for row in blocks])
     return MimoChannel(blocks=blocks, matrix=matrix)
 
 

@@ -120,8 +120,8 @@ def _sweep_spec(raw: dict, args, metric: str, cfg: SystemConfig) -> SweepSpec:
         schemes = [s.strip() for s in args.schemes.split(",") if s.strip()]
     spec_kwargs = {
         "config": cfg,
-        "snr_points_db": tuple(snr),
-        "schemes": tuple(schemes),
+        "snr_points_db": snr,
+        "schemes": schemes,
         "metric": metric,
         "n_realizations": raw.get("n_realizations", 500),
         "n_frames": raw.get("n_frames", 50),

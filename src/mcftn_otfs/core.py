@@ -1,11 +1,11 @@
-"""System configuration, grid indexing, DFT/SFFT operators and RNG streams.
+"""System configuration, DFT/SFFT operators and RNG streams.
 
 Everything downstream (pulse Gram, channels, precoders, sweeps) reads its
-geometry from :class:`SystemConfig` and addresses the delay-Doppler grid
-through :class:`IndexMap`, so the flattening convention lives in exactly one
-place: a grid point (l, k) maps to flat index k*M + l, i.e. the delay index
-runs fastest. The same convention applied to the time-frequency grid (m, n)
-gives n*M + m.
+geometry from :class:`SystemConfig` and shares one flattening convention: a
+delay-Doppler grid point (l, k) maps to flat index k*M + l, i.e. the delay
+index runs fastest, and a time-frequency grid point (m, n) to n*M + m.
+:func:`sfft_matrix` encodes it in its Kronecker order; the Gram and channel
+builders recover (m, n) from a flat index as (idx % M, idx // M).
 """
 
 from __future__ import annotations
@@ -72,8 +72,8 @@ class SystemConfig:
                 raise ConfigError(f"{name} must be positive")
         if self.N0 < 0.0:
             raise ConfigError("N0 must be non-negative")
-        if self.seed < 0:
-            raise ConfigError("seed must be non-negative")
+        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
+            raise ConfigError(f"seed must be a non-negative integer, got {self.seed!r}")
         if self.tau_max is None:
             object.__setattr__(self, "tau_max", 2.0 * self.T0)
         if self.nu_max is None:
@@ -112,29 +112,6 @@ class SystemConfig:
         return dataclasses.replace(self, **kw)
 
 
-@dataclass(frozen=True)
-class IndexMap:
-    """Bijection between grid points (l, k) and flat indices k*M + l."""
-
-    M: int
-    N: int
-
-    def flat(self, l: int, k: int) -> int:
-        if not (0 <= l < self.M and 0 <= k < self.N):
-            raise IndexError(f"grid point ({l}, {k}) outside {self.M}x{self.N}")
-        return k * self.M + l
-
-    def grid(self, idx: int) -> tuple[int, int]:
-        if not 0 <= idx < self.M * self.N:
-            raise IndexError(f"flat index {idx} outside {self.M * self.N} entries")
-        return idx % self.M, idx // self.M
-
-
-def flat_index(l: int, k: int, index_map: IndexMap) -> int:
-    """Flat position of grid point (l, k) under `index_map`."""
-    return index_map.flat(l, k)
-
-
 def dft_matrix(n: int) -> np.ndarray:
     """Unitary n-point DFT matrix, F[j, k] = exp(-2j pi j k / n) / sqrt(n)."""
     idx = np.arange(n)
@@ -152,11 +129,6 @@ def sfft_matrix(cfg: SystemConfig) -> np.ndarray:
     f_m = dft_matrix(cfg.M)
     f_n = dft_matrix(cfg.N)
     return np.kron(f_n, f_m.conj().T)
-
-
-def isfft_matrix(cfg: SystemConfig) -> np.ndarray:
-    """Inverse SFFT, the conjugate transpose of :func:`sfft_matrix`."""
-    return sfft_matrix(cfg).conj().T
 
 
 def rng_stream(seed: int, *key) -> np.random.Generator:

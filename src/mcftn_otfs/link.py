@@ -1,23 +1,20 @@
-"""Symbol mapping, LMMSE equalization and BER measurement.
+"""Symbol mapping, LMMSE weights and the BER confidence interval.
 
 The receive vector is y = H P x + z with colored noise z, so the linear MMSE
 estimate is
 
     x_hat = sigma_x^2 B^H (sigma_x^2 B B^H + R_z)^{-1} y,   B = H P,
 
-followed by hard per-symbol decisions. Bit errors are counted against the
-transmitted bits and summarized with a Wilson 95% confidence interval.
+followed by hard per-symbol decisions. The sweep in `montecarlo` runs that
+chain on batches of frames, counts bit errors against the transmitted bits
+and summarizes them with the Wilson 95% confidence interval given here.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable
-
 import numpy as np
 
 from .core import ConfigError
-from .noise import NoiseModel, draw_mimo_noise
 
 CONSTELLATIONS = ("bpsk", "qpsk")
 _WILSON_Z = 1.959963984540054   # two-sided 95%
@@ -65,11 +62,6 @@ def demap_symbols(x: np.ndarray, constellation: str) -> np.ndarray:
     raise ConfigError(f"unknown constellation {constellation!r}")
 
 
-def transmit(h: np.ndarray, P: np.ndarray, x: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Channel action y = H P x + z (x and z may be column batches)."""
-    return h @ (P @ x) + z
-
-
 def mmse_weights(b: np.ndarray, rz: np.ndarray, sigma_x2: float) -> np.ndarray:
     """LMMSE matrix W with x_hat = W y for the model y = B x + z.
 
@@ -84,41 +76,6 @@ def mmse_weights(b: np.ndarray, rz: np.ndarray, sigma_x2: float) -> np.ndarray:
         return sigma_x2 * (b.conj().T @ np.linalg.pinv(s, hermitian=True))
 
 
-def mmse_equalize(b: np.ndarray, rz: np.ndarray, sigma_x2: float, y: np.ndarray) -> np.ndarray:
-    """LMMSE symbol estimates for received y (vector or column batch)."""
-    return mmse_weights(b, rz, sigma_x2) @ y
-
-
-@dataclass
-class LinkRealization:
-    """One simulated frame end to end."""
-
-    tx_bits: np.ndarray
-    tx_symbols: np.ndarray
-    received: np.ndarray
-    equalized: np.ndarray
-    rx_bits: np.ndarray
-    n_errors: int
-
-
-def simulate_frame(h: np.ndarray, P: np.ndarray, noise: NoiseModel,
-                   rng: np.random.Generator, sigma_x2: float = 1.0,
-                   constellation: str = "bpsk", n_rx: int = 1) -> LinkRealization:
-    """Draw one frame, push it through the channel and equalize it."""
-    n_sym = P.shape[1]
-    bits = rng.integers(0, 2, size=bits_per_symbol(constellation) * n_sym)
-    x = map_bits(bits, constellation, sigma_x2)
-    z = draw_mimo_noise(noise, rng, n_rx)
-    y = transmit(h, P, x, z)
-    b = h @ P
-    x_hat = mmse_equalize(b, noise.stacked_covariance(n_rx), sigma_x2, y)
-    rx_bits = demap_symbols(x_hat, constellation)
-    return LinkRealization(
-        tx_bits=bits, tx_symbols=x, received=y, equalized=x_hat, rx_bits=rx_bits,
-        n_errors=int(np.count_nonzero(bits != rx_bits)),
-    )
-
-
 def wilson_interval(errors: int, n: int, z: float = _WILSON_Z) -> tuple[float, float]:
     """Wilson score interval for a binomial proportion."""
     if n <= 0:
@@ -128,31 +85,3 @@ def wilson_interval(errors: int, n: int, z: float = _WILSON_Z) -> tuple[float, f
     center = (p + z * z / (2 * n)) / denom
     half = z * np.sqrt(p * (1.0 - p) / n + z * z / (4.0 * n * n)) / denom
     return float(max(0.0, center - half)), float(min(1.0, center + half))
-
-
-@dataclass
-class BerEstimate:
-    """Pooled bit error rate with a Wilson 95% interval."""
-
-    ber: float
-    ci_low: float
-    ci_high: float
-    errors: int
-    bits: int
-
-
-def ber_from_counts(errors: int, bits: int) -> BerEstimate:
-    lo, hi = wilson_interval(errors, bits)
-    return BerEstimate(ber=errors / bits, ci_low=lo, ci_high=hi, errors=errors, bits=bits)
-
-
-def measure_ber(realizations: Iterable[LinkRealization]) -> BerEstimate:
-    """Pool the error counts of many frames into one estimate."""
-    errors = 0
-    bits = 0
-    for r in realizations:
-        errors += r.n_errors
-        bits += r.tx_bits.size
-    if bits == 0:
-        raise ConfigError("no frames to measure")
-    return ber_from_counts(errors, bits)

@@ -10,6 +10,8 @@ trusting it.
 
 from __future__ import annotations
 
+import math
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -19,14 +21,64 @@ from .channel import build_mimo_channel, paths_digest
 from .core import ConfigError, SystemConfig, rng_stream, sfft_matrix
 from .link import bits_per_symbol, demap_symbols, map_bits, mmse_weights, wilson_interval, CONSTELLATIONS
 from .noise import draw_mimo_noise, make_noise_model
-from .precode_mimo import build_mimo_effective, mimo_capacity, sic_precode, wf_baseline, wf_structured
-from .precode_siso import siso_capacity, solve_siso
+from .precode_mimo import (build_mimo_effective, mimo_capacity, relaxed_fill, sic_precode,
+                           wf_structured)
+from .precode_siso import allocate_siso, build_effective_channel, modes, siso_capacity
 from .pulse import RrcPulse, build_gram
 
-SISO_SCHEMES = ("siso_pa", "siso_nopa", "siso_unprecoded")
-MIMO_SCHEMES = ("sic", "wf_relaxed", "wf_structured")
-SCHEMES = SISO_SCHEMES + MIMO_SCHEMES
 METRICS = ("capacity", "ber")
+
+
+# Each scheme is a pair (factor, solve). factor(cfg, gram, sfft, mimo) does the
+# SNR-independent work once per realization and is shared by every scheme
+# naming the same function; solve(factor, cfg_snr) -> (P, normalized capacity)
+# serves both metrics.
+
+def _siso_factor(cfg, gram, sfft, mimo):
+    D = build_effective_channel(gram, mimo.blocks[0][0].h_dd, sfft)
+    return (D, *modes(D.conj().T @ D, gram.matrix))
+
+
+def _siso_solve(mode):
+    def solve(factor, cfg):
+        pre = allocate_siso(cfg, *factor, mode)
+        return pre.P, siso_capacity(pre, cfg)
+    return solve
+
+
+def _mimo_factor(cfg, gram, sfft, mimo):
+    return build_mimo_effective(gram, mimo.matrix, sfft, cfg.n_rx), gram
+
+
+def _relaxed_factor(cfg, gram, sfft, mimo):
+    D = build_mimo_effective(gram, mimo.matrix, sfft, cfg.n_rx)
+    return modes(D.conj().T @ D, gram.matrix, cfg.n_tx)
+
+
+def _sic_solve(factor, cfg):
+    state = sic_precode(cfg, *factor)
+    return state.precoder(), mimo_capacity(state, cfg)
+
+
+SCHEME_TABLE = {
+    "siso_pa": (_siso_factor, _siso_solve("pa")),
+    "siso_nopa": (_siso_factor, _siso_solve("nopa")),
+    "siso_unprecoded": (_siso_factor, _siso_solve("unprecoded")),
+    "sic": (_mimo_factor, _sic_solve),
+    "wf_relaxed": (_relaxed_factor, lambda factor, cfg: relaxed_fill(cfg, *factor)),
+    "wf_structured": (_mimo_factor, lambda factor, cfg: wf_structured(cfg, *factor)),
+}
+SCHEMES = tuple(SCHEME_TABLE)
+
+
+def _sequence(name: str, value, convert) -> tuple:
+    try:
+        if isinstance(value, str) or not isinstance(value, Iterable):
+            raise TypeError
+        return tuple(convert(v) for v in value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{name} must be a sequence of {convert.__name__} values, "
+                          f"got {value!r}") from None
 
 
 @dataclass(frozen=True)
@@ -42,8 +94,11 @@ class SweepSpec:
     constellation: str = "bpsk"
 
     def __post_init__(self):
-        object.__setattr__(self, "snr_points_db", tuple(float(s) for s in self.snr_points_db))
-        object.__setattr__(self, "schemes", tuple(self.schemes))
+        snr = _sequence("snr_points_db", self.snr_points_db, float)
+        if not all(math.isfinite(s) for s in snr):
+            raise ConfigError("snr_points_db must be finite")
+        object.__setattr__(self, "snr_points_db", snr)
+        object.__setattr__(self, "schemes", _sequence("schemes", self.schemes, str))
         if not self.snr_points_db:
             raise ConfigError("snr_points_db must not be empty")
         if any(b <= a for a, b in zip(self.snr_points_db, self.snr_points_db[1:])):
@@ -52,17 +107,18 @@ class SweepSpec:
             raise ConfigError("schemes must not be empty")
         if len(set(self.schemes)) != len(self.schemes):
             raise ConfigError("schemes must be unique")
+        single = self.config.n_tx == 1 and self.config.n_rx == 1
         for s in self.schemes:
             if s not in SCHEMES:
                 raise ConfigError(f"unknown scheme {s!r}; valid: {', '.join(SCHEMES)}")
-            if s in SISO_SCHEMES and (self.config.n_tx != 1 or self.config.n_rx != 1):
+            if SCHEME_TABLE[s][0] is _siso_factor and not single:
                 raise ConfigError(f"scheme {s!r} needs n_tx = n_rx = 1")
         if self.metric not in METRICS:
             raise ConfigError(f"unknown metric {self.metric!r}")
-        if self.n_realizations < 1:
-            raise ConfigError("n_realizations must be at least 1")
-        if self.n_frames < 1:
-            raise ConfigError("n_frames must be at least 1")
+        for name in ("n_realizations", "n_frames"):
+            v = getattr(self, name)
+            if not isinstance(v, (int, np.integer)) or v < 1:
+                raise ConfigError(f"{name} must be a positive integer, got {v!r}")
         if self.constellation not in CONSTELLATIONS:
             raise ConfigError(f"unknown constellation {self.constellation!r}")
 
@@ -100,50 +156,45 @@ class SweepResult:
     version: str = __version__
 
 
-def _precoder_matrix(scheme: str, cfg: SystemConfig, gram, sfft, h_dd, d_mimo):
-    if scheme in SISO_SCHEMES:
-        mode = {"siso_pa": "pa", "siso_nopa": "nopa", "siso_unprecoded": "unprecoded"}[scheme]
-        return solve_siso(cfg, gram, h_dd, sfft, mode=mode).P
-    if scheme == "sic":
-        return sic_precode(cfg, d_mimo, gram).precoder()
-    if scheme == "wf_relaxed":
-        return wf_baseline(cfg, d_mimo, gram)[0]
-    return wf_structured(cfg, d_mimo, gram)[0]
+def _bit_errors(spec: SweepSpec, cfg: SystemConfig, gram, sfft, h, precoders,
+                r: int, si: int) -> list:
+    """Bit errors of each precoder over the n_frames frames of one cell.
 
-
-def _capacity_value(scheme: str, cfg: SystemConfig, gram, sfft, h_dd, d_mimo) -> float:
-    if scheme in SISO_SCHEMES:
-        mode = {"siso_pa": "pa", "siso_nopa": "nopa", "siso_unprecoded": "unprecoded"}[scheme]
-        pre = solve_siso(cfg, gram, h_dd, sfft, mode=mode)
-        return siso_capacity(pre, cfg)
-    if scheme == "sic":
-        return mimo_capacity(sic_precode(cfg, d_mimo, gram), cfg)
-    if scheme == "wf_relaxed":
-        return wf_baseline(cfg, d_mimo, gram)[1]
-    return wf_structured(cfg, d_mimo, gram)[1]
+    The data bits and noise come from (seed, "bits"/"noise", r, si) and are
+    shared by every precoder; the frame-sized arrays die with the call.
+    """
+    model = make_noise_model(cfg.N0, gram, sfft)
+    rz = model.stacked_covariance(cfg.n_rx)
+    n_bits = bits_per_symbol(spec.constellation) * cfg.n_tx * cfg.mn
+    bits = rng_stream(cfg.seed, "bits", r, si).integers(0, 2, size=(n_bits, spec.n_frames))
+    x = map_bits(bits, spec.constellation, cfg.sigma_x2)
+    z = draw_mimo_noise(model, rng_stream(cfg.seed, "noise", r, si), cfg.n_rx, n=spec.n_frames)
+    errors = []
+    for P in precoders:
+        b = h @ P
+        w = mmse_weights(b, rz, cfg.sigma_x2)
+        errors.append(np.count_nonzero(bits != demap_symbols(w @ (b @ x + z), spec.constellation)))
+    return errors
 
 
 def run_sweep(spec: SweepSpec) -> SweepResult:
     """Execute the sweep; deterministic for a fixed spec.
 
     Realizations are independent; each one draws its channel from the stream
-    (seed, "paths", r), builds whatever effective channels the requested
-    schemes need, then walks the SNR grid. For the BER metric the data bits
-    and noise come from (seed, "bits"/"noise", r, snr index) and are shared
-    by every scheme at that cell.
+    (seed, "paths", r), runs each distinct factor of the requested schemes
+    once, then walks the SNR grid, where only the power allocation is redone.
+    For the BER metric the data bits and noise come from
+    (seed, "bits"/"noise", r, snr index) and are shared by every scheme at
+    that cell.
     """
     cfg = spec.config
     pulse = RrcPulse(cfg.theta, cfg.T0)
     gram = build_gram(cfg, pulse)
     sfft = sfft_matrix(cfg)
 
-    needs_siso = any(s in SISO_SCHEMES for s in spec.schemes)
-    needs_mimo = any(s in MIMO_SCHEMES for s in spec.schemes)
     cells = [(s, snr) for s in spec.schemes for snr in spec.snr_points_db]
-    if spec.metric == "capacity":
-        values = {cell: np.zeros(spec.n_realizations) for cell in cells}
-    else:
-        values = {cell: np.zeros(spec.n_realizations, dtype=np.int64) for cell in cells}
+    dtype = float if spec.metric == "capacity" else np.int64
+    values = {cell: np.zeros(spec.n_realizations, dtype=dtype) for cell in cells}
 
     n_sym = cfg.n_tx * cfg.mn
     frame_bits = bits_per_symbol(spec.constellation) * n_sym * spec.n_frames
@@ -152,30 +203,24 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     for r in range(spec.n_realizations):
         mimo = build_mimo_channel(cfg, rng_stream(cfg.seed, "paths", r), pulse)
         digests.append(paths_digest(mimo.blocks))
-        h_dd = mimo.blocks[0][0].h_dd if needs_siso else None
-        d_mimo = build_mimo_effective(gram, mimo.matrix, sfft, cfg.n_rx) if needs_mimo else None
+        factors = {}
+        for s in spec.schemes:
+            factor = SCHEME_TABLE[s][0]
+            if factor not in factors:
+                factors[factor] = factor(cfg, gram, sfft, mimo)
 
         for si, snr in enumerate(spec.snr_points_db):
             cfg_s = cfg.with_snr_db(snr)
+            solved = (SCHEME_TABLE[s][1](factors[SCHEME_TABLE[s][0]], cfg_s) for s in spec.schemes)
             if spec.metric == "capacity":
-                for s in spec.schemes:
-                    values[(s, snr)][r] = _capacity_value(s, cfg_s, gram, sfft, h_dd, d_mimo)
-                continue
-
-            model = make_noise_model(cfg_s.N0, gram, sfft)
-            rz = model.stacked_covariance(cfg.n_rx)
-            bits = rng_stream(cfg.seed, "bits", r, si).integers(
-                0, 2, size=(bits_per_symbol(spec.constellation) * n_sym, spec.n_frames)
-            )
-            x = map_bits(bits, spec.constellation, cfg.sigma_x2)
-            z = draw_mimo_noise(model, rng_stream(cfg.seed, "noise", r, si),
-                                cfg.n_rx, n=spec.n_frames)
-            for s in spec.schemes:
-                P = _precoder_matrix(s, cfg_s, gram, sfft, h_dd, d_mimo)
-                b = mimo.matrix @ P
-                w = mmse_weights(b, rz, cfg.sigma_x2)
-                rx_bits = demap_symbols(w @ (b @ x + z), spec.constellation)
-                values[(s, snr)][r] = np.count_nonzero(bits != rx_bits)
+                cell = [capacity for _, capacity in solved]
+            else:
+                cell = _bit_errors(spec, cfg_s, gram, sfft, mimo.matrix,
+                                   (P for P, _ in solved), r, si)
+            for s, value in zip(spec.schemes, cell):
+                values[(s, snr)][r] = value
+        # release this realization's factors before the next channel is built
+        del factors
 
     points = []
     for s in spec.schemes:

@@ -26,7 +26,7 @@ import numpy as np
 
 from .core import ConfigError, SystemConfig
 from .pulse import GramMatrix
-from .precode_siso import waterfill
+from .precode_siso import fill_modes, modes, normalized_capacity
 
 LN2 = math.log(2.0)
 
@@ -93,27 +93,29 @@ def block_diag(blocks) -> np.ndarray:
 def _solve_stream(gram: GramMatrix, a_t: np.ndarray, T: np.ndarray,
                   sigma_x2: float, N0: float, budget: float) -> StreamPrecoder:
     """Diagonalize Q = A_t^H T^{-1} A_t and water-fill inside its eigenbasis."""
-    x = np.linalg.solve(T, a_t)
-    q = a_t.conj().T @ x
-    q = 0.5 * (q + q.conj().T)
-    evals, evecs = np.linalg.eigh(q)
-    lam_q = np.maximum(evals[::-1], 0.0)
-    U = evecs[:, ::-1]
-    psi = np.einsum("ji,jk,ki->i", U.conj(), gram.matrix, U).real
-    psi = np.maximum(psi, 0.0)
-    gamma, xi = waterfill(lam_q, psi, sigma_x2, N0, budget)
-    P = U * np.sqrt(gamma)
-    bits = float(np.sum(np.log2(1.0 + (sigma_x2 / N0) * gamma * lam_q)))
+    U, lam_q, psi = modes(a_t.conj().T @ np.linalg.solve(T, a_t), gram.matrix)
+    gamma, xi, P, bits = fill_modes(U, lam_q, psi, sigma_x2, N0, budget)
     return StreamPrecoder(U=U, lam_q=lam_q, psi=psi, gamma=gamma, xi=xi, P=P, bits=bits)
 
 
-def _check_mimo_args(cfg: SystemConfig, D: np.ndarray, gram: GramMatrix) -> int:
+def _check_mimo_args(cfg: SystemConfig, D: np.ndarray, gram: GramMatrix,
+                     budgets=None) -> tuple:
+    """Validate a stream design's inputs; returns (block size, per-stream budgets).
+
+    Each stream's budget defaults to MN (grid size), matching the SISO
+    constraint per stream.
+    """
     if cfg.N0 <= 0.0:
         raise ConfigError("stream design needs N0 > 0")
     n = gram.matrix.shape[0]
     if D.shape != (cfg.n_rx * n, cfg.n_tx * n):
         raise ConfigError(f"effective channel shape {D.shape} does not match config")
-    return n
+    if budgets is None:
+        budgets = (float(n),) * cfg.n_tx
+    budgets = tuple(float(b) for b in budgets)
+    if len(budgets) != cfg.n_tx or any(b <= 0.0 for b in budgets):
+        raise ConfigError("budgets must give one positive value per transmit stream")
+    return n, budgets
 
 
 def sic_precode(cfg: SystemConfig, D: np.ndarray, gram: GramMatrix,
@@ -124,12 +126,7 @@ def sic_precode(cfg: SystemConfig, D: np.ndarray, gram: GramMatrix,
     constraint per stream. T stays >= I throughout, so the linear solves are
     well posed and no explicit inverse is ever formed.
     """
-    n = _check_mimo_args(cfg, D, gram)
-    if budgets is None:
-        budgets = (float(n),) * cfg.n_tx
-    budgets = tuple(float(b) for b in budgets)
-    if len(budgets) != cfg.n_tx or any(b <= 0.0 for b in budgets):
-        raise ConfigError("budgets must give one positive value per transmit stream")
+    n, budgets = _check_mimo_args(cfg, D, gram, budgets)
 
     c = cfg.sigma_x2 / cfg.N0
     T = np.eye(D.shape[0], dtype=complex)
@@ -146,7 +143,7 @@ def sic_precode(cfg: SystemConfig, D: np.ndarray, gram: GramMatrix,
 
 def mimo_capacity(state: MimoPrecoderState, cfg: SystemConfig) -> float:
     """Sum rate normalized per unit of occupied time-frequency-energy."""
-    return state.bits / (cfg.alpha * cfg.beta * cfg.mn * cfg.E0)
+    return normalized_capacity(state.bits, cfg)
 
 
 def per_stream_rates(cfg: SystemConfig, D: np.ndarray, p_blocks) -> np.ndarray:
@@ -188,22 +185,17 @@ def wf_baseline(cfg: SystemConfig, D: np.ndarray, gram: GramMatrix,
     precoder mixes streams freely, so this upper-bounds what the per-stream
     design should approach at high SNR. Returns (P, normalized capacity).
     """
-    n = _check_mimo_args(cfg, D, gram)
+    _check_mimo_args(cfg, D, gram)
+    return relaxed_fill(cfg, *modes(D.conj().T @ D, gram.matrix, cfg.n_tx), total_budget)
+
+
+def relaxed_fill(cfg: SystemConfig, U: np.ndarray, lam_d: np.ndarray, phi: np.ndarray,
+                 total_budget: float | None = None):
+    """The SNR-dependent half of :func:`wf_baseline` on an already factored D^H D."""
     if total_budget is None:
-        total_budget = float(cfg.n_tx * n)
-    normal = D.conj().T @ D
-    evals, evecs = np.linalg.eigh(0.5 * (normal + normal.conj().T))
-    lam_d = np.maximum(evals[::-1], 0.0)
-    U = evecs[:, ::-1]
-    # phi[k] = u_k^H (I (x) G) u_k, block by block without forming the Kronecker
-    ur = U.reshape(cfg.n_tx, n, U.shape[1])
-    phi = np.einsum("tjc,jk,tkc->c", ur.conj(), gram.matrix, ur).real
-    phi = np.maximum(phi, 0.0)
-    lam_p, _ = waterfill(lam_d, phi, cfg.sigma_x2, cfg.N0, total_budget)
-    P = U * np.sqrt(lam_p)
-    c = cfg.sigma_x2 / cfg.N0
-    bits = float(np.sum(np.log2(1.0 + c * lam_p * lam_d)))
-    return P, bits / (cfg.alpha * cfg.beta * cfg.mn * cfg.E0)
+        total_budget = float(cfg.n_tx * cfg.mn)
+    _, _, P, bits = fill_modes(U, lam_d, phi, cfg.sigma_x2, cfg.N0, total_budget)
+    return P, normalized_capacity(bits, cfg)
 
 
 def wf_structured(cfg: SystemConfig, D: np.ndarray, gram: GramMatrix,
@@ -216,12 +208,7 @@ def wf_structured(cfg: SystemConfig, D: np.ndarray, gram: GramMatrix,
     telescoping identity makes each re-solve a coordinate maximization).
     Returns (P, normalized capacity).
     """
-    n = _check_mimo_args(cfg, D, gram)
-    if budgets is None:
-        budgets = (float(n),) * cfg.n_tx
-    budgets = tuple(float(b) for b in budgets)
-    if len(budgets) != cfg.n_tx or any(b <= 0.0 for b in budgets):
-        raise ConfigError("budgets must give one positive value per transmit stream")
+    n, budgets = _check_mimo_args(cfg, D, gram, budgets)
 
     c = cfg.sigma_x2 / cfg.N0
     blocks = [np.zeros((n, n), dtype=complex) for _ in range(cfg.n_tx)]
@@ -242,4 +229,4 @@ def wf_structured(cfg: SystemConfig, D: np.ndarray, gram: GramMatrix,
             prev_bits = bits
             break
         prev_bits = bits
-    return block_diag(blocks), prev_bits / (cfg.alpha * cfg.beta * cfg.mn * cfg.E0)
+    return block_diag(blocks), normalized_capacity(prev_bits, cfg)

@@ -5,9 +5,13 @@ self-interfering link into parallel eigenmodes: with D^H D = U Lam_D U^H and
 the precoder P = U Lam_P^{1/2}, the mutual information splits into per-mode
 terms log2(1 + (sigma_x^2/N0) lam_P lam_D). The transmit energy constraint
 is tr(G P P^H) <= budget, which in the eigenbasis reads
-sum_k lam_P[k] * phi[k] <= budget with phi = diag(U^H G U); maximizing under
-that weighted budget is a water-filling problem solved here by bisection on
-the water level plus an exact closed-form polish on the discovered active set.
+sum_k lam_P[k] * phi[k] <= budget with phi = diag(U^H G U).
+
+U, Lam_D and phi do not depend on the SNR, only the allocation does, so the
+kernel comes in two halves: `modes` diagonalizes once, `fill_modes`
+water-fills, forms P and counts the bits for one SNR. The water-filling is
+exact in finitely many steps: sorted by their thresholds, the active modes
+form a prefix whose water level has a closed form.
 """
 
 from __future__ import annotations
@@ -22,9 +26,7 @@ from .pulse import GramMatrix
 
 LN2 = math.log(2.0)
 PHI_FLOOR = 1e-12       # weights below this deactivate the mode
-XI_LO = 1e-12           # bisection bracket for the water level multiplier
-XI_HI = 1e12
-MAX_BISECT = 200
+SISO_MODES = ("pa", "nopa", "unprecoded")
 
 
 def build_effective_channel(gram: GramMatrix, h_dd: np.ndarray, sfft: np.ndarray) -> np.ndarray:
@@ -39,12 +41,6 @@ def build_effective_channel(gram: GramMatrix, h_dd: np.ndarray, sfft: np.ndarray
     return gram.inv_sqrt @ sfft.conj().T @ h_dd
 
 
-def _allocation(xi: float, lam_d, phi, noise_over_sig, active) -> np.ndarray:
-    lam_p = np.zeros_like(lam_d)
-    lam_p[active] = 1.0 / (xi * phi[active] * LN2) - noise_over_sig[active]
-    return np.maximum(lam_p, 0.0)
-
-
 def waterfill(lam_d: np.ndarray, phi: np.ndarray, sigma_x2: float, N0: float,
               budget: float | None = None) -> tuple[np.ndarray, float]:
     """Water-filling over eigenmodes with weighted power accounting.
@@ -52,11 +48,13 @@ def waterfill(lam_d: np.ndarray, phi: np.ndarray, sigma_x2: float, N0: float,
     Maximizes sum log2(1 + (sigma_x2/N0) lam_P lam_D) subject to
     sum lam_P * phi <= budget and lam_P >= 0. The stationary form is
 
-        lam_P[k] = max(1/(xi phi[k] ln 2) - N0 / (lam_D[k] sigma_x2), 0)
+        phi[k] lam_P[k] = max(level - t[k], 0),   t[k] = phi[k] N0 / (lam_D[k] sigma_x2)
 
-    with the multiplier xi chosen by bisection so the budget binds; the
-    returned allocation is then recomputed exactly from the KKT conditions
-    on the discovered active set, so the budget holds to machine precision.
+    with level = 1/(xi ln 2). Sorted by threshold t, the k cheapest modes
+    give level_k = (budget + sum of their t) / k; the active set is the
+    largest k whose level clears its own k-th threshold (Palomar and
+    Fonollosa, IEEE TSP 2005). Thresholds are taken relative to the smallest
+    one, so the budget survives thresholds far above it (very low SNR).
     Modes with lam_D = 0 or phi below 1e-12 get zero power. Returns
     (lam_P, xi); xi is inf when no mode can carry power.
     """
@@ -69,47 +67,64 @@ def waterfill(lam_d: np.ndarray, phi: np.ndarray, sigma_x2: float, N0: float,
     if budget <= 0.0:
         raise ConfigError("power budget must be positive")
 
-    active = (lam_d > 0.0) & (phi >= PHI_FLOOR)
-    if not np.any(active):
-        return np.zeros_like(lam_d), math.inf
+    idx = np.flatnonzero((lam_d > 0.0) & (phi >= PHI_FLOOR))
+    lam_p = np.zeros_like(lam_d)
+    if idx.size == 0:
+        return lam_p, math.inf
 
-    # N0 = 0 makes the noise term vanish; the formula handles it directly
-    noise_over_sig = np.zeros_like(lam_d)
-    noise_over_sig[active] = N0 / (lam_d[active] * sigma_x2)
+    t = phi[idx] * N0 / (lam_d[idx] * sigma_x2)
+    order = np.argsort(t, kind="stable")
+    idx, t = idx[order], t[order]
+    u = t - t[0]
+    levels = (budget + np.cumsum(u)) / np.arange(1, t.size + 1)
+    k = int(np.flatnonzero(levels > u)[-1]) + 1
+    on = idx[:k]
+    lam_p[on] = (levels[k - 1] - u[:k]) / phi[on]
+    xi = 1.0 / (LN2 * (levels[k - 1] + t[0]))
 
-    def spent(xi: float) -> float:
-        return float(phi @ _allocation(xi, lam_d, phi, noise_over_sig, active))
-
-    lo, hi = XI_LO, XI_HI
-    if spent(lo) < budget:
-        raise NumericalError("water-filling bracket too small at the low end")
-    if spent(hi) > budget:
-        raise NumericalError("water-filling bracket too small at the high end")
-    for _ in range(MAX_BISECT):
-        mid = math.sqrt(lo * hi)   # bisect in log space
-        if spent(mid) > budget:
-            lo = mid
-        else:
-            hi = mid
-        if hi / lo < 1.0 + 1e-14:
-            break
-    xi = math.sqrt(lo * hi)
-    lam_p = _allocation(xi, lam_d, phi, noise_over_sig, active)
-
-    # exact polish: solve the budget equality on the active set found above
-    on = lam_p > 0.0
-    if np.any(on):
-        count = int(np.count_nonzero(on))
-        xi_star = count / (LN2 * (budget + float(phi[on] @ noise_over_sig[on])))
-        polished = _allocation(xi_star, lam_d, phi, noise_over_sig, active)
-        if np.array_equal(polished > 0.0, on):
-            xi, lam_p = xi_star, polished
-
-    if np.any(lam_p > 0.0):
-        rel_err = abs(float(phi @ lam_p) - budget) / budget
-        if rel_err > 1e-10:
-            raise NumericalError(f"water-filling budget error {rel_err:.3e}")
+    rel_err = abs(float(phi @ lam_p) - budget) / budget
+    if rel_err > 1e-10:
+        raise NumericalError(f"water-filling budget error {rel_err:.3e}")
     return lam_p, xi
+
+
+def modes(normal: np.ndarray, G: np.ndarray, n_blocks: int = 1):
+    """SNR-independent half of the kernel: eigenbasis and mode weights.
+
+    Diagonalizes the Hermitian `normal` (D^H D, or a stream's quadratic
+    form) with eigenvalues in descending order and weighs each eigenvector
+    by phi[c] = u_c^H (I_{n_blocks} (x) G) u_c, one G-sized block at a time
+    without forming the Kronecker product. Returns (U, lam, phi).
+    """
+    evals, evecs = np.linalg.eigh(0.5 * (normal + normal.conj().T))
+    lam = np.maximum(evals[::-1], 0.0)
+    U = evecs[:, ::-1]
+    ur = U.reshape(n_blocks, G.shape[0], U.shape[1])
+    phi = np.einsum("tjc,tjc->c", ur.conj(), G @ ur).real
+    return U, lam, np.maximum(phi, 0.0)
+
+
+def mode_bits(lam_p: np.ndarray, lam: np.ndarray, sigma_x2: float, N0: float) -> float:
+    """sum log2(1 + (sigma_x2/N0) lam_P lam) in bits; inf at N0 = 0 if any
+    mode carries power."""
+    if N0 == 0.0:
+        return math.inf if np.any(lam_p * lam > 0.0) else 0.0
+    return float(np.sum(np.log2(1.0 + (sigma_x2 / N0) * lam_p * lam)))
+
+
+def fill_modes(U: np.ndarray, lam: np.ndarray, phi: np.ndarray, sigma_x2: float,
+               N0: float, budget: float):
+    """SNR-dependent half of the kernel: water-fill, P = U Lam_P^{1/2}, bits.
+
+    Returns (lam_P, xi, P, bits).
+    """
+    lam_p, xi = waterfill(lam, phi, sigma_x2, N0, budget)
+    return lam_p, xi, U * np.sqrt(lam_p), mode_bits(lam_p, lam, sigma_x2, N0)
+
+
+def normalized_capacity(bits: float, cfg: SystemConfig) -> float:
+    """Bits per unit of occupied time-frequency-energy, bits / (alpha beta M N E0)."""
+    return bits / (cfg.alpha * cfg.beta * cfg.mn * cfg.E0)
 
 
 @dataclass
@@ -120,7 +135,7 @@ class SisoPrecoder:
     D: np.ndarray
     U: np.ndarray             # eigenbasis of D^H D, descending eigenvalues
     lam_d: np.ndarray
-    phi: np.ndarray           # diag(U^H G U), clamped at the weight floor
+    phi: np.ndarray           # diag(U^H G U), clamped at zero
     lam_p: np.ndarray
     xi: float
     P: np.ndarray
@@ -138,28 +153,21 @@ def solve_siso(cfg: SystemConfig, gram: GramMatrix, h_dd: np.ndarray,
     on the table. mode "unprecoded": P = I. All three meet the energy budget
     tr(G P P^H) = MN exactly because tr(G) = MN.
     """
-    if mode not in ("pa", "nopa", "unprecoded"):
+    if mode not in SISO_MODES:
         raise ConfigError(f"unknown precoder mode {mode!r}")
     D = build_effective_channel(gram, h_dd, sfft)
-    normal = D.conj().T @ D
-    evals, evecs = np.linalg.eigh(0.5 * (normal + normal.conj().T))
-    lam_d = np.maximum(evals[::-1], 0.0)
-    U = evecs[:, ::-1]
-    phi = np.einsum("ji,jk,ki->i", U.conj(), gram.matrix, U).real
-    phi = np.maximum(phi, 0.0)
+    return allocate_siso(cfg, D, *modes(D.conj().T @ D, gram.matrix), mode)
 
+
+def allocate_siso(cfg: SystemConfig, D: np.ndarray, U: np.ndarray, lam_d: np.ndarray,
+                  phi: np.ndarray, mode: str) -> SisoPrecoder:
+    """The SNR-dependent half of :func:`solve_siso` on an already factored D."""
     budget = float(cfg.mn)
     if mode == "pa":
-        lam_p, xi = waterfill(lam_d, phi, cfg.sigma_x2, cfg.N0, budget)
-        P = U * np.sqrt(lam_p)
-    elif mode == "nopa":
-        lam_p = np.ones_like(lam_d)
-        xi = math.nan
-        P = U.copy()
+        lam_p, xi, P, _ = fill_modes(U, lam_d, phi, cfg.sigma_x2, cfg.N0, budget)
     else:
-        lam_p = np.ones_like(lam_d)
-        xi = math.nan
-        P = np.eye(len(lam_d), dtype=complex)
+        lam_p, xi = np.ones_like(lam_d), math.nan
+        P = U.copy() if mode == "nopa" else np.eye(len(lam_d), dtype=complex)
     return SisoPrecoder(mode=mode, D=D, U=U, lam_d=lam_d, phi=phi, lam_p=lam_p,
                         xi=xi, P=P, sigma_x2=cfg.sigma_x2, N0=cfg.N0, budget=budget)
 
@@ -171,18 +179,10 @@ def capacity_bits(pre: SisoPrecoder) -> float:
     modes, and for P = I it collapses to the same expression because
     det(I + c D^H D) only sees the eigenvalues.
     """
-    if pre.N0 == 0.0:
-        return math.inf if np.any(pre.lam_p * pre.lam_d > 0.0) else 0.0
-    c = pre.sigma_x2 / pre.N0
-    return float(np.sum(np.log2(1.0 + c * pre.lam_p * pre.lam_d)))
+    return mode_bits(pre.lam_p, pre.lam_d, pre.sigma_x2, pre.N0)
 
 
 def siso_capacity(pre: SisoPrecoder, cfg: SystemConfig) -> float:
     """Capacity normalized per unit of occupied time-frequency-energy,
     bits / (alpha beta M N E0)."""
-    return capacity_bits(pre) / (cfg.alpha * cfg.beta * cfg.mn * cfg.E0)
-
-
-def precode(pre: SisoPrecoder, x: np.ndarray) -> np.ndarray:
-    """Apply the precoder to a symbol vector (or a batch of columns)."""
-    return pre.P @ x
+    return normalized_capacity(capacity_bits(pre), cfg)

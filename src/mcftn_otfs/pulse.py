@@ -52,8 +52,8 @@ class RrcPulse:
     32*T0 would leave about 1e-6 of energy outside and poison every
     unit-energy invariant downstream; renormalizing pins A(0, 0) = 1 and the
     Gram diagonal at quadrature precision instead. theta = 0 degenerates to
-    a sinc whose 1/t tails defeat the truncation entirely; prefer
-    :class:`SincPulse` for that regime.
+    a sinc whose 1/t tails defeat the truncation entirely; it is only
+    usable on the uncompressed grid (alpha = beta = 1).
 
     `nodes_per_t0` controls the composite Gauss-Legendre rule used for
     ambiguity integrals (one panel per T0 of overlap). The default resolves
@@ -164,50 +164,6 @@ class RrcPulse:
             flat_out[sel] = self.ambiguity_batch(flat_f[sel], float(tval))
         out = flat_out.reshape(f_arr.shape)
         return out if out.ndim else complex(out)
-
-
-@dataclass(frozen=True)
-class SincPulse:
-    """Ideal sinc pulse with analytic ambiguity. Experimental.
-
-    g(t) = sinc(t/T0)/sqrt(T0) has the flat spectrum sqrt(T0) on
-    |f| <= 1/(2 T0), so the ambiguity is the spectral overlap integral
-
-        A(f, tau) = T0 * integral_a^b exp(2j pi nu tau) d nu
-
-    over the intersection of the two band intervals; it vanishes identically
-    for |f| >= 1/T0. Provided for rectangular-filter comparisons where the
-    theta = 0 raised cosine limit is numerically unusable; the 1/t amplitude
-    tails mean no finite truncation is honest, so `amplitude` reports the
-    untruncated sinc and the ambiguity is computed in closed form instead.
-    """
-
-    T0: float = 1.0
-
-    def amplitude(self, t) -> np.ndarray:
-        t = np.asarray(t, dtype=float)
-        out = np.sinc(t / self.T0) / np.sqrt(self.T0)
-        return out if out.ndim else float(out)
-
-    def ambiguity(self, f, tau) -> np.ndarray:
-        f_arr, tau_arr = np.broadcast_arrays(np.asarray(f, float), np.asarray(tau, float))
-        half = 0.5 / self.T0
-        a = np.maximum(-half, f_arr - half)
-        b = np.minimum(half, f_arr + half)
-        out = np.zeros(f_arr.shape, dtype=complex)
-        open_band = b > a
-        small = np.abs(tau_arr) < 1e-15
-        flat = open_band & small
-        out[flat] = self.T0 * (b[flat] - a[flat])
-        osc = open_band & ~small
-        tau_o = tau_arr[osc]
-        out[osc] = self.T0 * (
-            np.exp(2j * np.pi * tau_o * b[osc]) - np.exp(2j * np.pi * tau_o * a[osc])
-        ) / (2j * np.pi * tau_o)
-        return out if out.ndim else complex(out)
-
-    def ambiguity_batch(self, f_values: np.ndarray, tau: float) -> np.ndarray:
-        return np.atleast_1d(self.ambiguity(np.asarray(f_values, float), tau))
 
 
 @dataclass
@@ -328,7 +284,7 @@ def build_gram(cfg: SystemConfig, pulse=None) -> GramMatrix:
     if isinstance(pulse, RrcPulse) and pulse.theta == 0.0 and (cfg.alpha != 1.0 or cfg.beta != 1.0):
         raise ConfigError(
             "theta = 0 raised cosine tails decay like 1/t and defeat truncation; "
-            "use SincPulse or a small positive roll-off for compressed grids"
+            "use a small positive roll-off for compressed grids"
         )
 
     dn = np.arange(-(cfg.N - 1), cfg.N)

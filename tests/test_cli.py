@@ -45,6 +45,20 @@ def test_unknown_config_key_exits_1(tmp_path, capsys):
     assert "bandwidth" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("bad", [
+    {"seed": 1.5},
+    {"snr_db": 5},
+    {"snr_db": ["a"]},
+    {"n_realizations": "3"},
+    {"n_frames": 2.5},
+], ids=["seed-float", "snr-scalar", "snr-text", "realizations-text", "frames-float"])
+def test_malformed_config_value_exits_1(tmp_path, capsys, bad):
+    conf = tmp_path / "bad.json"
+    conf.write_text(json.dumps({"M": 2, "N": 2, "n_realizations": 1, **bad}))
+    assert cli.main(["ber", "--config", str(conf), "--out", str(tmp_path)]) == 1
+    assert "config error" in capsys.readouterr().err
+
+
 def test_unknown_flag_exits_1(tmp_path, capsys):
     assert cli.main(["capacity", "--bogus", "1"]) == 1
     assert "config error" in capsys.readouterr().err

@@ -9,18 +9,13 @@ from mcftn_otfs import (
     GramMatrix,
     NoiseModel,
     SystemConfig,
-    ber_from_counts,
     bits_per_symbol,
     demap_symbols,
     make_noise_model,
     map_bits,
-    measure_ber,
-    mmse_equalize,
     mmse_weights,
     rng_stream,
     sfft_matrix,
-    simulate_frame,
-    transmit,
     wilson_interval,
 )
 from mcftn_otfs.noise import draw_dd_noise
@@ -96,15 +91,6 @@ def test_demap_zero_resolves_to_bit_zero():
         demap_symbols(np.array([1.0]), "psk")
 
 
-def test_transmit_formula():
-    rng = np.random.default_rng(5)
-    h = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-    p = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-    x = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-    z = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-    np.testing.assert_allclose(transmit(h, p, x, z), h @ p @ x + z, atol=1e-14)
-
-
 # ------------------------------------------------------------------- mmse ----
 
 def test_mmse_scalar_wiener():
@@ -116,10 +102,7 @@ def test_mmse_zero_channel_returns_zero():
     w = mmse_weights(np.zeros((2, 2), dtype=complex), np.eye(2, dtype=complex), 1.0)
     np.testing.assert_array_equal(w, np.zeros((2, 2)))
     y = np.ones(2, dtype=complex)
-    np.testing.assert_array_equal(
-        mmse_equalize(np.zeros((2, 2), dtype=complex), np.eye(2, dtype=complex), 1.0, y),
-        np.zeros(2),
-    )
+    np.testing.assert_array_equal(w @ y, np.zeros(2))
 
 
 def test_mmse_zero_forcing_limit():
@@ -154,43 +137,9 @@ def test_mmse_empirical_mse_matches_analytic():
     n = 20000
     x = (rng.standard_normal((4, n)) + 1j * rng.standard_normal((4, n))) * np.sqrt(sigma_x2 / 2)
     z = draw_dd_noise(model, rng_stream(12, "noise", 0), n=n)
-    x_hat = mmse_equalize(b, model.covariance, sigma_x2, b @ x + z)
+    x_hat = mmse_weights(b, model.covariance, sigma_x2) @ (b @ x + z)
     empirical = float(np.mean(np.sum(np.abs(x - x_hat) ** 2, axis=0)))
     assert empirical == pytest.approx(analytic, rel=0.05)
-
-
-# ------------------------------------------------------------------ frames ----
-
-def test_simulate_frame_noiseless_identity_is_error_free():
-    model = identity_noise(4, 0.0)
-    eye = np.eye(4, dtype=complex)
-    for constellation in ("bpsk", "qpsk"):
-        r = simulate_frame(eye, eye, model, rng_stream(1, "bits", 0),
-                           constellation=constellation)
-        assert r.n_errors == 0
-        np.testing.assert_array_equal(r.tx_bits, r.rx_bits)
-        assert r.tx_bits.size == bits_per_symbol(constellation) * 4
-
-
-def test_simulate_frame_deterministic():
-    model = identity_noise(4, 0.5)
-    eye = np.eye(4, dtype=complex)
-    a = simulate_frame(eye, eye, model, rng_stream(2, "bits", 7))
-    b = simulate_frame(eye, eye, model, rng_stream(2, "bits", 7))
-    np.testing.assert_array_equal(a.tx_bits, b.tx_bits)
-    np.testing.assert_array_equal(a.received, b.received)
-    assert a.n_errors == b.n_errors
-    assert a.n_errors == int(np.count_nonzero(a.tx_bits != a.rx_bits))
-
-
-def test_simulate_frame_mimo_shapes():
-    model = identity_noise(4, 0.2)
-    rng = np.random.default_rng(3)
-    h = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
-    p = np.eye(8, dtype=complex)
-    r = simulate_frame(h, p, model, rng_stream(3, "bits", 0), n_rx=2)
-    assert r.received.shape == (8,)
-    assert r.tx_bits.shape == (8,)
 
 
 # ---------------------------------------------------------------- counting ----
@@ -209,24 +158,6 @@ def test_wilson_interval_validation():
         wilson_interval(0, 0)
 
 
-def test_ber_from_counts_and_pooling():
-    est = ber_from_counts(3, 300)
-    assert est.ber == pytest.approx(0.01)
-    assert est.ci_low < 0.01 < est.ci_high
-    assert isinstance(est.ci_low, float) and isinstance(est.ci_high, float)
-
-    model = identity_noise(4, 0.5)
-    eye = np.eye(4, dtype=complex)
-    frames = [
-        simulate_frame(eye, eye, model, rng_stream(4, "bits", i)) for i in range(50)
-    ]
-    pooled = measure_ber(frames)
-    assert pooled.bits == 200
-    assert pooled.errors == sum(f.n_errors for f in frames)
-    with pytest.raises(ConfigError):
-        measure_ber([])
-
-
 # ------------------------------------------------------------- ber physics ----
 
 def test_scalar_awgn_bpsk_matches_q_function():
@@ -241,7 +172,7 @@ def test_scalar_awgn_bpsk_matches_q_function():
     x = map_bits(bits, "bpsk", 1.0)
     z = draw_dd_noise(model, rng_stream(5, "noise", 0), n=n)
     y = np.ones((1, 1)) @ x + z
-    x_hat = mmse_equalize(np.eye(1, dtype=complex), model.covariance, 1.0, y)
+    x_hat = mmse_weights(np.eye(1, dtype=complex), model.covariance, 1.0) @ y
     errors = int(np.count_nonzero(demap_symbols(x_hat, "bpsk") != bits))
     expected = q_func(np.sqrt(2.0 / n0))
     sigma = np.sqrt(expected * (1.0 - expected) / n)
@@ -259,7 +190,7 @@ def test_qpsk_awgn_matches_q_function():
     x = map_bits(bits, "qpsk", 1.0)
     z = draw_dd_noise(model, rng_stream(6, "noise", 0), n=n)
     y = np.ones((1, 1)) @ x + z
-    x_hat = mmse_equalize(np.eye(1, dtype=complex), model.covariance, 1.0, y)
+    x_hat = mmse_weights(np.eye(1, dtype=complex), model.covariance, 1.0) @ y
     errors = int(np.count_nonzero(demap_symbols(x_hat, "qpsk") != bits))
     expected = q_func(np.sqrt(1.0 / n0))
     sigma = np.sqrt(expected * (1.0 - expected) / (2 * n))

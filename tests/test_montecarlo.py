@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from mcftn_otfs import (
+    SCHEMES,
     BerPoint,
     CapacityPoint,
     ConfigError,
@@ -11,13 +12,19 @@ from mcftn_otfs import (
     SystemConfig,
     build_dd_channel,
     build_gram,
+    build_mimo_channel,
+    build_mimo_effective,
+    mimo_capacity,
     rng_stream,
     run_sweep,
     sample_paths,
     sfft_matrix,
+    sic_precode,
     siso_capacity,
     solve_siso,
     paths_digest,
+    wf_baseline,
+    wf_structured,
     run_sweep as _run_sweep,
 )
 
@@ -56,21 +63,54 @@ def test_spec_validation():
 
 # ------------------------------------------------------------- capacity -----
 
-def test_degenerate_sweep_matches_direct_call():
-    spec = SweepSpec(config=BASE, snr_points_db=(10.0,), n_realizations=1)
-    res = run_sweep(spec)
-    cfg = BASE.with_snr_db(10.0)
+def _direct_capacity(scheme, cfg, r=0):
+    """Capacity of realization r through the public solver of `scheme`."""
     gram = build_gram(cfg)
-    # the sweep's channel builder spawns one child per antenna pair
-    child = rng_stream(3, "paths", 0).spawn(1)[0]
-    ch = build_dd_channel(sample_paths(cfg, child), cfg)
-    pre = solve_siso(cfg, gram, ch.h_dd, sfft_matrix(cfg), mode="pa")
+    sfft = sfft_matrix(cfg)
+    if scheme.startswith("siso_"):
+        # the sweep's channel builder spawns one child per antenna pair
+        child = rng_stream(cfg.seed, "paths", r).spawn(1)[0]
+        ch = build_dd_channel(sample_paths(cfg, child), cfg)
+        pre = solve_siso(cfg, gram, ch.h_dd, sfft, mode=scheme[len("siso_"):])
+        return siso_capacity(pre, cfg), paths_digest(ch.paths)
+    mimo = build_mimo_channel(cfg, rng_stream(cfg.seed, "paths", r))
+    d = build_mimo_effective(gram, mimo.matrix, sfft, cfg.n_rx)
+    if scheme == "sic":
+        cap = mimo_capacity(sic_precode(cfg, d, gram), cfg)
+    elif scheme == "wf_relaxed":
+        cap = wf_baseline(cfg, d, gram)[1]
+    else:
+        cap = wf_structured(cfg, d, gram)[1]
+    return cap, paths_digest(mimo.blocks)
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_degenerate_sweep_matches_direct_call(scheme):
+    base = BASE if scheme.startswith("siso_") else BASE.replace(n_tx=2, n_rx=2)
+    spec = SweepSpec(config=base, snr_points_db=(10.0,), n_realizations=1,
+                     schemes=(scheme,))
+    res = run_sweep(spec)
+    cap, digest = _direct_capacity(scheme, base.with_snr_db(10.0))
     point = res.points[0]
     assert isinstance(point, CapacityPoint)
-    assert point.mean == pytest.approx(siso_capacity(pre, cfg), rel=1e-12)
+    assert point.mean == pytest.approx(cap, rel=1e-12)
     assert point.stderr == 0.0
     assert point.n == 1
-    assert res.channel_digests[0] == paths_digest(ch.paths)
+    assert res.channel_digests[0] == digest
+
+
+@pytest.mark.parametrize("scheme", ["siso_pa", "sic"])
+def test_sweep_at_the_ends_of_the_snr_range(scheme):
+    base = BASE if scheme == "siso_pa" else BASE.replace(n_tx=2, n_rx=2)
+    res = run_sweep(SweepSpec(config=base, snr_points_db=(-150.0, 150.0),
+                              n_realizations=2, schemes=(scheme,)))
+    low, high = res.values[(scheme, -150.0)], res.values[(scheme, 150.0)]
+    assert np.all((low > 0.0) & (low < 1e-12))
+    assert np.all(np.isfinite(high) & (high > 1.0))
+    for snr, cell in ((-150.0, low), (150.0, high)):
+        for r in range(2):
+            cap, _ = _direct_capacity(scheme, base.with_snr_db(snr), r)
+            assert cell[r] == pytest.approx(cap, rel=1e-12)
 
 
 def test_sweep_deterministic():

@@ -12,8 +12,6 @@ from mcftn_otfs import (
     build_effective_channel,
     build_gram,
     capacity_bits,
-    isfft_matrix,
-    precode,
     rng_stream,
     sample_paths,
     sfft_matrix,
@@ -38,7 +36,7 @@ def test_effective_channel_identity_case():
     cfg = SystemConfig(M=2, N=2)
     gram = GramMatrix.from_matrix(np.eye(4, dtype=complex))
     d = build_effective_channel(gram, np.eye(4, dtype=complex), sfft_matrix(cfg))
-    np.testing.assert_allclose(d, isfft_matrix(cfg), atol=1e-14)
+    np.testing.assert_allclose(d, sfft_matrix(cfg).conj().T, atol=1e-14)
     np.testing.assert_allclose(d @ d.conj().T, np.eye(4), atol=1e-13)
 
 
@@ -110,26 +108,44 @@ def test_waterfill_validation():
         waterfill(np.ones(3), np.ones(3), 1.0, 1.0, budget=0.0)
 
 
-@pytest.mark.parametrize("trial", range(10))
-def test_waterfill_matches_optimization_oracles(trial):
+# the ten random instances draw N0 themselves; the extremes pin it at the ends
+# of the valid SNR range, where a bracketed search on the water level fails
+ORACLE_CASES = [(trial, None) for trial in range(10)] + [(10, -150.0), (11, 150.0),
+                                                         (12, -150.0), (13, 150.0)]
+
+
+@pytest.mark.parametrize("trial,snr_db", ORACLE_CASES,
+                         ids=[str(t) if db is None else f"{t}-{db:+.0f}dB"
+                              for t, db in ORACLE_CASES])
+def test_waterfill_matches_optimization_oracles(trial, snr_db):
     rng = np.random.default_rng(300 + trial)
     k = 8
     lam_d = rng.uniform(0.0, 3.0, k)
     lam_d[rng.random(k) < 0.2] = 0.0
     phi = rng.uniform(0.3, 2.0, k)
-    n0 = float(rng.uniform(0.05, 2.0))
-    lam_p, _ = waterfill(lam_d, phi, 1.0, n0, budget=float(k))
+    n0 = float(rng.uniform(0.05, 2.0)) if snr_db is None else 10.0 ** (-snr_db / 10.0)
+    lam_p, xi = waterfill(lam_d, phi, 1.0, n0, budget=float(k))
+    assert np.isfinite(xi)
+    # budget binds whenever anything is allocated
+    assert phi @ lam_p == pytest.approx(float(k), rel=1e-10)
 
     a = lam_d / n0
     obj = float(np.sum(np.log2(1.0 + a * lam_p)))
-    x_pg, obj_pg = waterfill_pg(lam_d, phi, 1.0, n0, float(k))
     x_en, obj_en = waterfill_enum(lam_d, phi, 1.0, n0, float(k))
-    assert obj == pytest.approx(obj_pg, abs=1e-10)
+    if snr_db is not None and snr_db < 0.0:
+        # the oracle's closed form level/phi - 1/a cancels terms near 1/a,
+        # losing about eps/a absolutely; compare support and values at that
+        # resolution (the budget above is checked exactly)
+        np.testing.assert_array_equal(lam_p > 0.0, x_en > 0.0)
+        resolution = 4.0 * np.finfo(float).eps * float(np.max(1.0 / a[x_en > 0.0]))
+        np.testing.assert_allclose(lam_p, x_en, rtol=0.0, atol=resolution)
+        return
     assert obj == pytest.approx(obj_en, abs=1e-10)
     np.testing.assert_allclose(lam_p, x_en, atol=1e-10)
-    np.testing.assert_allclose(x_pg, x_en, atol=1e-10)
-    # budget binds whenever anything is allocated
-    assert phi @ lam_p == pytest.approx(float(k), rel=1e-10)
+    if snr_db is None:
+        x_pg, obj_pg = waterfill_pg(lam_d, phi, 1.0, n0, float(k))
+        assert obj == pytest.approx(obj_pg, abs=1e-10)
+        np.testing.assert_allclose(x_pg, x_en, atol=1e-10)
 
 
 @pytest.mark.parametrize("trial", range(4))
@@ -236,11 +252,3 @@ def test_normalization_uses_occupancy():
     assert siso_capacity(pre, doubled) == pytest.approx(
         siso_capacity(pre, cfg) / 2.0, rel=1e-14
     )
-
-
-def test_precode_applies_matrix():
-    cfg, gram, ch = random_instance(62)
-    pre = solve_siso(cfg, gram, ch.h_dd, sfft_matrix(cfg))
-    rng = np.random.default_rng(0)
-    x = rng.standard_normal((4, 3)) + 1j * rng.standard_normal((4, 3))
-    np.testing.assert_allclose(precode(pre, x), pre.P @ x, atol=1e-15)

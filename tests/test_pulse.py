@@ -10,7 +10,6 @@ from mcftn_otfs import (
     GramMatrix,
     NumericalError,
     RrcPulse,
-    SincPulse,
     SystemConfig,
     ambiguity_table,
     build_gram,
@@ -197,26 +196,6 @@ def test_ambiguity_quadrature_converged():
                                atol=1e-12)
 
 
-# ----------------------------------------------------------- sinc pulse ----
-
-def test_sinc_pulse_closed_form_values():
-    pulse = SincPulse(T0=1.0)
-    assert pulse.ambiguity(0.0, 0.0) == pytest.approx(1.0, abs=1e-15)
-    assert pulse.ambiguity(0.5, 0.0) == pytest.approx(0.5, abs=1e-15)
-    assert pulse.ambiguity(1.0, 0.0) == pytest.approx(0.0, abs=1e-15)
-    assert pulse.ambiguity(0.0, 0.5) == pytest.approx(2.0 / np.pi, abs=1e-12)
-    assert pulse.ambiguity(0.0, 1.0) == pytest.approx(0.0, abs=1e-12)
-    assert pulse.amplitude(0.0) == pytest.approx(1.0)
-
-
-def test_sinc_pulse_matches_truncated_rrc_limit():
-    # at theta -> 0 the raised cosine ambiguity approaches the sinc one
-    sinc = SincPulse(T0=1.0)
-    rrc = RrcPulse(theta=0.01)
-    for f, tau in [(0.3, 0.4), (0.0, 0.85), (0.7, -1.2)]:
-        assert abs(rrc.ambiguity(f, tau) - sinc.ambiguity(f, tau)) < 0.05
-
-
 # ----------------------------------------------------------------- gram ----
 
 @pytest.fixture(scope="module")
@@ -306,10 +285,6 @@ def test_gram_theta_zero_guard():
                        allow_small_alpha=True)
     with pytest.raises(ConfigError):
         build_gram(cfg)
-    # the sinc pulse handles the Nyquist grid analytically
-    nyq = SystemConfig(M=3, N=2, alpha=1.0, beta=1.0, theta=0.0)
-    gram = build_gram(nyq, pulse=SincPulse(nyq.T0))
-    np.testing.assert_allclose(gram.matrix, np.eye(6), atol=1e-12)
 
 
 def test_ambiguity_table_layout():
