@@ -1,13 +1,13 @@
 """Doubly dispersive channel construction on the compressed grid.
 
-A channel realization is a small set of paths (gain, delay, Doppler). The
-matched-filtered time-frequency coupling between transmit slot (m', n') and
-receive slot (m, n) for one path is an ambiguity value at the offset
-(dm*beta*delta_f0 - doppler, dn*alpha*T0 - delay) times two phase factors;
-summing paths gives the time-frequency channel matrix, and conjugating with
-the SFFT gives the delay-Doppler matrix the equalizer works in. Matrices are
-never sampled directly: they are rebuilt deterministically from the paths,
-which is also what the JSON serialization stores.
+A channel realization is a small set of paths (gain, delay, Doppler). Its
+time-frequency matrix is `pulse.coupling_matrix` of those paths: per path an
+ambiguity value at the offset (dm*beta*delta_f0 - doppler,
+dn*alpha*T0 - delay) times two phase factors, the same lattice formula whose
+unit path is the pulse Gram. Conjugating with the SFFT gives the
+delay-Doppler matrix the equalizer works in. Matrices are never sampled
+directly: they are rebuilt deterministically from the paths, which is also
+what the JSON serialization stores.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from .core import ConfigError, SystemConfig, sfft_matrix
-from .pulse import RrcPulse, ambiguity_table
+from .pulse import RrcPulse, coupling_matrix
 
 
 @dataclass(frozen=True)
@@ -49,15 +49,14 @@ def sample_paths(cfg: SystemConfig, rng: np.random.Generator) -> tuple[DdPath, .
 
 
 def tf_channel_entry(paths: Sequence[DdPath], m: int, n: int, mp: int, np_: int,
-                     cfg: SystemConfig, pulse=None) -> complex:
+                     cfg: SystemConfig) -> complex:
     """Single time-frequency coupling coefficient, summed over paths.
 
     Scalar reference path for the vectorized builder: receive slot (m, n),
     transmit slot (m', n'). The ambiguity argument and both phase factors use
     the compressed lattice alpha*T0, beta*delta_f0.
     """
-    if pulse is None:
-        pulse = RrcPulse(cfg.theta, cfg.T0)
+    pulse = RrcPulse(cfg.theta, cfg.T0)
     dt = (n - np_) * cfg.alpha * cfg.T0
     df = (m - mp) * cfg.beta * cfg.delta_f0
     total = 0.0 + 0.0j
@@ -73,40 +72,9 @@ def tf_channel_entry(paths: Sequence[DdPath], m: int, n: int, mp: int, np_: int,
     return complex(total)
 
 
-def build_tf_channel(paths: Sequence[DdPath], cfg: SystemConfig, pulse=None) -> np.ndarray:
-    """Time-frequency channel matrix over the whole block.
-
-    Rows and columns are flat indices n*M + m. Per path, the (2N-1)(2M-1)
-    distinct ambiguity values are integrated once and the MN x MN matrix is
-    filled by indexing, so cost scales with L*N quadrature batches rather
-    than with the matrix size.
-    """
-    if pulse is None:
-        pulse = RrcPulse(cfg.theta, cfg.T0)
-    idx = np.arange(cfg.mn)
-    m_idx = idx % cfg.M
-    n_idx = idx // cfg.M
-    dm_grid = m_idx[:, None] - m_idx[None, :]
-    dn_grid = n_idx[:, None] - n_idx[None, :]
-    dt_grid = dn_grid * cfg.alpha * cfg.T0
-    mp_grid = np.broadcast_to(m_idx[None, :], (cfg.mn, cfg.mn))
-    np_grid = np.broadcast_to(n_idx[None, :], (cfg.mn, cfg.mn))
-
-    dn = np.arange(-(cfg.N - 1), cfg.N)
-    taus = dn * cfg.alpha * cfg.T0
-
-    h = np.zeros((cfg.mn, cfg.mn), dtype=complex)
-    for p in paths:
-        table = ambiguity_table(pulse, cfg, taus, doppler=p.doppler, delay_shift=p.delay)
-        amb = table[dn_grid + cfg.N - 1, dm_grid + cfg.M - 1]
-        phase = np.exp(
-            2j * np.pi * (
-                (p.doppler + mp_grid * cfg.beta * cfg.delta_f0) * (dt_grid - p.delay)
-                + p.doppler * np_grid * cfg.alpha * cfg.T0
-            )
-        )
-        h += p.gain * amb * phase
-    return h
+def build_tf_channel(paths: Sequence[DdPath], cfg: SystemConfig) -> np.ndarray:
+    """Time-frequency channel matrix over the whole block, rows and columns n*M + m."""
+    return coupling_matrix(cfg, [(p.gain, p.delay, p.doppler) for p in paths])
 
 
 @dataclass
@@ -118,12 +86,12 @@ class DdChannel:
     h_dd: np.ndarray   # delay-Doppler domain, MN x MN
 
 
-def build_dd_channel(paths: Sequence[DdPath], cfg: SystemConfig, pulse=None,
+def build_dd_channel(paths: Sequence[DdPath], cfg: SystemConfig,
                      sfft: np.ndarray | None = None) -> DdChannel:
     """Delay-Doppler channel H_dd = A H_tf A^H for the given paths."""
     if sfft is None:
         sfft = sfft_matrix(cfg)
-    h_tf = build_tf_channel(paths, cfg, pulse)
+    h_tf = build_tf_channel(paths, cfg)
     h_dd = sfft @ h_tf @ sfft.conj().T
     return DdChannel(paths=tuple(paths), h_tf=h_tf, h_dd=h_dd)
 
@@ -136,8 +104,7 @@ class MimoChannel:
     matrix: np.ndarray      # (n_rx*MN, n_tx*MN) delay-Doppler block matrix
 
 
-def build_mimo_channel(cfg: SystemConfig, rng: np.random.Generator,
-                       pulse=None) -> MimoChannel:
+def build_mimo_channel(cfg: SystemConfig, rng: np.random.Generator) -> MimoChannel:
     """Draw n_rx * n_tx independent path sets and stack the DD blocks.
 
     The generator is split once into n_rx*n_tx children; antenna pair
@@ -147,7 +114,7 @@ def build_mimo_channel(cfg: SystemConfig, rng: np.random.Generator,
     children = rng.spawn(cfg.n_rx * cfg.n_tx)
     nested = [[sample_paths(cfg, children[r * cfg.n_tx + t]) for t in range(cfg.n_tx)]
               for r in range(cfg.n_rx)]
-    return mimo_channel_from_paths(cfg, nested, pulse)
+    return mimo_channel_from_paths(cfg, nested)
 
 
 def paths_to_json(paths: Sequence[DdPath]) -> str:
@@ -179,14 +146,12 @@ def mimo_paths_to_json(mimo: MimoChannel) -> str:
     )
 
 
-def mimo_channel_from_paths(cfg: SystemConfig, nested, pulse=None) -> MimoChannel:
+def mimo_channel_from_paths(cfg: SystemConfig, nested) -> MimoChannel:
     """Build a MIMO realization from nested [rx][tx] path lists."""
-    if pulse is None:
-        pulse = RrcPulse(cfg.theta, cfg.T0)
     if len(nested) != cfg.n_rx or any(len(row) != cfg.n_tx for row in nested):
         raise ConfigError("nested path layout does not match n_rx x n_tx")
     sfft = sfft_matrix(cfg)
-    blocks = [[build_dd_channel(paths, cfg, pulse, sfft) for paths in row] for row in nested]
+    blocks = [[build_dd_channel(paths, cfg, sfft) for paths in row] for row in nested]
     matrix = np.block([[ch.h_dd for ch in row] for row in blocks])
     return MimoChannel(blocks=blocks, matrix=matrix)
 

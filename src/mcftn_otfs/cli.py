@@ -16,9 +16,9 @@ import os
 import sys
 from dataclasses import fields
 
-from .core import ConfigError, NumericalError, SystemConfig, sfft_matrix
+from .core import ConfigError, NumericalError, SystemConfig
 from .montecarlo import SCHEMES, SweepSpec, run_sweep
-from .pulse import RrcPulse, build_gram
+from .pulse import build_gram
 
 CAPACITY_HEADER = ["snr_db", "scheme", "alpha", "beta", "mean_bps_hz", "stderr", "n"]
 BER_HEADER = ["snr_db", "scheme", "alpha", "beta", "ber", "ci_low", "ci_high", "bits"]
@@ -27,7 +27,7 @@ GRAM_EIGS_HEADER = ["index", "eigenvalue"]
 
 _SYSTEM_KEYS = {f.name for f in fields(SystemConfig)}
 _SWEEP_KEYS = {"snr_db", "n_realizations", "schemes", "n_frames", "constellation"}
-_INT_SYSTEM_KEYS = {"M", "N", "L", "n_tx", "n_rx", "seed"}
+_INT_KEYS = {"M", "N", "L", "n_tx", "n_rx", "seed", "n_realizations", "n_frames"}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -44,6 +44,7 @@ def _fmt(value) -> str:
 
 
 def load_config(path: str | None) -> dict:
+    """Read a JSON config; integer-valued floats of integer keys become ints."""
     if path is None:
         return {}
     try:
@@ -58,6 +59,9 @@ def load_config(path: str | None) -> dict:
     for key in raw:
         if key not in _SYSTEM_KEYS | _SWEEP_KEYS:
             raise ConfigError(f"unknown config key {key!r} in {path}")
+    for key in _INT_KEYS & raw.keys():
+        if isinstance(raw[key], float) and raw[key].is_integer():
+            raw[key] = int(raw[key])
     return raw
 
 
@@ -99,9 +103,6 @@ def _system_config(raw: dict, args) -> SystemConfig:
         value = getattr(args, key, None)
         if value is not None:
             merged[key] = value
-    for key in _INT_SYSTEM_KEYS & merged.keys():
-        if isinstance(merged[key], float) and merged[key].is_integer():
-            merged[key] = int(merged[key])
     try:
         return SystemConfig(**merged)
     except TypeError as exc:
@@ -150,7 +151,7 @@ def _write_csv(path: str, header, rows) -> None:
             writer.writerow([_fmt(v) for v in row])
 
 
-def _plot_script(metric: str, csv_name: str, schemes, ycol: int, ylabel: str,
+def _plot_script(csv_name: str, schemes, ycol: int, ylabel: str,
                  logscale: bool) -> str:
     lines = [
         f"# gnuplot script; expects {csv_name} in the same directory",
@@ -186,7 +187,7 @@ def _cmd_sweep(args, metric: str) -> int:
         ]
         csv_path = os.path.join(out, "capacity.csv")
         _write_csv(csv_path, CAPACITY_HEADER, rows)
-        script = _plot_script(metric, "capacity.csv", spec.schemes, 5,
+        script = _plot_script("capacity.csv", spec.schemes, 5,
                               "normalized capacity (bits/s/Hz)", logscale=False)
         gp_path = os.path.join(out, "capacity.gp")
     else:
@@ -196,7 +197,7 @@ def _cmd_sweep(args, metric: str) -> int:
         ]
         csv_path = os.path.join(out, "ber.csv")
         _write_csv(csv_path, BER_HEADER, rows)
-        script = _plot_script(metric, "ber.csv", spec.schemes, 5,
+        script = _plot_script("ber.csv", spec.schemes, 5,
                               "uncoded BER", logscale=True)
         gp_path = os.path.join(out, "ber.gp")
 
@@ -210,8 +211,7 @@ def _cmd_sweep(args, metric: str) -> int:
 def _cmd_gram(args) -> int:
     raw = load_config(args.config)
     cfg = _system_config(raw, args)
-    gram = build_gram(cfg, RrcPulse(cfg.theta, cfg.T0))
-    sfft_matrix(cfg)   # validates the grid is constructible end to end
+    gram = build_gram(cfg)
     out = _out_dir(args)
 
     g = gram.matrix

@@ -24,7 +24,7 @@ from .noise import draw_mimo_noise, make_noise_model
 from .precode_mimo import (build_mimo_effective, mimo_capacity, relaxed_fill, sic_precode,
                            wf_structured)
 from .precode_siso import allocate_siso, build_effective_channel, modes, siso_capacity
-from .pulse import RrcPulse, build_gram
+from .pulse import build_gram
 
 METRICS = ("capacity", "ber")
 
@@ -188,8 +188,7 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     that cell.
     """
     cfg = spec.config
-    pulse = RrcPulse(cfg.theta, cfg.T0)
-    gram = build_gram(cfg, pulse)
+    gram = build_gram(cfg)
     sfft = sfft_matrix(cfg)
 
     cells = [(s, snr) for s in spec.schemes for snr in spec.snr_points_db]
@@ -201,7 +200,7 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     digests = []
 
     for r in range(spec.n_realizations):
-        mimo = build_mimo_channel(cfg, rng_stream(cfg.seed, "paths", r), pulse)
+        mimo = build_mimo_channel(cfg, rng_stream(cfg.seed, "paths", r))
         digests.append(paths_digest(mimo.blocks))
         factors = {}
         for s in spec.schemes:

@@ -19,16 +19,13 @@ keeps ascending.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import ConfigError, SystemConfig
 from .pulse import GramMatrix
-from .precode_siso import fill_modes, modes, normalized_capacity
-
-LN2 = math.log(2.0)
+from .precode_siso import LN2, fill_modes, modes, normalized_capacity
 
 
 def build_mimo_effective(gram: GramMatrix, h_mimo: np.ndarray, sfft: np.ndarray,
@@ -67,7 +64,6 @@ class MimoPrecoderState:
     sigma_x2: float
     N0: float
     streams: list
-    T_final: np.ndarray
 
     @property
     def bits(self) -> float:
@@ -138,7 +134,7 @@ def sic_precode(cfg: SystemConfig, D: np.ndarray, gram: GramMatrix,
         b = a_t @ sol.P
         T = T + c * (b @ b.conj().T)
     return MimoPrecoderState(D=D, budgets=budgets, sigma_x2=cfg.sigma_x2,
-                             N0=cfg.N0, streams=streams, T_final=T)
+                             N0=cfg.N0, streams=streams)
 
 
 def mimo_capacity(state: MimoPrecoderState, cfg: SystemConfig) -> float:
@@ -176,25 +172,21 @@ def _logdet_bits(cfg: SystemConfig, D: np.ndarray, P: np.ndarray) -> float:
     return logdet / LN2
 
 
-def wf_baseline(cfg: SystemConfig, D: np.ndarray, gram: GramMatrix,
-                total_budget: float | None = None):
+def wf_baseline(cfg: SystemConfig, D: np.ndarray, gram: GramMatrix):
     """Relaxed water-filling benchmark with an unstructured precoder.
 
-    Diagonalizes D^H D jointly, weights the pooled budget (default
-    n_tx * MN) by phi = diag(U^H (I (x) G) U) and water-fills once. The
-    precoder mixes streams freely, so this upper-bounds what the per-stream
+    Diagonalizes D^H D jointly, weights the pooled budget n_tx * MN by
+    phi = diag(U^H (I (x) G) U) and water-fills once. The precoder mixes
+    streams freely, so this upper-bounds what the per-stream
     design should approach at high SNR. Returns (P, normalized capacity).
     """
     _check_mimo_args(cfg, D, gram)
-    return relaxed_fill(cfg, *modes(D.conj().T @ D, gram.matrix, cfg.n_tx), total_budget)
+    return relaxed_fill(cfg, *modes(D.conj().T @ D, gram.matrix, cfg.n_tx))
 
 
-def relaxed_fill(cfg: SystemConfig, U: np.ndarray, lam_d: np.ndarray, phi: np.ndarray,
-                 total_budget: float | None = None):
+def relaxed_fill(cfg: SystemConfig, U: np.ndarray, lam_d: np.ndarray, phi: np.ndarray):
     """The SNR-dependent half of :func:`wf_baseline` on an already factored D^H D."""
-    if total_budget is None:
-        total_budget = float(cfg.n_tx * cfg.mn)
-    _, _, P, bits = fill_modes(U, lam_d, phi, cfg.sigma_x2, cfg.N0, total_budget)
+    _, _, P, bits = fill_modes(U, lam_d, phi, cfg.sigma_x2, cfg.N0, float(cfg.n_tx * cfg.mn))
     return P, normalized_capacity(bits, cfg)
 
 

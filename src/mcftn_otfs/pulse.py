@@ -1,16 +1,18 @@
-"""Root raised cosine pulse, cross-ambiguity quadrature and the pulse Gram.
+"""Root raised cosine pulse, cross-ambiguity quadrature and the lattice assembler.
 
 Compressing the symbol interval to alpha*T0 and the carrier spacing to
-beta*delta_f0 makes the transmit pulses non-orthogonal. All of that
-non-orthogonality is captured by the Gram matrix of the modulated pulse
-family, whose entries are cross-ambiguity values
+beta*delta_f0 makes the transmit pulses non-orthogonal. Both that
+non-orthogonality and the channel's dispersion are cross-ambiguity values
 
     A(f, tau) = integral g(t - tau) g(t) exp(-2j pi f (t - tau)) dt
 
-evaluated on the lattice f = dm * beta * delta_f0, tau = dn * alpha * T0.
-The Gram is Hermitian PSD with unit diagonal; its eigendecomposition (with a
-relative floor that deactivates numerically dead modes) provides the square
-root and inverse square root used for noise whitening and precoding.
+on the lattice f = dm * beta * delta_f0, tau = dn * alpha * T0, shifted by
+each path's Doppler and delay. `coupling_matrix` assembles them for a set of
+(gain, delay, doppler) paths; the pulse Gram is the coupling of the unit
+path (1, 0, 0). The Gram is Hermitian PSD with unit diagonal; its
+eigendecomposition (with a relative floor that deactivates numerically dead
+modes) provides the square root and inverse square root used for noise
+whitening and precoding.
 """
 
 from __future__ import annotations
@@ -57,7 +59,10 @@ class RrcPulse:
 
     `nodes_per_t0` controls the composite Gauss-Legendre rule used for
     ambiguity integrals (one panel per T0 of overlap). The default resolves
-    frequency offsets up to roughly 19/T0; raise it for very wide grids.
+    frequency offsets up to roughly 19/T0. The Gram and every channel are
+    assembled by `coupling_matrix` with the defaults, so they stay accurate
+    while the largest offset on the grid, (M-1)*beta*delta_f0 plus the
+    Doppler spread, stays below that.
     """
 
     theta: float
@@ -190,7 +195,7 @@ class GramMatrix:
     HERMITIAN_TOL = 1e-10
 
     @classmethod
-    def from_matrix(cls, g: np.ndarray, floor_rel: float = FLOOR_REL) -> "GramMatrix":
+    def from_matrix(cls, g: np.ndarray) -> "GramMatrix":
         """Validate and decompose a Gram candidate.
 
         Raises NumericalError if the matrix is visibly non-Hermitian or
@@ -216,7 +221,7 @@ class GramMatrix:
                 f"gram matrix indefinite: min eigenvalue {evals[-1]:.3e} "
                 f"vs max {lam_max:.3e}"
             )
-        floor = floor_rel * lam_max
+        floor = cls.FLOOR_REL * lam_max
         active = evals >= floor
         if not np.any(active):
             raise DegenerateConfigurationError("all gram eigenvalues below the floor")
@@ -255,8 +260,9 @@ def ambiguity_table(pulse, cfg: SystemConfig, delays: np.ndarray, doppler: float
     """A(dm*beta*delta_f0 - doppler, tau - delay_shift) for all grid offsets.
 
     Returns a (len(delays), 2M-1) table indexed by [dn + N - 1, dm + M - 1]
-    when `delays` is the signed tau lattice. One quadrature batch per row,
-    which is what makes Gram and channel assembly cheap.
+    when `delays` is the signed tau lattice. One quadrature batch per row;
+    `coupling_matrix` builds one table per path and fills the MN x MN
+    matrix from it by indexing.
     """
     dm = np.arange(-(cfg.M - 1), cfg.M)
     f_values = dm * cfg.beta * cfg.delta_f0 - doppler
@@ -266,39 +272,62 @@ def ambiguity_table(pulse, cfg: SystemConfig, delays: np.ndarray, doppler: float
     return table
 
 
-def build_gram(cfg: SystemConfig, pulse=None) -> GramMatrix:
-    """Gram matrix of the compressed time-frequency pulse family.
+def coupling_matrix(cfg: SystemConfig, paths) -> np.ndarray:
+    """Matched-filter coupling of the compressed grid through a set of paths.
 
-    Entry (row = n1*M + m1, col = n2*M + m2):
+    `paths` are (gain, delay, doppler) triples. Rows and columns are flat
+    indices n*M + m; entry (receive slot (m, n), transmit slot (m', n')) is
 
-        G[row, col] = A((m1-m2) beta delta_f0, (n1-n2) alpha T0)
-                      * exp(2j pi m2 beta delta_f0 (n1-n2) alpha T0)
+        sum_p gain * A(dm beta delta_f0 - doppler, dt - delay)
+              * exp(2j pi [(doppler + m' beta delta_f0)(dt - delay)
+                           + doppler n' alpha T0])
 
-    Only the (2N-1)(2M-1) distinct ambiguity values are integrated; the rest
-    is phase bookkeeping. Hermitian symmetry is a property of that formula,
-    not enforced here, so the validation in GramMatrix.from_matrix is a real
-    check on the quadrature.
+    with dm = m - m', dt = (n - n') alpha T0, for the pulse RrcPulse(theta,
+    T0) of the config. Per path only the (2N-1)(2M-1) distinct ambiguity
+    values are integrated; the rest is phase bookkeeping, so cost scales
+    with L*N quadrature batches rather than with the matrix size.
+    Hermitian symmetry of the unit-path result is a property of the
+    formula, not enforced here, so the validation in GramMatrix.from_matrix
+    is a real check on the quadrature.
     """
-    if pulse is None:
-        pulse = RrcPulse(cfg.theta, cfg.T0)
-    if isinstance(pulse, RrcPulse) and pulse.theta == 0.0 and (cfg.alpha != 1.0 or cfg.beta != 1.0):
+    if cfg.theta == 0.0 and (cfg.alpha != 1.0 or cfg.beta != 1.0):
         raise ConfigError(
             "theta = 0 raised cosine tails decay like 1/t and defeat truncation; "
             "use a small positive roll-off for compressed grids"
         )
-
-    dn = np.arange(-(cfg.N - 1), cfg.N)
-    taus = dn * cfg.alpha * cfg.T0
-    table = ambiguity_table(pulse, cfg, taus)
-
+    pulse = RrcPulse(cfg.theta, cfg.T0)
     idx = np.arange(cfg.mn)
     m_idx = idx % cfg.M
     n_idx = idx // cfg.M
     dm_grid = m_idx[:, None] - m_idx[None, :]
     dn_grid = n_idx[:, None] - n_idx[None, :]
+    dt_grid = dn_grid * cfg.alpha * cfg.T0
+    mp_grid = np.broadcast_to(m_idx[None, :], (cfg.mn, cfg.mn))
+    np_grid = np.broadcast_to(n_idx[None, :], (cfg.mn, cfg.mn))
 
-    amb = table[dn_grid + cfg.N - 1, dm_grid + cfg.M - 1]
-    phase = np.exp(
-        2j * np.pi * m_idx[None, :] * cfg.beta * cfg.delta_f0 * dn_grid * cfg.alpha * cfg.T0
-    )
-    return GramMatrix.from_matrix(amb * phase)
+    dn = np.arange(-(cfg.N - 1), cfg.N)
+    taus = dn * cfg.alpha * cfg.T0
+
+    h = np.zeros((cfg.mn, cfg.mn), dtype=complex)
+    for gain, delay, doppler in paths:
+        table = ambiguity_table(pulse, cfg, taus, doppler=doppler, delay_shift=delay)
+        amb = table[dn_grid + cfg.N - 1, dm_grid + cfg.M - 1]
+        phase = np.exp(
+            2j * np.pi * (
+                (doppler + mp_grid * cfg.beta * cfg.delta_f0) * (dt_grid - delay)
+                + doppler * np_grid * cfg.alpha * cfg.T0
+            )
+        )
+        h += gain * amb * phase
+    return h
+
+
+def build_gram(cfg: SystemConfig) -> GramMatrix:
+    """Gram matrix of the compressed time-frequency pulse family.
+
+    The coupling of the unit path (gain 1, no delay, no Doppler):
+
+        G[n1*M + m1, n2*M + m2] = A((m1-m2) beta delta_f0, (n1-n2) alpha T0)
+                                  * exp(2j pi m2 beta delta_f0 (n1-n2) alpha T0)
+    """
+    return GramMatrix.from_matrix(coupling_matrix(cfg, ((1.0, 0.0, 0.0),)))

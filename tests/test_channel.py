@@ -122,9 +122,12 @@ def test_tf_channel_linear_in_paths():
     np.testing.assert_allclose(build_tf_channel([doubled], cfg), 2.0 * h1, atol=1e-14)
 
 
-def test_identity_path_tf_channel_equals_gram():
-    # h=1, tau=0, nu=0 collapses the channel formula to the Gram formula
-    cfg = SystemConfig(M=3, N=2, alpha=0.85, beta=0.9, theta=0.25)
+@pytest.mark.parametrize("theta, alpha, beta", [(0.25, 0.85, 0.9), (0.0, 1.0, 1.0)],
+                         ids=["rrc", "sinc"])
+def test_identity_path_tf_channel_equals_gram(theta, alpha, beta):
+    # h=1, tau=0, nu=0 collapses the channel formula to the Gram formula;
+    # theta = 0 (the sinc branch of the pulse) is only valid uncompressed
+    cfg = SystemConfig(M=3, N=2, alpha=alpha, beta=beta, theta=theta)
     h_tf = build_tf_channel(IDENTITY_PATH, cfg)
     g = build_gram(cfg).matrix
     np.testing.assert_allclose(h_tf, g, atol=1e-13)

@@ -59,6 +59,21 @@ def test_malformed_config_value_exits_1(tmp_path, capsys, bad):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, ints", [
+    ("capacity", {"M": 2, "N": 2, "L": 2, "seed": 3, "n_realizations": 2}),
+    ("ber", {"M": 2, "N": 2, "n_tx": 1, "n_rx": 1, "n_realizations": 2, "n_frames": 3}),
+], ids=["capacity", "ber"])
+def test_integer_valued_floats_match_ints(tmp_path, command, ints):
+    # every integer key accepts 2.0 for 2, and the output does not change
+    outputs = []
+    for name, values in (("int", ints), ("float", {k: float(v) for k, v in ints.items()})):
+        conf = tmp_path / f"{name}.json"
+        conf.write_text(json.dumps({"alpha": 0.9, "beta": 0.9, "snr_db": [0.0, 8.0], **values}))
+        assert cli.main([command, "--config", str(conf), "--out", str(tmp_path / name)]) == 0
+        outputs.append((tmp_path / name / f"{command}.csv").read_bytes())
+    assert outputs[0] == outputs[1]
+
+
 def test_unknown_flag_exits_1(tmp_path, capsys):
     assert cli.main(["capacity", "--bogus", "1"]) == 1
     assert "config error" in capsys.readouterr().err

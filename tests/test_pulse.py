@@ -6,6 +6,7 @@ from scipy import integrate
 
 from mcftn_otfs import (
     ConfigError,
+    DdPath,
     DegenerateConfigurationError,
     GramMatrix,
     NumericalError,
@@ -13,6 +14,7 @@ from mcftn_otfs import (
     SystemConfig,
     ambiguity_table,
     build_gram,
+    build_tf_channel,
 )
 from reference import (
     ambiguity_spectral,
@@ -281,10 +283,13 @@ def test_gram_compression_loses_no_hermitianity():
 
 
 def test_gram_theta_zero_guard():
+    # the guard sits in the lattice assembler, so channels get it too
     cfg = SystemConfig(M=2, N=2, alpha=0.9, beta=1.0, theta=0.0,
                        allow_small_alpha=True)
     with pytest.raises(ConfigError):
         build_gram(cfg)
+    with pytest.raises(ConfigError):
+        build_tf_channel((DdPath(gain=1.0 + 0.0j, delay=0.0, doppler=0.0),), cfg)
 
 
 def test_ambiguity_table_layout():
