@@ -20,7 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from .core import ConfigError, SystemConfig, sfft_matrix
-from .pulse import RrcPulse, coupling_matrix
+from .pulse import coupling_matrix, lattice_pulse
 
 
 @dataclass(frozen=True)
@@ -54,9 +54,10 @@ def tf_channel_entry(paths: Sequence[DdPath], m: int, n: int, mp: int, np_: int,
 
     Scalar reference path for the vectorized builder: receive slot (m, n),
     transmit slot (m', n'). The ambiguity argument and both phase factors use
-    the compressed lattice alpha*T0, beta*delta_f0.
+    the compressed lattice alpha*T0, beta*delta_f0; the pulse and its node
+    count are those `coupling_matrix` uses for the same paths.
     """
-    pulse = RrcPulse(cfg.theta, cfg.T0)
+    pulse = lattice_pulse(cfg, [p.doppler for p in paths])
     dt = (n - np_) * cfg.alpha * cfg.T0
     df = (m - mp) * cfg.beta * cfg.delta_f0
     total = 0.0 + 0.0j

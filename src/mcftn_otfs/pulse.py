@@ -18,7 +18,7 @@ whitening and precoding.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -31,6 +31,8 @@ from .core import (
 
 # Gauss-Legendre nodes/weights on [-1, 1], cached per order.
 _GL_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+# nodes per ambiguity_table chunk: keeps each temporary near 0.5 MiB at any grid
+_CHUNK_NODES = 2 ** 15
 
 
 def _gl_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
@@ -58,11 +60,12 @@ class RrcPulse:
     usable on the uncompressed grid (alpha = beta = 1).
 
     `nodes_per_t0` controls the composite Gauss-Legendre rule used for
-    ambiguity integrals (one panel per T0 of overlap). The default resolves
-    frequency offsets up to roughly 19/T0. The Gram and every channel are
-    assembled by `coupling_matrix` with the defaults, so they stay accurate
-    while the largest offset on the grid, (M-1)*beta*delta_f0 plus the
-    Doppler spread, stays below that.
+    ambiguity integrals (one panel per T0 of overlap). The frequency offset
+    it resolves grows with it, so the Gram and every channel do not use the
+    default: `coupling_matrix` takes its pulse from `lattice_pulse`, which
+    sets the node count from the largest offset on the grid,
+    (M-1)*beta*delta_f0 plus the largest Doppler. The default of 64 serves
+    direct calls and resolves offsets up to about 19/T0.
     """
 
     theta: float
@@ -129,33 +132,43 @@ class RrcPulse:
         out = self._norm * self._raw_amplitude(t)
         return out if out.ndim else float(out)
 
-    def _overlap(self, tau: float) -> tuple[float, float]:
-        lo = max(-self.support, tau - self.support)
-        hi = min(self.support, tau + self.support)
-        return lo, hi
+    def _profiles(self, taus) -> tuple[np.ndarray, np.ndarray]:
+        """Quadrature nodes and weighted profiles for a batch of delays.
+
+        Row i holds the composite Gauss-Legendre rule over the support
+        overlap of g(t) and g(t - taus[i]): one panel per T0, stretched to
+        tile the overlap so that both truncation edges fall on panel ends.
+        Returns the nodes s = t - tau and the profile g(s) g(t) w, both
+        (len(taus), nodes). Rows with fewer panels than the longest are
+        padded with zero weight; a row whose supports do not overlap is all
+        zero, so every ambiguity built from it is an exact zero.
+        """
+        taus = np.atleast_1d(np.asarray(taus, dtype=float))
+        lo = np.maximum(-self.support, taus - self.support)
+        hi = np.minimum(self.support, taus + self.support)
+        length = np.maximum(hi - lo, 0.0)
+        n_panels = np.where(length > 0.0,
+                            np.maximum(1.0, np.ceil(length / self.T0 - 1e-12)), 0.0)
+        width = length / np.maximum(n_panels, 1.0)
+        x, w = _gl_rule(self.nodes_per_t0)
+        k = np.arange(int(n_panels.max(initial=0.0)))
+        starts = lo[:, None] + width[:, None] * k
+        half = 0.5 * width[:, None, None]
+        t = (starts[:, :, None] + half * (x + 1.0)).reshape(len(taus), -1)
+        weights = np.where(k[:, None] < n_panels[:, None, None], half * w, 0.0)
+        s = t - taus[:, None]
+        return s, self.amplitude(s) * self.amplitude(t) * weights.reshape(len(taus), -1)
 
     def ambiguity_batch(self, f_values: np.ndarray, tau: float) -> np.ndarray:
         """A(f, tau) for a batch of frequency offsets at one delay offset.
 
-        Composite Gauss-Legendre over the support overlap, one panel per T0,
-        shared nodes for the whole batch. Exact zero when the supports of
-        g(t) and g(t - tau) no longer overlap.
+        One row of `_profiles`, shared nodes for the whole batch. Exact zero
+        when the supports of g(t) and g(t - tau) no longer overlap.
         """
         f_values = np.atleast_1d(np.asarray(f_values, dtype=float))
-        lo, hi = self._overlap(tau)
-        if hi <= lo:
-            return np.zeros(f_values.shape, dtype=complex)
-
-        n_panels = max(1, int(np.ceil((hi - lo) / self.T0 - 1e-12)))
-        x, w = _gl_rule(self.nodes_per_t0)
-        width = (hi - lo) / n_panels
-        starts = lo + width * np.arange(n_panels)
-        t = (starts[:, None] + 0.5 * width * (x[None, :] + 1.0)).ravel()
-        weights = np.tile(0.5 * width * w, n_panels)
-
-        profile = self.amplitude(t - tau) * self.amplitude(t) * weights
-        phases = np.exp(-2j * np.pi * np.outer(f_values, t - tau))
-        return phases @ profile
+        s, profile = self._profiles(tau)
+        phases = -2j * np.pi * np.outer(f_values, s[0])
+        return np.exp(phases, out=phases) @ profile[0]
 
     def ambiguity(self, f, tau) -> np.ndarray:
         """Cross-ambiguity A(f, tau); broadcasts over both arguments."""
@@ -260,16 +273,56 @@ def ambiguity_table(pulse, cfg: SystemConfig, delays: np.ndarray, doppler: float
     """A(dm*beta*delta_f0 - doppler, tau - delay_shift) for all grid offsets.
 
     Returns a (len(delays), 2M-1) table indexed by [dn + N - 1, dm + M - 1]
-    when `delays` is the signed tau lattice. One quadrature batch per row;
-    `coupling_matrix` builds one table per path and fills the MN x MN
-    matrix from it by indexing.
+    when `delays` is the signed tau lattice. All rows share one batched
+    quadrature (`RrcPulse._profiles`); the frequency axis is uniform, so
+    each column is the previous one times the phasor
+    exp(-2j pi beta delta_f0 s), and only two complex exponentials per node
+    are taken whatever M is. Rows go in chunks of at most _CHUNK_NODES
+    nodes to keep the temporaries small. `coupling_matrix` builds one table
+    per path and fills the MN x MN matrix from it by indexing.
     """
-    dm = np.arange(-(cfg.M - 1), cfg.M)
-    f_values = dm * cfg.beta * cfg.delta_f0 - doppler
-    table = np.empty((len(delays), len(dm)), dtype=complex)
-    for i, tau in enumerate(delays):
-        table[i] = pulse.ambiguity_batch(f_values, float(tau) - delay_shift)
+    f_step = cfg.beta * cfg.delta_f0
+    f_min = -(cfg.M - 1) * f_step - doppler
+    delays = np.atleast_1d(np.asarray(delays, dtype=float)) - delay_shift
+    table = np.empty((len(delays), 2 * cfg.M - 1), dtype=complex)
+    rows = max(1, _CHUNK_NODES // (2 * pulse.span * pulse.nodes_per_t0))
+    for r in range(0, len(delays), rows):
+        s, profile = pulse._profiles(delays[r:r + rows])
+        v = -2j * np.pi * f_min * s
+        np.exp(v, out=v)
+        v *= profile
+        step = -2j * np.pi * f_step * s
+        np.exp(step, out=step)
+        for j in range(table.shape[1]):
+            table[r:r + rows, j] = v.sum(axis=1)
+            v *= step
     return table
+
+
+@lru_cache(maxsize=16)
+def _cached_pulse(theta: float, T0: float, nodes_per_t0: int) -> RrcPulse:
+    return RrcPulse(theta, T0, nodes_per_t0=nodes_per_t0)
+
+
+def lattice_pulse(cfg: SystemConfig, dopplers) -> RrcPulse:
+    """The pulse of `cfg`, with enough quadrature nodes for its lattice.
+
+    The largest frequency offset an ambiguity integral on the grid sees is
+    fmax = (M-1)*beta*delta_f0 + max(nu_max, max |doppler|) over the given
+    path Dopplers; the rule takes ceil(2.5*fmax*T0) + 16 Gauss-Legendre
+    nodes per T0 (the 16 resolve the pulse product itself, the slope the
+    carrier phase ramp). Its tables agree with 128-node ones to about 1e-14
+    from 1xN up to 16x16 at alpha = beta = 1 and roll-offs 0.05 to 1; at
+    that 16x16 grid a fixed 24 nodes is off by 0.2. Pulses are cached per
+    (theta, T0, nodes), so their normalization is computed once.
+    """
+    if cfg.theta == 0.0 and (cfg.alpha != 1.0 or cfg.beta != 1.0):
+        raise ConfigError(
+            "theta = 0 raised cosine tails decay like 1/t and defeat truncation; "
+            "use a small positive roll-off for compressed grids"
+        )
+    fmax = (cfg.M - 1) * cfg.beta * cfg.delta_f0 + max([cfg.nu_max, *map(abs, dopplers)])
+    return _cached_pulse(cfg.theta, cfg.T0, int(np.ceil(2.5 * fmax * cfg.T0)) + 16)
 
 
 def coupling_matrix(cfg: SystemConfig, paths) -> np.ndarray:
@@ -282,20 +335,17 @@ def coupling_matrix(cfg: SystemConfig, paths) -> np.ndarray:
               * exp(2j pi [(doppler + m' beta delta_f0)(dt - delay)
                            + doppler n' alpha T0])
 
-    with dm = m - m', dt = (n - n') alpha T0, for the pulse RrcPulse(theta,
-    T0) of the config. Per path only the (2N-1)(2M-1) distinct ambiguity
-    values are integrated; the rest is phase bookkeeping, so cost scales
-    with L*N quadrature batches rather than with the matrix size.
+    with dm = m - m', dt = (n - n') alpha T0, for the config's pulse with
+    the node count of `lattice_pulse`. Per path only the (2N-1)(2M-1)
+    distinct ambiguity values are integrated, in one batched
+    `ambiguity_table` evaluation; the rest is phase bookkeeping, so cost
+    scales with L quadrature batches rather than with the matrix size.
     Hermitian symmetry of the unit-path result is a property of the
     formula, not enforced here, so the validation in GramMatrix.from_matrix
     is a real check on the quadrature.
     """
-    if cfg.theta == 0.0 and (cfg.alpha != 1.0 or cfg.beta != 1.0):
-        raise ConfigError(
-            "theta = 0 raised cosine tails decay like 1/t and defeat truncation; "
-            "use a small positive roll-off for compressed grids"
-        )
-    pulse = RrcPulse(cfg.theta, cfg.T0)
+    paths = list(paths)
+    pulse = lattice_pulse(cfg, [doppler for _, _, doppler in paths])
     idx = np.arange(cfg.mn)
     m_idx = idx % cfg.M
     n_idx = idx // cfg.M

@@ -16,6 +16,7 @@ from mcftn_otfs import (
     build_gram,
     build_tf_channel,
 )
+from mcftn_otfs.pulse import lattice_pulse
 from reference import (
     ambiguity_spectral,
     ambiguity_time,
@@ -196,6 +197,21 @@ def test_ambiguity_quadrature_converged():
     tau = rng.uniform(-2.0, 2.0, 5)
     np.testing.assert_allclose(base.ambiguity(f, tau), fine.ambiguity(f, tau),
                                atol=1e-12)
+    # the grid's node-count rule against a 128-node table: the largest
+    # supported grid with the widest offsets (|doppler| = nu_max at
+    # delay = tau_max), and 1x16, where the carrier recurrence has length 1
+    reference = RrcPulse(theta=0.25, nodes_per_t0=128)
+    for M, N in ((16, 16), (1, 16)):
+        cfg = SystemConfig(M=M, N=N, alpha=1.0, beta=1.0, theta=0.25)
+        taus = np.arange(-(N - 1), N) * cfg.alpha * cfg.T0
+        for doppler in (cfg.nu_max, -cfg.nu_max):
+            pulse = lattice_pulse(cfg, [doppler])
+            assert pulse.nodes_per_t0 < reference.nodes_per_t0
+            assert lattice_pulse(cfg, [-doppler]) is pulse   # cached per node count
+            np.testing.assert_allclose(
+                ambiguity_table(pulse, cfg, taus, doppler, cfg.tau_max),
+                ambiguity_table(reference, cfg, taus, doppler, cfg.tau_max),
+                rtol=0.0, atol=1e-12, err_msg=f"{M}x{N}, doppler {doppler}")
 
 
 # ----------------------------------------------------------------- gram ----
@@ -303,6 +319,25 @@ def test_ambiguity_table_layout():
             expect = pulse.ambiguity(dm * cfg.beta * cfg.delta_f0 - 0.05,
                                      float(tau) - 0.3)
             assert table[i, j] == pytest.approx(expect, abs=1e-13)
+
+
+@pytest.mark.parametrize("delay_shift", [0.3, 64.5, -64.5])
+def test_ambiguity_table_matches_per_row_batches(delay_shift):
+    # alpha*T0 and the delay are not integers, so rows differ in panel count
+    # and share the padded node array; 11 rows at 64 nodes span two chunks.
+    # A shift of 64.5 leaves some rows without overlap (exact zeros) next to
+    # rows of one short panel.
+    cfg = SystemConfig(M=3, N=6, alpha=0.85, beta=0.9, theta=0.25)
+    pulse = RrcPulse(cfg.theta, cfg.T0)
+    taus = np.arange(-(cfg.N - 1), cfg.N) * cfg.alpha * cfg.T0
+    f_values = np.arange(-(cfg.M - 1), cfg.M) * cfg.beta * cfg.delta_f0 - 0.07
+    table = ambiguity_table(pulse, cfg, taus, doppler=0.07, delay_shift=delay_shift)
+    for i, tau in enumerate(taus):
+        np.testing.assert_allclose(table[i], pulse.ambiguity_batch(f_values, tau - delay_shift),
+                                   rtol=0.0, atol=1e-13)
+    empty = np.abs(taus - delay_shift) >= 2 * pulse.support
+    assert np.any(empty) == (abs(delay_shift) > pulse.support)
+    assert np.all(table[empty] == 0.0)
 
 
 # ------------------------------------------------------- gram validation ----
