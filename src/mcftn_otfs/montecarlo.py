@@ -23,7 +23,7 @@ from .link import bits_per_symbol, demap_symbols, map_bits, mmse_weights, wilson
 from .noise import draw_mimo_noise, make_noise_model
 from .precode_mimo import (build_mimo_effective, mimo_capacity, relaxed_fill, sic_precode,
                            wf_structured)
-from .precode_siso import allocate_siso, build_effective_channel, modes, siso_capacity
+from .precode_siso import mode_bits, modes, normalized_capacity
 from .pulse import build_gram
 
 METRICS = ("capacity", "ber")
@@ -32,27 +32,30 @@ METRICS = ("capacity", "ber")
 # Each scheme is a pair (factor, solve). factor(cfg, gram, sfft, mimo) does the
 # SNR-independent work once per realization and is shared by every scheme
 # naming the same function; solve(factor, cfg_snr) -> (P, normalized capacity)
-# serves both metrics.
-
-def _siso_factor(cfg, gram, sfft, mimo):
-    D = build_effective_channel(gram, mimo.blocks[0][0].h_dd, sfft)
-    return (D, *modes(D.conj().T @ D, gram.matrix))
-
-
-def _siso_solve(mode):
-    def solve(factor, cfg):
-        pre = allocate_siso(cfg, *factor, mode)
-        return pre.P, siso_capacity(pre, cfg)
-    return solve
-
+# serves both metrics. The siso_* schemes are the one-antenna case of the
+# stacked factor: siso_pa is wf_relaxed on a single stream.
 
 def _mimo_factor(cfg, gram, sfft, mimo):
     return build_mimo_effective(gram, mimo.matrix, sfft, cfg.n_rx), gram
 
 
-def _relaxed_factor(cfg, gram, sfft, mimo):
+def _stacked_factor(cfg, gram, sfft, mimo):
     D = build_mimo_effective(gram, mimo.matrix, sfft, cfg.n_rx)
     return modes(D.conj().T @ D, gram.matrix, cfg.n_tx)
+
+
+def _unit_solve(precoded):
+    """Unit powers in the eigenbasis (P = U) or no precoding (P = I); both
+    carry the same bits because the log-det only sees the eigenvalues."""
+    def solve(factor, cfg):
+        U, lam, _ = factor
+        P = U if precoded else np.eye(len(lam), dtype=complex)
+        return P, normalized_capacity(mode_bits(np.ones_like(lam), lam, cfg.sigma_x2, cfg.N0), cfg)
+    return solve
+
+
+def _relaxed_solve(factor, cfg):
+    return relaxed_fill(cfg, *factor)
 
 
 def _sic_solve(factor, cfg):
@@ -61,11 +64,11 @@ def _sic_solve(factor, cfg):
 
 
 SCHEME_TABLE = {
-    "siso_pa": (_siso_factor, _siso_solve("pa")),
-    "siso_nopa": (_siso_factor, _siso_solve("nopa")),
-    "siso_unprecoded": (_siso_factor, _siso_solve("unprecoded")),
+    "siso_pa": (_stacked_factor, _relaxed_solve),
+    "siso_nopa": (_stacked_factor, _unit_solve(True)),
+    "siso_unprecoded": (_stacked_factor, _unit_solve(False)),
     "sic": (_mimo_factor, _sic_solve),
-    "wf_relaxed": (_relaxed_factor, lambda factor, cfg: relaxed_fill(cfg, *factor)),
+    "wf_relaxed": (_stacked_factor, _relaxed_solve),
     "wf_structured": (_mimo_factor, lambda factor, cfg: wf_structured(cfg, *factor)),
 }
 SCHEMES = tuple(SCHEME_TABLE)
@@ -111,7 +114,7 @@ class SweepSpec:
         for s in self.schemes:
             if s not in SCHEMES:
                 raise ConfigError(f"unknown scheme {s!r}; valid: {', '.join(SCHEMES)}")
-            if SCHEME_TABLE[s][0] is _siso_factor and not single:
+            if s.startswith("siso_") and not single:
                 raise ConfigError(f"scheme {s!r} needs n_tx = n_rx = 1")
         if self.metric not in METRICS:
             raise ConfigError(f"unknown metric {self.metric!r}")

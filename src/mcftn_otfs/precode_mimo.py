@@ -13,8 +13,8 @@ block-column split of P, which is also how the tests audit the loop.
 
 Two baselines: a paper-style relaxed water-filling over the eigenbasis of
 D^H D with a single pooled budget (unstructured P), and a block-diagonal
-alternating variant whose first sweep reproduces the SIC solution and then
-keeps ascending.
+alternating variant whose first sweep is the SIC design and whose later
+sweeps keep ascending.
 """
 
 from __future__ import annotations
@@ -26,6 +26,8 @@ import numpy as np
 from .core import ConfigError, SystemConfig
 from .pulse import GramMatrix
 from .precode_siso import LN2, fill_modes, modes, normalized_capacity
+
+STRUCTURED_TOL = 1e-9   # relative gain in bits below which wf_structured stops
 
 
 def build_mimo_effective(gram: GramMatrix, h_mimo: np.ndarray, sfft: np.ndarray,
@@ -46,12 +48,9 @@ def build_mimo_effective(gram: GramMatrix, h_mimo: np.ndarray, sfft: np.ndarray,
 class StreamPrecoder:
     """Eigenstructure and allocation of one transmit stream."""
 
-    U: np.ndarray
     lam_q: np.ndarray     # descending eigenvalues of the stream quadratic form
-    psi: np.ndarray       # diag(U^H G U)
     gamma: np.ndarray     # water-filled powers
-    xi: float
-    P: np.ndarray         # U * sqrt(gamma)
+    P: np.ndarray         # eigenbasis of Q times sqrt(gamma)
     bits: float           # log2 det(I + c P^H Q P) at the solve SNR
 
 
@@ -59,10 +58,6 @@ class StreamPrecoder:
 class MimoPrecoderState:
     """Result of the stream-by-stream design."""
 
-    D: np.ndarray
-    budgets: tuple
-    sigma_x2: float
-    N0: float
     streams: list
 
     @property
@@ -75,66 +70,54 @@ class MimoPrecoderState:
 
 
 def block_diag(blocks) -> np.ndarray:
-    sizes_r = [b.shape[0] for b in blocks]
-    sizes_c = [b.shape[1] for b in blocks]
-    out = np.zeros((sum(sizes_r), sum(sizes_c)), dtype=complex)
-    r = c = 0
-    for b in blocks:
-        out[r:r + b.shape[0], c:c + b.shape[1]] = b
-        r += b.shape[0]
-        c += b.shape[1]
+    """Block-diagonal matrix of equal square blocks, one per stream."""
+    n = blocks[0].shape[0]
+    out = np.zeros((len(blocks) * n,) * 2, dtype=complex)
+    for t, b in enumerate(blocks):
+        out[t * n:(t + 1) * n, t * n:(t + 1) * n] = b
     return out
 
 
 def _solve_stream(gram: GramMatrix, a_t: np.ndarray, T: np.ndarray,
-                  sigma_x2: float, N0: float, budget: float) -> StreamPrecoder:
-    """Diagonalize Q = A_t^H T^{-1} A_t and water-fill inside its eigenbasis."""
+                  sigma_x2: float, N0: float) -> StreamPrecoder:
+    """Diagonalize Q = A_t^H T^{-1} A_t and water-fill inside its eigenbasis
+    with the stream's budget MN."""
     U, lam_q, psi = modes(a_t.conj().T @ np.linalg.solve(T, a_t), gram.matrix)
-    gamma, xi, P, bits = fill_modes(U, lam_q, psi, sigma_x2, N0, budget)
-    return StreamPrecoder(U=U, lam_q=lam_q, psi=psi, gamma=gamma, xi=xi, P=P, bits=bits)
+    gamma, _, P, bits = fill_modes(U, lam_q, psi, sigma_x2, N0, float(gram.matrix.shape[0]))
+    return StreamPrecoder(lam_q=lam_q, gamma=gamma, P=P, bits=bits)
 
 
-def _check_mimo_args(cfg: SystemConfig, D: np.ndarray, gram: GramMatrix,
-                     budgets=None) -> tuple:
-    """Validate a stream design's inputs; returns (block size, per-stream budgets).
-
-    Each stream's budget defaults to MN (grid size), matching the SISO
-    constraint per stream.
-    """
+def _check_mimo_args(cfg: SystemConfig, D: np.ndarray, gram: GramMatrix) -> int:
+    """Validate a stream design's inputs; returns the block size MN."""
     if cfg.N0 <= 0.0:
         raise ConfigError("stream design needs N0 > 0")
     n = gram.matrix.shape[0]
     if D.shape != (cfg.n_rx * n, cfg.n_tx * n):
         raise ConfigError(f"effective channel shape {D.shape} does not match config")
-    if budgets is None:
-        budgets = (float(n),) * cfg.n_tx
-    budgets = tuple(float(b) for b in budgets)
-    if len(budgets) != cfg.n_tx or any(b <= 0.0 for b in budgets):
-        raise ConfigError("budgets must give one positive value per transmit stream")
-    return n, budgets
+    return n
 
 
-def sic_precode(cfg: SystemConfig, D: np.ndarray, gram: GramMatrix,
-                budgets=None) -> MimoPrecoderState:
+def sic_precode(cfg: SystemConfig, D: np.ndarray, gram: GramMatrix) -> MimoPrecoderState:
     """One pass over the streams in natural order with cumulative interference.
 
-    Each stream's budget defaults to MN (grid size), matching the SISO
-    constraint per stream. T stays >= I throughout, so the linear solves are
-    well posed and no explicit inverse is ever formed.
+    Each stream gets the budget MN (grid size), the SISO constraint per
+    stream; with one antenna the single stream is the SISO problem. T stays
+    >= I throughout, so the linear solves are well posed and no explicit
+    inverse is ever formed. This pass is also the first sweep of
+    :func:`wf_structured`.
     """
-    n, budgets = _check_mimo_args(cfg, D, gram, budgets)
+    n = _check_mimo_args(cfg, D, gram)
 
     c = cfg.sigma_x2 / cfg.N0
     T = np.eye(D.shape[0], dtype=complex)
     streams = []
     for t in range(cfg.n_tx):
         a_t = D[:, t * n:(t + 1) * n]
-        sol = _solve_stream(gram, a_t, T, cfg.sigma_x2, cfg.N0, budgets[t])
+        sol = _solve_stream(gram, a_t, T, cfg.sigma_x2, cfg.N0)
         streams.append(sol)
         b = a_t @ sol.P
         T = T + c * (b @ b.conj().T)
-    return MimoPrecoderState(D=D, budgets=budgets, sigma_x2=cfg.sigma_x2,
-                             N0=cfg.N0, streams=streams)
+    return MimoPrecoderState(streams=streams)
 
 
 def mimo_capacity(state: MimoPrecoderState, cfg: SystemConfig) -> float:
@@ -190,35 +173,36 @@ def relaxed_fill(cfg: SystemConfig, U: np.ndarray, lam_d: np.ndarray, phi: np.nd
     return P, normalized_capacity(bits, cfg)
 
 
-def wf_structured(cfg: SystemConfig, D: np.ndarray, gram: GramMatrix,
-                  budgets=None, max_sweeps: int = 30, tol: float = 1e-9):
+def wf_structured(cfg: SystemConfig, D: np.ndarray, gram: GramMatrix, max_sweeps: int = 30):
     """Block-diagonal water-filling by alternating per-stream solves.
 
-    Sweep 0 visits streams in natural order with the others still silent, so
-    it reproduces the SIC design exactly; later sweeps re-solve each stream
-    against the interference of all the others and ascend monotonically (the
-    telescoping identity makes each re-solve a coordinate maximization).
-    Returns (P, normalized capacity).
+    The first sweep is :func:`sic_precode`; each later sweep re-solves every
+    stream against the interference of all the others and ascends
+    monotonically (the telescoping identity makes each re-solve a coordinate
+    maximization). It stops after `max_sweeps` sweeps in all, or once a
+    sweep gains at most STRUCTURED_TOL relative bits (the SIC sweep is
+    measured against 0 bits). Returns (P, normalized capacity).
     """
-    n, budgets = _check_mimo_args(cfg, D, gram, budgets)
+    state = sic_precode(cfg, D, gram)
+    n = gram.matrix.shape[0]
 
     c = cfg.sigma_x2 / cfg.N0
-    blocks = [np.zeros((n, n), dtype=complex) for _ in range(cfg.n_tx)]
-    b_cache = [np.zeros((D.shape[0], n), dtype=complex) for _ in range(cfg.n_tx)]
-    prev_bits = 0.0
-    for _ in range(max_sweeps):
+    blocks = [s.P for s in state.streams]
+    b_cache = [D[:, t * n:(t + 1) * n] @ p for t, p in enumerate(blocks)]
+    P = state.precoder()
+    prev_bits, bits = 0.0, _logdet_bits(cfg, D, P)
+    for _ in range(1, max_sweeps):
+        if bits - prev_bits <= STRUCTURED_TOL * max(1.0, abs(bits)):
+            break
+        prev_bits = bits
         for t in range(cfg.n_tx):
             T = np.eye(D.shape[0], dtype=complex)
             for s in range(cfg.n_tx):
                 if s != t:
                     T = T + c * (b_cache[s] @ b_cache[s].conj().T)
             a_t = D[:, t * n:(t + 1) * n]
-            sol = _solve_stream(gram, a_t, T, cfg.sigma_x2, cfg.N0, budgets[t])
-            blocks[t] = sol.P
-            b_cache[t] = a_t @ sol.P
-        bits = _logdet_bits(cfg, D, block_diag(blocks))
-        if bits - prev_bits <= tol * max(1.0, abs(bits)):
-            prev_bits = bits
-            break
-        prev_bits = bits
-    return block_diag(blocks), normalized_capacity(prev_bits, cfg)
+            blocks[t] = _solve_stream(gram, a_t, T, cfg.sigma_x2, cfg.N0).P
+            b_cache[t] = a_t @ blocks[t]
+        P = block_diag(blocks)
+        bits = _logdet_bits(cfg, D, P)
+    return P, normalized_capacity(bits, cfg)

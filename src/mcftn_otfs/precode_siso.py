@@ -26,7 +26,6 @@ from .pulse import GramMatrix
 
 LN2 = math.log(2.0)
 PHI_FLOOR = 1e-12       # weights below this deactivate the mode
-SISO_MODES = ("pa", "nopa", "unprecoded")
 
 
 def build_effective_channel(gram: GramMatrix, h_dd: np.ndarray, sfft: np.ndarray) -> np.ndarray:
@@ -151,17 +150,14 @@ def solve_siso(cfg: SystemConfig, gram: GramMatrix, h_dd: np.ndarray,
     mode "pa": water-filled allocation. mode "nopa": unit allocation in the
     eigenbasis (P = U), which removes self-interference but leaves capacity
     on the table. mode "unprecoded": P = I. All three meet the energy budget
-    tr(G P P^H) = MN exactly because tr(G) = MN.
+    tr(G P P^H) = MN exactly because tr(G) = MN. This is the one-antenna
+    case of the stacked design: the sweep reaches the same U, allocation
+    and capacity through `modes` and `fill_modes` on the stacked channel.
     """
-    if mode not in SISO_MODES:
+    if mode not in ("pa", "nopa", "unprecoded"):
         raise ConfigError(f"unknown precoder mode {mode!r}")
     D = build_effective_channel(gram, h_dd, sfft)
-    return allocate_siso(cfg, D, *modes(D.conj().T @ D, gram.matrix), mode)
-
-
-def allocate_siso(cfg: SystemConfig, D: np.ndarray, U: np.ndarray, lam_d: np.ndarray,
-                  phi: np.ndarray, mode: str) -> SisoPrecoder:
-    """The SNR-dependent half of :func:`solve_siso` on an already factored D."""
+    U, lam_d, phi = modes(D.conj().T @ D, gram.matrix)
     budget = float(cfg.mn)
     if mode == "pa":
         lam_p, xi, P, _ = fill_modes(U, lam_d, phi, cfg.sigma_x2, cfg.N0, budget)

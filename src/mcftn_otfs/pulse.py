@@ -50,8 +50,8 @@ class RrcPulse:
         g(t) = (1/sqrt(T0)) [sin(pi u (1-theta)) + 4 theta u cos(pi u (1+theta))]
                             / [pi u (1 - (4 theta u)^2)],   u = t/T0
 
-    with the removable singularities at u = 0 and |u| = 1/(4 theta) filled by
-    their limits. The truncated pulse is renormalized to unit energy over its
+    with its removable singularities at u = 0 and |u| = 1/(4 theta) taken in
+    closed form. The truncated pulse is renormalized to unit energy over its
     support: the amplitude tails decay like 1/t^2, so the raw truncation at
     32*T0 would leave about 1e-6 of energy outside and poison every
     unit-energy invariant downstream; renormalizing pins A(0, 0) = 1 and the
@@ -100,36 +100,52 @@ class RrcPulse:
     def _raw_amplitude(self, t: np.ndarray) -> np.ndarray:
         u = t / self.T0
         scale = 1.0 / np.sqrt(self.T0)
-        out = np.zeros_like(u)
         inside = np.abs(t) <= self.support
 
         if self.theta == 0.0:
-            out[inside] = scale * np.sinc(u[inside])
-            return out
+            return np.where(inside, scale * np.sinc(u), 0.0)
 
         th = self.theta
-        # masks for the two removable singularities
-        near0 = np.abs(u) < 1e-8
-        nears = np.abs(np.abs(u) - 1.0 / (4.0 * th)) < 1e-8
-        regular = inside & ~near0 & ~nears
+        au = np.abs(u, out=u)
+        a = 4.0 * th * au
+        pu = np.pi * au
+        # in place where possible: at quadrature sizes the temporaries, not
+        # the arithmetic, dominate the cost
+        den = np.subtract(1.0, a * a)
+        den *= pu
+        out = pu * (1.0 - th)
+        np.sin(out, out=out)
+        pu *= 1.0 + th
+        np.cos(pu, out=pu)
+        pu *= a
+        out += pu
+        out *= scale
+        with np.errstate(divide="ignore", invalid="ignore"):
+            out /= den
+        out[~inside] = 0.0
+        out[au < 1e-8] = scale * (1.0 - th + 4.0 * th / np.pi)
 
-        ur = u[regular]
-        num = np.sin(np.pi * ur * (1.0 - th)) + 4.0 * th * ur * np.cos(np.pi * ur * (1.0 + th))
-        den = np.pi * ur * (1.0 - (4.0 * th * ur) ** 2)
-        out[regular] = scale * num / den
-
-        out[inside & near0] = scale * (1.0 - th + 4.0 * th / np.pi)
-        lim = (th / np.sqrt(2.0)) * (
-            (1.0 + 2.0 / np.pi) * np.sin(np.pi / (4.0 * th))
-            + (1.0 - 2.0 / np.pi) * np.cos(np.pi / (4.0 * th))
-        )
-        out[inside & nears] = scale * lim
+        # near |u| = 1/(4 theta) numerator and denominator both carry the
+        # factor eps = 1 - 4 theta |u| and cancel in floating point; within
+        # |eps| < 1/2 use the sum-to-product form of numerator / eps, which
+        # has no singularity, with pi |u| (1 + theta) = pi (|u| + 1/4 - eps/4).
+        # The quarter shifts and the removal of whole periods of cos(pi x)
+        # are exact in binary, so the cosines lose no digits to a large |u|.
+        eps = np.subtract(1.0, a, out=a)
+        band = inside & (np.abs(eps) < 0.5)
+        ub, eb = au[band], eps[band]
+        x1, x2 = ub - 0.25, ub + 0.25
+        x1 -= 2.0 * np.round(0.5 * x1)
+        x2 -= 2.0 * np.round(0.5 * x2)
+        bracket = (0.5 * np.pi * np.sinc(0.25 * eb) * np.cos(np.pi * x1)
+                   - np.cos(np.pi * (x2 - 0.25 * eb)))
+        out[band] = scale * bracket / (np.pi * ub * (1.0 + 4.0 * th * ub))
         return out
 
     def amplitude(self, t) -> np.ndarray:
         """Pulse value g(t), vectorized; zero outside the truncated support."""
         t = np.asarray(t, dtype=float)
-        out = self._norm * self._raw_amplitude(t)
+        out = self._norm * self._raw_amplitude(t.reshape(-1)).reshape(t.shape)
         return out if out.ndim else float(out)
 
     def _profiles(self, taus) -> tuple[np.ndarray, np.ndarray]:

@@ -53,8 +53,9 @@ def test_spec_validation():
     with pytest.raises(ConfigError):
         SweepSpec(config=BASE, snr_points_db=(5.0,), metric="ber", constellation="pam")
     mimo_cfg = BASE.replace(n_tx=2, n_rx=2)
-    with pytest.raises(ConfigError):
-        SweepSpec(config=mimo_cfg, snr_points_db=(5.0,), schemes=("siso_pa",))
+    for scheme in ("siso_pa", "siso_nopa", "siso_unprecoded"):
+        with pytest.raises(ConfigError):
+            SweepSpec(config=mimo_cfg, snr_points_db=(5.0,), schemes=(scheme,))
     # list inputs are coerced to tuples so the spec stays hashable-ish
     spec = SweepSpec(config=BASE, snr_points_db=[0.0, 5.0], schemes=["siso_pa"])
     assert spec.snr_points_db == (0.0, 5.0)
@@ -111,6 +112,19 @@ def test_sweep_at_the_ends_of_the_snr_range(scheme):
         for r in range(2):
             cap, _ = _direct_capacity(scheme, base.with_snr_db(snr), r)
             assert cell[r] == pytest.approx(cap, rel=1e-12)
+
+
+def test_single_antenna_sweep_is_one_design():
+    # with one antenna every design solves the SISO problem: siso_pa and
+    # wf_relaxed share the factor and the solve, SIC has a single stream and
+    # the structured design stops after its SIC sweep
+    res = run_sweep(SweepSpec(config=BASE, snr_points_db=(0.0, 10.0, 20.0),
+                              n_realizations=3, schemes=SCHEMES))
+    for snr in (0.0, 10.0, 20.0):
+        pa = res.values[("siso_pa", snr)]
+        np.testing.assert_array_equal(res.values[("wf_relaxed", snr)], pa)
+        for scheme in ("sic", "wf_structured"):
+            np.testing.assert_allclose(res.values[(scheme, snr)], pa, rtol=1e-10, atol=0.0)
 
 
 def test_sweep_deterministic():

@@ -81,13 +81,9 @@ def test_sic_single_antenna_equals_siso():
 def test_sic_block_budgets_met_exactly():
     cfg, gram, _, d = mimo_instance(73)
     state = sic_precode(cfg, d, gram)
-    for t, s in enumerate(state.streams):
+    for s in state.streams:
         spent = float(np.trace(gram.matrix @ s.P @ s.P.conj().T).real)
-        assert spent == pytest.approx(state.budgets[t], rel=1e-8)
-    custom = sic_precode(cfg, d, gram, budgets=(2.0, 6.0))
-    for t, s in enumerate(custom.streams):
-        spent = float(np.trace(gram.matrix @ s.P @ s.P.conj().T).real)
-        assert spent == pytest.approx((2.0, 6.0)[t], rel=1e-8)
+        assert spent == pytest.approx(cfg.mn, rel=1e-8)
 
 
 def test_sic_bits_equal_direct_logdet():
@@ -121,10 +117,6 @@ def test_sic_validation():
         sic_precode(cfg.replace(N0=0.0), d, gram)
     with pytest.raises(ConfigError):
         sic_precode(cfg, d[:, :4], gram)
-    with pytest.raises(ConfigError):
-        sic_precode(cfg, d, gram, budgets=(1.0,))
-    with pytest.raises(ConfigError):
-        sic_precode(cfg, d, gram, budgets=(1.0, -1.0))
 
 
 # ---------------------------------------------------- telescoping identity ----

@@ -57,6 +57,32 @@ def test_amplitude_singularity_continuous():
     )
 
 
+@pytest.mark.parametrize("theta", [0.05, 0.25, 1.0])
+def test_amplitude_near_singularity_matches_mpmath(theta):
+    # |t| = T0 / (4 theta) is a removable singularity of the closed form; the
+    # pulse keeps full precision on both sides of it and exactly on it
+    mpmath = pytest.importorskip("mpmath")
+
+    def raw(u):
+        with mpmath.workdps(50):
+            u, th = mpmath.mpf(u), mpmath.mpf(theta)
+            if 4 * th * abs(u) == 1:
+                u += mpmath.mpf("1e-35")   # the derivative is O(1): exact to 1e-35
+            return (mpmath.sin(mpmath.pi * u * (1 - th))
+                    + 4 * th * u * mpmath.cos(mpmath.pi * u * (1 + th))) / (
+                        mpmath.pi * u * (1 - (4 * th * u) ** 2))
+
+    with mpmath.workdps(50):
+        peak = 1 - mpmath.mpf(theta) + 4 * mpmath.mpf(theta) / mpmath.pi   # the u = 0 limit
+    pulse = RrcPulse(theta=theta)
+    t_sing = 1.0 / (4.0 * theta)
+    offsets = np.concatenate([-np.logspace(-2, -12, 11), [0.0], np.logspace(-12, -2, 11)])
+    for t in np.concatenate([t_sing + offsets, -t_sing - offsets]):
+        ref = float(raw(t) / peak)
+        got = pulse.amplitude(t) / pulse.amplitude(0.0)
+        assert abs(got - ref) <= 1e-14 * abs(ref), f"theta {theta}, t {t!r}"
+
+
 def test_amplitude_even_and_truncated():
     pulse = RrcPulse(theta=0.25)
     t = np.linspace(0.1, 40.0, 57)
