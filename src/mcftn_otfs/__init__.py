@@ -25,28 +25,19 @@ from .channel import (
     build_dd_channel,
     build_mimo_channel,
     build_tf_channel,
-    mimo_channel_from_paths,
-    mimo_paths_to_json,
     paths_digest,
-    paths_from_json,
-    paths_to_json,
     sample_paths,
-    tf_channel_entry,
 )
 from .noise import NoiseModel, draw_dd_noise, draw_mimo_noise, make_noise_model
 from .precode_siso import (
     SisoPrecoder,
     build_effective_channel,
-    capacity_bits,
     siso_capacity,
     solve_siso,
     waterfill,
 )
 from .precode_mimo import (
-    MimoPrecoderState,
-    StreamPrecoder,
     build_mimo_effective,
-    mimo_capacity,
     per_stream_rates,
     sic_precode,
     wf_baseline,

@@ -6,21 +6,19 @@ ambiguity value at the offset (dm*beta*delta_f0 - doppler,
 dn*alpha*T0 - delay) times two phase factors, the same lattice formula whose
 unit path is the pulse Gram. Conjugating with the SFFT gives the
 delay-Doppler matrix the equalizer works in. Matrices are never sampled
-directly: they are rebuilt deterministically from the paths, which is also
-what the JSON serialization stores.
+directly: they are rebuilt deterministically from the paths.
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .core import ConfigError, SystemConfig, sfft_matrix
-from .pulse import coupling_matrix, lattice_pulse
+from .core import SystemConfig, sfft_matrix
+from .pulse import coupling_matrix
 
 
 @dataclass(frozen=True)
@@ -46,31 +44,6 @@ def sample_paths(cfg: SystemConfig, rng: np.random.Generator) -> tuple[DdPath, .
     delays = rng.uniform(0.0, cfg.tau_max, cfg.L) if cfg.tau_max > 0 else np.zeros(cfg.L)
     dopplers = rng.uniform(-cfg.nu_max, cfg.nu_max, cfg.L) if cfg.nu_max > 0 else np.zeros(cfg.L)
     return tuple(DdPath(complex(g), float(t), float(v)) for g, t, v in zip(gains, delays, dopplers))
-
-
-def tf_channel_entry(paths: Sequence[DdPath], m: int, n: int, mp: int, np_: int,
-                     cfg: SystemConfig) -> complex:
-    """Single time-frequency coupling coefficient, summed over paths.
-
-    Scalar reference path for the vectorized builder: receive slot (m, n),
-    transmit slot (m', n'). The ambiguity argument and both phase factors use
-    the compressed lattice alpha*T0, beta*delta_f0; the pulse and its node
-    count are those `coupling_matrix` uses for the same paths.
-    """
-    pulse = lattice_pulse(cfg, [p.doppler for p in paths])
-    dt = (n - np_) * cfg.alpha * cfg.T0
-    df = (m - mp) * cfg.beta * cfg.delta_f0
-    total = 0.0 + 0.0j
-    for p in paths:
-        amb = pulse.ambiguity(df - p.doppler, dt - p.delay)
-        phase = np.exp(
-            2j * np.pi * (
-                (p.doppler + mp * cfg.beta * cfg.delta_f0) * (dt - p.delay)
-                + p.doppler * np_ * cfg.alpha * cfg.T0
-            )
-        )
-        total += p.gain * amb * phase
-    return complex(total)
 
 
 def build_tf_channel(paths: Sequence[DdPath], cfg: SystemConfig) -> np.ndarray:
@@ -113,46 +86,9 @@ def build_mimo_channel(cfg: SystemConfig, rng: np.random.Generator) -> MimoChann
     and reproducible regardless of assembly order.
     """
     children = rng.spawn(cfg.n_rx * cfg.n_tx)
-    nested = [[sample_paths(cfg, children[r * cfg.n_tx + t]) for t in range(cfg.n_tx)]
-              for r in range(cfg.n_rx)]
-    return mimo_channel_from_paths(cfg, nested)
-
-
-def paths_to_json(paths: Sequence[DdPath]) -> str:
-    """Serialize one path set; matrices are rebuilt, never stored."""
-    return json.dumps(
-        [
-            {"gain_re": p.gain.real, "gain_im": p.gain.imag,
-             "delay": p.delay, "doppler": p.doppler}
-            for p in paths
-        ]
-    )
-
-
-def paths_from_json(text: str) -> tuple[DdPath, ...]:
-    try:
-        records = json.loads(text)
-        return tuple(
-            DdPath(complex(r["gain_re"], r["gain_im"]), float(r["delay"]), float(r["doppler"]))
-            for r in records
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"malformed path serialization: {exc}") from exc
-
-
-def mimo_paths_to_json(mimo: MimoChannel) -> str:
-    """Nested [rx][tx] path serialization for a MIMO realization."""
-    return json.dumps(
-        [[json.loads(paths_to_json(ch.paths)) for ch in row] for row in mimo.blocks]
-    )
-
-
-def mimo_channel_from_paths(cfg: SystemConfig, nested) -> MimoChannel:
-    """Build a MIMO realization from nested [rx][tx] path lists."""
-    if len(nested) != cfg.n_rx or any(len(row) != cfg.n_tx for row in nested):
-        raise ConfigError("nested path layout does not match n_rx x n_tx")
     sfft = sfft_matrix(cfg)
-    blocks = [[build_dd_channel(paths, cfg, sfft) for paths in row] for row in nested]
+    blocks = [[build_dd_channel(sample_paths(cfg, children[r * cfg.n_tx + t]), cfg, sfft)
+               for t in range(cfg.n_tx)] for r in range(cfg.n_rx)]
     matrix = np.block([[ch.h_dd for ch in row] for row in blocks])
     return MimoChannel(blocks=blocks, matrix=matrix)
 

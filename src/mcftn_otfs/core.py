@@ -11,6 +11,7 @@ builders recover (m, n) from a flat index as (idx % M, idx // M).
 from __future__ import annotations
 
 import dataclasses
+import math
 import zlib
 from dataclasses import dataclass
 
@@ -27,6 +28,11 @@ class NumericalError(RuntimeError):
 
 class DegenerateConfigurationError(NumericalError):
     """Raised when a configuration collapses the signal space entirely."""
+
+
+def is_integer(v) -> bool:
+    """True for Python and numpy integers; bool is not a count."""
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
 
 
 @dataclass(frozen=True)
@@ -59,7 +65,7 @@ class SystemConfig:
     def __post_init__(self):
         for name in ("M", "N", "L", "n_tx", "n_rx"):
             v = getattr(self, name)
-            if not isinstance(v, (int, np.integer)) or v < 1:
+            if not is_integer(v) or v < 1:
                 raise ConfigError(f"{name} must be a positive integer, got {v!r}")
         if not 0.0 < self.alpha <= 1.0:
             raise ConfigError(f"alpha must lie in (0, 1], got {self.alpha}")
@@ -67,19 +73,21 @@ class SystemConfig:
             raise ConfigError(f"beta must lie in (0, 1], got {self.beta}")
         if not 0.0 <= self.theta <= 1.0:
             raise ConfigError(f"theta must lie in [0, 1], got {self.theta}")
+        # NaN and inf pass every range comparison, so finiteness is its own test
         for name in ("T0", "E0", "sigma_x2"):
-            if getattr(self, name) <= 0.0:
-                raise ConfigError(f"{name} must be positive")
-        if self.N0 < 0.0:
-            raise ConfigError("N0 must be non-negative")
-        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
+            v = getattr(self, name)
+            if not math.isfinite(v) or v <= 0.0:
+                raise ConfigError(f"{name} must be finite and positive, got {v!r}")
+        if not is_integer(self.seed) or self.seed < 0:
             raise ConfigError(f"seed must be a non-negative integer, got {self.seed!r}")
         if self.tau_max is None:
             object.__setattr__(self, "tau_max", 2.0 * self.T0)
         if self.nu_max is None:
             object.__setattr__(self, "nu_max", 0.1 / self.T0)
-        if self.tau_max < 0.0 or self.nu_max < 0.0:
-            raise ConfigError("tau_max and nu_max must be non-negative")
+        for name in ("N0", "tau_max", "nu_max"):
+            v = getattr(self, name)
+            if not math.isfinite(v) or v < 0.0:
+                raise ConfigError(f"{name} must be finite and non-negative, got {v!r}")
         # the Gram loses rank fast once alpha drops below 1/(1+theta)
         if not self.allow_small_alpha and self.alpha < 1.0 / (1.0 + self.theta) - 1e-12:
             raise ConfigError(

@@ -18,11 +18,10 @@ import numpy as np
 
 from . import __version__
 from .channel import build_mimo_channel, paths_digest
-from .core import ConfigError, SystemConfig, rng_stream, sfft_matrix
+from .core import ConfigError, SystemConfig, is_integer, rng_stream, sfft_matrix
 from .link import bits_per_symbol, demap_symbols, map_bits, mmse_weights, wilson_interval, CONSTELLATIONS
 from .noise import draw_mimo_noise, make_noise_model
-from .precode_mimo import (build_mimo_effective, mimo_capacity, relaxed_fill, sic_precode,
-                           wf_structured)
+from .precode_mimo import build_mimo_effective, relaxed_fill, sic_precode, wf_structured
 from .precode_siso import mode_bits, modes, normalized_capacity
 from .pulse import build_gram
 
@@ -58,16 +57,11 @@ def _relaxed_solve(factor, cfg):
     return relaxed_fill(cfg, *factor)
 
 
-def _sic_solve(factor, cfg):
-    state = sic_precode(cfg, *factor)
-    return state.precoder(), mimo_capacity(state, cfg)
-
-
 SCHEME_TABLE = {
     "siso_pa": (_stacked_factor, _relaxed_solve),
     "siso_nopa": (_stacked_factor, _unit_solve(True)),
     "siso_unprecoded": (_stacked_factor, _unit_solve(False)),
-    "sic": (_mimo_factor, _sic_solve),
+    "sic": (_mimo_factor, lambda factor, cfg: sic_precode(cfg, *factor)),
     "wf_relaxed": (_stacked_factor, _relaxed_solve),
     "wf_structured": (_mimo_factor, lambda factor, cfg: wf_structured(cfg, *factor)),
 }
@@ -120,7 +114,7 @@ class SweepSpec:
             raise ConfigError(f"unknown metric {self.metric!r}")
         for name in ("n_realizations", "n_frames"):
             v = getattr(self, name)
-            if not isinstance(v, (int, np.integer)) or v < 1:
+            if not is_integer(v) or v < 1:
                 raise ConfigError(f"{name} must be a positive integer, got {v!r}")
         if self.constellation not in CONSTELLATIONS:
             raise ConfigError(f"unknown constellation {self.constellation!r}")

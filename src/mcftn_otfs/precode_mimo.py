@@ -14,12 +14,11 @@ block-column split of P, which is also how the tests audit the loop.
 Two baselines: a paper-style relaxed water-filling over the eigenbasis of
 D^H D with a single pooled budget (unstructured P), and a block-diagonal
 alternating variant whose first sweep is the SIC design and whose later
-sweeps keep ascending.
+sweeps keep ascending. All three designs take (cfg, D, gram) and return
+(P, normalized capacity).
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,31 +43,6 @@ def build_mimo_effective(gram: GramMatrix, h_mimo: np.ndarray, sfft: np.ndarray,
     return out
 
 
-@dataclass
-class StreamPrecoder:
-    """Eigenstructure and allocation of one transmit stream."""
-
-    lam_q: np.ndarray     # descending eigenvalues of the stream quadratic form
-    gamma: np.ndarray     # water-filled powers
-    P: np.ndarray         # eigenbasis of Q times sqrt(gamma)
-    bits: float           # log2 det(I + c P^H Q P) at the solve SNR
-
-
-@dataclass
-class MimoPrecoderState:
-    """Result of the stream-by-stream design."""
-
-    streams: list
-
-    @property
-    def bits(self) -> float:
-        return float(sum(s.bits for s in self.streams))
-
-    def precoder(self) -> np.ndarray:
-        """Assembled block-diagonal precoder."""
-        return block_diag([s.P for s in self.streams])
-
-
 def block_diag(blocks) -> np.ndarray:
     """Block-diagonal matrix of equal square blocks, one per stream."""
     n = blocks[0].shape[0]
@@ -79,12 +53,13 @@ def block_diag(blocks) -> np.ndarray:
 
 
 def _solve_stream(gram: GramMatrix, a_t: np.ndarray, T: np.ndarray,
-                  sigma_x2: float, N0: float) -> StreamPrecoder:
+                  sigma_x2: float, N0: float) -> tuple[np.ndarray, float]:
     """Diagonalize Q = A_t^H T^{-1} A_t and water-fill inside its eigenbasis
-    with the stream's budget MN."""
+    with the stream's budget MN. Returns the stream's block P_t and its bits
+    log2 det(I + c P_t^H Q P_t)."""
     U, lam_q, psi = modes(a_t.conj().T @ np.linalg.solve(T, a_t), gram.matrix)
-    gamma, _, P, bits = fill_modes(U, lam_q, psi, sigma_x2, N0, float(gram.matrix.shape[0]))
-    return StreamPrecoder(lam_q=lam_q, gamma=gamma, P=P, bits=bits)
+    _, _, P, bits = fill_modes(U, lam_q, psi, sigma_x2, N0, float(gram.matrix.shape[0]))
+    return P, bits
 
 
 def _check_mimo_args(cfg: SystemConfig, D: np.ndarray, gram: GramMatrix) -> int:
@@ -97,32 +72,30 @@ def _check_mimo_args(cfg: SystemConfig, D: np.ndarray, gram: GramMatrix) -> int:
     return n
 
 
-def sic_precode(cfg: SystemConfig, D: np.ndarray, gram: GramMatrix) -> MimoPrecoderState:
+def sic_precode(cfg: SystemConfig, D: np.ndarray, gram: GramMatrix):
     """One pass over the streams in natural order with cumulative interference.
 
     Each stream gets the budget MN (grid size), the SISO constraint per
     stream; with one antenna the single stream is the SISO problem. T stays
     >= I throughout, so the linear solves are well posed and no explicit
     inverse is ever formed. This pass is also the first sweep of
-    :func:`wf_structured`.
+    :func:`wf_structured`. Returns (P, normalized capacity): the
+    block-diagonal precoder and the per-stream bits summed in stream order;
+    :func:`per_stream_rates` of P's diagonal blocks recovers those bits.
     """
     n = _check_mimo_args(cfg, D, gram)
 
     c = cfg.sigma_x2 / cfg.N0
     T = np.eye(D.shape[0], dtype=complex)
-    streams = []
+    blocks, bits = [], 0.0
     for t in range(cfg.n_tx):
         a_t = D[:, t * n:(t + 1) * n]
-        sol = _solve_stream(gram, a_t, T, cfg.sigma_x2, cfg.N0)
-        streams.append(sol)
-        b = a_t @ sol.P
+        p_t, bits_t = _solve_stream(gram, a_t, T, cfg.sigma_x2, cfg.N0)
+        blocks.append(p_t)
+        bits += bits_t
+        b = a_t @ p_t
         T = T + c * (b @ b.conj().T)
-    return MimoPrecoderState(streams=streams)
-
-
-def mimo_capacity(state: MimoPrecoderState, cfg: SystemConfig) -> float:
-    """Sum rate normalized per unit of occupied time-frequency-energy."""
-    return normalized_capacity(state.bits, cfg)
+    return block_diag(blocks), normalized_capacity(bits, cfg)
 
 
 def per_stream_rates(cfg: SystemConfig, D: np.ndarray, p_blocks) -> np.ndarray:
@@ -183,13 +156,12 @@ def wf_structured(cfg: SystemConfig, D: np.ndarray, gram: GramMatrix, max_sweeps
     sweep gains at most STRUCTURED_TOL relative bits (the SIC sweep is
     measured against 0 bits). Returns (P, normalized capacity).
     """
-    state = sic_precode(cfg, D, gram)
+    P, _ = sic_precode(cfg, D, gram)
     n = gram.matrix.shape[0]
 
     c = cfg.sigma_x2 / cfg.N0
-    blocks = [s.P for s in state.streams]
+    blocks = [P[t * n:(t + 1) * n, t * n:(t + 1) * n] for t in range(cfg.n_tx)]
     b_cache = [D[:, t * n:(t + 1) * n] @ p for t, p in enumerate(blocks)]
-    P = state.precoder()
     prev_bits, bits = 0.0, _logdet_bits(cfg, D, P)
     for _ in range(1, max_sweeps):
         if bits - prev_bits <= STRUCTURED_TOL * max(1.0, abs(bits)):
@@ -201,7 +173,7 @@ def wf_structured(cfg: SystemConfig, D: np.ndarray, gram: GramMatrix, max_sweeps
                 if s != t:
                     T = T + c * (b_cache[s] @ b_cache[s].conj().T)
             a_t = D[:, t * n:(t + 1) * n]
-            blocks[t] = _solve_stream(gram, a_t, T, cfg.sigma_x2, cfg.N0).P
+            blocks[t], _ = _solve_stream(gram, a_t, T, cfg.sigma_x2, cfg.N0)
             b_cache[t] = a_t @ blocks[t]
         P = block_diag(blocks)
         bits = _logdet_bits(cfg, D, P)

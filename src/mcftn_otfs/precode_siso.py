@@ -29,15 +29,18 @@ PHI_FLOOR = 1e-12       # weights below this deactivate the mode
 
 
 def build_effective_channel(gram: GramMatrix, h_dd: np.ndarray, sfft: np.ndarray) -> np.ndarray:
-    """Whitened effective channel D = G^{-1/2} A^H H_dd.
+    """Whitened effective channel D = G^{-1/2} A^H H_dd: the stacked whitening
+    of :func:`~mcftn_otfs.precode_mimo.build_mimo_effective` with one receive
+    antenna.
 
     Deactivated Gram modes are projected out by the pseudo inverse square
     root, so D's row space is restricted to the active subspace.
     """
-    h_dd = np.asarray(h_dd, dtype=complex)
-    if h_dd.shape != gram.matrix.shape:
-        raise ConfigError(f"channel shape {h_dd.shape} does not match gram {gram.matrix.shape}")
-    return gram.inv_sqrt @ sfft.conj().T @ h_dd
+    if np.shape(h_dd) != gram.matrix.shape:
+        raise ConfigError(f"channel shape {np.shape(h_dd)} does not match gram {gram.matrix.shape}")
+    # imported on call: precode_mimo imports this module at load time
+    from .precode_mimo import build_mimo_effective
+    return build_mimo_effective(gram, h_dd, sfft, 1)
 
 
 def waterfill(lam_d: np.ndarray, phi: np.ndarray, sigma_x2: float, N0: float,
@@ -128,57 +131,44 @@ def normalized_capacity(bits: float, cfg: SystemConfig) -> float:
 
 @dataclass
 class SisoPrecoder:
-    """Solved precoder: eigenstructure, allocation and the matrix P itself."""
+    """Solved single-antenna precoder: the whitened channel, its eigenvalues,
+    the allocation, P itself and the bits it carries at the solve's SNR."""
 
-    mode: str                 # "pa", "nopa" or "unprecoded"
     D: np.ndarray
-    U: np.ndarray             # eigenbasis of D^H D, descending eigenvalues
-    lam_d: np.ndarray
-    phi: np.ndarray           # diag(U^H G U), clamped at zero
+    lam_d: np.ndarray         # eigenvalues of D^H D, descending
     lam_p: np.ndarray
     xi: float
     P: np.ndarray
-    sigma_x2: float
-    N0: float
-    budget: float
+    bits: float               # log2 det(I + (sigma_x2/N0) P^H D^H D P)
 
 
 def solve_siso(cfg: SystemConfig, gram: GramMatrix, h_dd: np.ndarray,
                sfft: np.ndarray, mode: str = "pa") -> SisoPrecoder:
-    """Build D, diagonalize it and allocate power.
+    """Build D, diagonalize it, allocate power and count the bits at cfg's SNR.
 
     mode "pa": water-filled allocation. mode "nopa": unit allocation in the
     eigenbasis (P = U), which removes self-interference but leaves capacity
     on the table. mode "unprecoded": P = I. All three meet the energy budget
-    tr(G P P^H) = MN exactly because tr(G) = MN. This is the one-antenna
-    case of the stacked design: the sweep reaches the same U, allocation
-    and capacity through `modes` and `fill_modes` on the stacked channel.
+    tr(G P P^H) = MN exactly because tr(G) = MN, and "nopa" and
+    "unprecoded" carry the same bits because det(I + c D^H D) only sees the
+    eigenvalues. This is the one-antenna case of the stacked design: the
+    sweep reaches the same U, allocation and capacity through `modes` and
+    `fill_modes` on the stacked channel.
     """
     if mode not in ("pa", "nopa", "unprecoded"):
         raise ConfigError(f"unknown precoder mode {mode!r}")
     D = build_effective_channel(gram, h_dd, sfft)
     U, lam_d, phi = modes(D.conj().T @ D, gram.matrix)
-    budget = float(cfg.mn)
     if mode == "pa":
-        lam_p, xi, P, _ = fill_modes(U, lam_d, phi, cfg.sigma_x2, cfg.N0, budget)
+        lam_p, xi, P, bits = fill_modes(U, lam_d, phi, cfg.sigma_x2, cfg.N0, float(cfg.mn))
     else:
         lam_p, xi = np.ones_like(lam_d), math.nan
-        P = U.copy() if mode == "nopa" else np.eye(len(lam_d), dtype=complex)
-    return SisoPrecoder(mode=mode, D=D, U=U, lam_d=lam_d, phi=phi, lam_p=lam_p,
-                        xi=xi, P=P, sigma_x2=cfg.sigma_x2, N0=cfg.N0, budget=budget)
-
-
-def capacity_bits(pre: SisoPrecoder) -> float:
-    """Mutual information of the precoded block in bits.
-
-    Valid for all three modes: with P = U Lam_P^{1/2} the log-det splits over
-    modes, and for P = I it collapses to the same expression because
-    det(I + c D^H D) only sees the eigenvalues.
-    """
-    return mode_bits(pre.lam_p, pre.lam_d, pre.sigma_x2, pre.N0)
+        P = U if mode == "nopa" else np.eye(len(lam_d), dtype=complex)
+        bits = mode_bits(lam_p, lam_d, cfg.sigma_x2, cfg.N0)
+    return SisoPrecoder(D=D, lam_d=lam_d, lam_p=lam_p, xi=xi, P=P, bits=bits)
 
 
 def siso_capacity(pre: SisoPrecoder, cfg: SystemConfig) -> float:
-    """Capacity normalized per unit of occupied time-frequency-energy,
-    bits / (alpha beta M N E0)."""
-    return normalized_capacity(capacity_bits(pre), cfg)
+    """Capacity of the solved precoder normalized per unit of occupied
+    time-frequency-energy, bits / (alpha beta M N E0)."""
+    return normalized_capacity(pre.bits, cfg)

@@ -186,19 +186,6 @@ class RrcPulse:
         phases = -2j * np.pi * np.outer(f_values, s[0])
         return np.exp(phases, out=phases) @ profile[0]
 
-    def ambiguity(self, f, tau) -> np.ndarray:
-        """Cross-ambiguity A(f, tau); broadcasts over both arguments."""
-        f_arr, tau_arr = np.broadcast_arrays(np.asarray(f, float), np.asarray(tau, float))
-        out = np.zeros(f_arr.shape, dtype=complex)
-        flat_f = f_arr.ravel()
-        flat_tau = tau_arr.ravel()
-        flat_out = out.ravel()
-        for tval in np.unique(flat_tau):
-            sel = flat_tau == tval
-            flat_out[sel] = self.ambiguity_batch(flat_f[sel], float(tval))
-        out = flat_out.reshape(f_arr.shape)
-        return out if out.ndim else complex(out)
-
 
 @dataclass
 class GramMatrix:

@@ -1,27 +1,19 @@
-"""Doubly dispersive channel construction and serialization tests."""
-
-import json
+"""Doubly dispersive channel construction tests."""
 
 import numpy as np
 import pytest
 
 from mcftn_otfs import (
-    ConfigError,
     DdPath,
     SystemConfig,
     build_dd_channel,
     build_gram,
     build_mimo_channel,
     build_tf_channel,
-    mimo_channel_from_paths,
-    mimo_paths_to_json,
     paths_digest,
-    paths_from_json,
-    paths_to_json,
     rng_stream,
     sample_paths,
     sfft_matrix,
-    tf_channel_entry,
 )
 from reference import dd_entry_quadruple_sum, tf_entry_direct
 
@@ -72,16 +64,21 @@ def test_sample_paths_zero_supports():
 
 # ------------------------------------------------------------- tf entries ----
 
+def tf_entry(paths, m, n, mp, np_, cfg):
+    """Entry (receive slot (m, n), transmit slot (m', n')) of build_tf_channel."""
+    return build_tf_channel(paths, cfg)[n * cfg.M + m, np_ * cfg.M + mp]
+
+
 def test_identity_path_diagonal_entry():
     cfg = SystemConfig(M=4, N=2, alpha=0.9, beta=0.9, theta=0.25)
-    val = tf_channel_entry(IDENTITY_PATH, 1, 1, 1, 1, cfg)
+    val = tf_entry(IDENTITY_PATH, 1, 1, 1, 1, cfg)
     assert val == pytest.approx(1.0, abs=1e-9)
 
 
 def test_identity_path_nyquist_time_orthogonality():
     cfg = SystemConfig(M=4, N=2, alpha=1.0, beta=1.0, theta=0.25)
     for m in range(3):
-        val = tf_channel_entry(IDENTITY_PATH, m, 1, m, 0, cfg)
+        val = tf_entry(IDENTITY_PATH, m, 1, m, 0, cfg)
         assert abs(val) < 1e-6
 
 
@@ -91,23 +88,10 @@ def test_tf_entry_matches_direct_integral():
     path = (DdPath(gain=gain, delay=0.3, doppler=0.07),)
     for (m, n, mp, np_) in [(0, 0, 0, 0), (1, 0, 0, 0), (2, 1, 1, 0),
                             (0, 1, 2, 1), (1, 1, 1, 1)]:
-        got = tf_channel_entry(path, m, n, mp, np_, cfg)
+        got = tf_entry(path, m, n, mp, np_, cfg)
         ref = tf_entry_direct(gain, 0.3, 0.07, m, n, mp, np_,
                               cfg.alpha, cfg.beta, cfg.theta)
         assert got == pytest.approx(ref, abs=1e-9), (m, n, mp, np_)
-
-
-def test_build_tf_channel_matches_scalar_entries():
-    cfg = SystemConfig(M=3, N=2, alpha=0.85, beta=0.9, theta=0.25)
-    paths = sample_paths(cfg, rng_stream(5, "paths", 0))
-    h = build_tf_channel(paths, cfg)
-    assert h.shape == (6, 6)
-    for row in range(6):
-        for col in range(6):
-            m, n = row % 3, row // 3
-            mp, np_ = col % 3, col // 3
-            ref = tf_channel_entry(paths, m, n, mp, np_, cfg)
-            assert h[row, col] == pytest.approx(ref, abs=1e-12), (row, col)
 
 
 def test_tf_channel_linear_in_paths():
@@ -213,33 +197,7 @@ def test_mimo_reproducible():
     assert not np.allclose(a.matrix, c.matrix)
 
 
-# --------------------------------------------------------- serialization ----
-
-def test_paths_json_roundtrip():
-    cfg = SystemConfig(M=2, N=2, L=4)
-    paths = sample_paths(cfg, rng_stream(2, "paths", 0))
-    assert paths_from_json(paths_to_json(paths)) == paths
-
-
-def test_paths_json_malformed():
-    with pytest.raises(ConfigError):
-        paths_from_json('[{"gain_re": 1.0}]')
-    with pytest.raises(ConfigError):
-        paths_from_json('"not a list of records"')
-
-
-def test_mimo_paths_roundtrip_rebuilds_matrix():
-    cfg = SystemConfig(M=2, N=2, alpha=0.9, beta=0.9, theta=0.25, n_tx=2, n_rx=2)
-    mimo = build_mimo_channel(cfg, rng_stream(8, "paths", 0))
-    nested = [
-        [paths_from_json(json.dumps(cell)) for cell in row]
-        for row in json.loads(mimo_paths_to_json(mimo))
-    ]
-    rebuilt = mimo_channel_from_paths(cfg, nested)
-    np.testing.assert_allclose(rebuilt.matrix, mimo.matrix, atol=1e-15)
-    with pytest.raises(ConfigError):
-        mimo_channel_from_paths(cfg, [nested[0]])
-
+# ---------------------------------------------------------------- digests ----
 
 def test_paths_digest_sensitivity():
     cfg = SystemConfig(M=2, N=2, L=3)

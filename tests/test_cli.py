@@ -51,7 +51,12 @@ def test_unknown_config_key_exits_1(tmp_path, capsys):
     {"snr_db": ["a"]},
     {"n_realizations": "3"},
     {"n_frames": 2.5},
-], ids=["seed-float", "snr-scalar", "snr-text", "realizations-text", "frames-float"])
+    {"tau_max": float("nan")},
+    {"T0": float("nan")},
+    {"nu_max": float("inf")},
+    {"M": True},
+], ids=["seed-float", "snr-scalar", "snr-text", "realizations-text", "frames-float",
+        "tau-max-nan", "t0-nan", "nu-max-inf", "m-bool"])
 def test_malformed_config_value_exits_1(tmp_path, capsys, bad):
     conf = tmp_path / "bad.json"
     conf.write_text(json.dumps({"M": 2, "N": 2, "n_realizations": 1, **bad}))

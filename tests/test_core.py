@@ -45,6 +45,17 @@ def test_config_rejects_bad_values():
         SystemConfig(M=8, N=4, seed=1.5)
     with pytest.raises(ConfigError):
         SystemConfig(M=8, N=4, tau_max=-0.5)
+    # NaN and inf slip past range comparisons; N0 = 0 stays valid
+    nan, inf = float("nan"), float("inf")
+    for name in ("T0", "E0", "sigma_x2", "N0", "tau_max", "nu_max"):
+        for bad in (nan, inf, -inf):
+            with pytest.raises(ConfigError, match=name):
+                SystemConfig(M=8, N=4, **{name: bad})
+    assert SystemConfig(M=8, N=4, N0=0.0).N0 == 0.0
+    # bool is an int subclass, but not a count
+    for name in ("M", "N", "L", "n_tx", "n_rx", "seed"):
+        with pytest.raises(ConfigError, match=name):
+            SystemConfig(**{"M": 8, "N": 4, name: True})
 
 
 def test_config_alpha_guard():

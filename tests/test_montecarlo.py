@@ -14,7 +14,6 @@ from mcftn_otfs import (
     build_gram,
     build_mimo_channel,
     build_mimo_effective,
-    mimo_capacity,
     rng_stream,
     run_sweep,
     sample_paths,
@@ -49,7 +48,11 @@ def test_spec_validation():
     with pytest.raises(ConfigError):
         SweepSpec(config=BASE, snr_points_db=(5.0,), n_realizations=0)
     with pytest.raises(ConfigError):
+        SweepSpec(config=BASE, snr_points_db=(5.0,), n_realizations=True)
+    with pytest.raises(ConfigError):
         SweepSpec(config=BASE, snr_points_db=(5.0,), metric="ber", n_frames=0)
+    with pytest.raises(ConfigError):
+        SweepSpec(config=BASE, snr_points_db=(5.0,), metric="ber", n_frames=True)
     with pytest.raises(ConfigError):
         SweepSpec(config=BASE, snr_points_db=(5.0,), metric="ber", constellation="pam")
     mimo_cfg = BASE.replace(n_tx=2, n_rx=2)
@@ -77,7 +80,7 @@ def _direct_capacity(scheme, cfg, r=0):
     mimo = build_mimo_channel(cfg, rng_stream(cfg.seed, "paths", r))
     d = build_mimo_effective(gram, mimo.matrix, sfft, cfg.n_rx)
     if scheme == "sic":
-        cap = mimo_capacity(sic_precode(cfg, d, gram), cfg)
+        cap = sic_precode(cfg, d, gram)[1]
     elif scheme == "wf_relaxed":
         cap = wf_baseline(cfg, d, gram)[1]
     else:

@@ -11,7 +11,7 @@ from mcftn_otfs import (
     build_dd_channel,
     build_effective_channel,
     build_gram,
-    capacity_bits,
+    build_mimo_effective,
     rng_stream,
     sample_paths,
     sfft_matrix,
@@ -52,6 +52,16 @@ def test_effective_channel_shape_check():
     gram = GramMatrix.from_matrix(np.eye(4, dtype=complex))
     with pytest.raises(ConfigError):
         build_effective_channel(gram, np.eye(5, dtype=complex), sfft_matrix(cfg))
+    # one receive antenna, one transmit antenna: a wider channel is a MIMO block
+    with pytest.raises(ConfigError):
+        build_effective_channel(gram, np.ones((4, 8), dtype=complex), sfft_matrix(cfg))
+
+
+def test_effective_channel_is_one_antenna_stacked_whitening():
+    cfg, gram, ch = random_instance(20)
+    a = sfft_matrix(cfg)
+    np.testing.assert_array_equal(build_effective_channel(gram, ch.h_dd, a),
+                                  build_mimo_effective(gram, ch.h_dd, a, 1))
 
 
 def test_eigenvalues_match_independent_svd():
@@ -196,7 +206,7 @@ def test_pa_beats_nopa_beats_nothing(trial):
     cfg, gram, ch = random_instance(40 + trial, N0=0.3)
     a = sfft_matrix(cfg)
     cap = {
-        mode: capacity_bits(solve_siso(cfg, gram, ch.h_dd, a, mode=mode))
+        mode: solve_siso(cfg, gram, ch.h_dd, a, mode=mode).bits
         for mode in ("pa", "nopa", "unprecoded")
     }
     assert cap["pa"] >= cap["nopa"] - 1e-12
@@ -209,7 +219,7 @@ def test_capacity_monotone_in_snr():
     cfg, gram, ch = random_instance(55)
     a = sfft_matrix(cfg)
     caps = [
-        capacity_bits(solve_siso(cfg.with_snr_db(db), gram, ch.h_dd, a))
+        solve_siso(cfg.with_snr_db(db), gram, ch.h_dd, a).bits
         for db in (0.0, 5.0, 10.0, 20.0)
     ]
     assert all(c2 > c1 for c1, c2 in zip(caps, caps[1:]))
@@ -223,7 +233,7 @@ def test_identity_channel_capacity_closed_form():
     pre = solve_siso(cfg, gram, np.eye(4, dtype=complex), sfft_matrix(cfg))
     np.testing.assert_allclose(pre.lam_d, 1.0, atol=1e-12)
     np.testing.assert_allclose(pre.lam_p, 1.0, atol=1e-12)
-    assert capacity_bits(pre) == pytest.approx(4.0 * np.log2(11.0), rel=1e-12)
+    assert pre.bits == pytest.approx(4.0 * np.log2(11.0), rel=1e-12)
     assert siso_capacity(pre, cfg) == pytest.approx(np.log2(11.0), rel=1e-12)
 
 
@@ -231,20 +241,20 @@ def test_null_channel_capacity_zero():
     cfg = SystemConfig(M=2, N=2)
     gram = GramMatrix.from_matrix(np.eye(4, dtype=complex))
     pre = solve_siso(cfg, gram, np.zeros((4, 4), dtype=complex), sfft_matrix(cfg))
-    assert capacity_bits(pre) == 0.0
+    assert pre.bits == 0.0
     assert pre.xi == np.inf
 
 
 def test_zero_noise_capacity_infinite():
     cfg, gram, ch = random_instance(60)
     pre = solve_siso(cfg.replace(N0=0.0), gram, ch.h_dd, sfft_matrix(cfg))
-    assert capacity_bits(pre) == np.inf
+    assert pre.bits == np.inf
 
 
 def test_normalization_uses_occupancy():
     cfg, gram, ch = random_instance(61, N0=0.5)
     pre = solve_siso(cfg, gram, ch.h_dd, sfft_matrix(cfg))
-    bits = capacity_bits(pre)
+    bits = pre.bits
     assert siso_capacity(pre, cfg) == pytest.approx(
         bits / (cfg.alpha * cfg.beta * cfg.mn * cfg.E0), rel=1e-14
     )

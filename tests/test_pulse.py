@@ -134,23 +134,22 @@ def test_pulse_validation():
 
 def test_ambiguity_at_origin_is_unit_energy():
     pulse = RrcPulse(theta=0.25)
-    assert pulse.ambiguity(0.0, 0.0) == pytest.approx(1.0, abs=1e-9)
+    assert pulse.ambiguity_batch(0.0, 0.0)[0] == pytest.approx(1.0, abs=1e-9)
 
 
 def test_ambiguity_nyquist_orthogonality():
     pulse = RrcPulse(theta=0.25)
     for k in (1, 2, 3):
-        assert abs(pulse.ambiguity(0.0, k * 1.0)) < 1e-6
-    for dm in (1, 2):
-        # one-carrier offset is theta/pi for the ideal pulse, not zero;
-        # orthogonality needs the carrier phase ramp of the full Gram entry
-        val = pulse.ambiguity(dm * 1.0, 0.0)
-        assert abs(val.imag) < 1e-9
+        assert abs(pulse.ambiguity_batch(0.0, k * 1.0)[0]) < 1e-6
+    # one-carrier offset is theta/pi for the ideal pulse, not zero;
+    # orthogonality needs the carrier phase ramp of the full Gram entry
+    vals = pulse.ambiguity_batch([1.0, 2.0], 0.0)
+    np.testing.assert_array_less(np.abs(vals.imag), 1e-9)
 
 
 def test_ambiguity_one_carrier_closed_form():
     pulse = RrcPulse(theta=0.25)
-    val = pulse.ambiguity(1.0, 0.0)
+    val = pulse.ambiguity_batch(1.0, 0.0)[0]
     assert val.real == pytest.approx(AMB_ONE_CARRIER_THETA025, abs=1e-6)
     ref = ambiguity_spectral(1.0, 0.0, 0.25)
     assert val == pytest.approx(ref, abs=1e-6)
@@ -159,7 +158,8 @@ def test_ambiguity_one_carrier_closed_form():
 def test_ambiguity_zero_doppler_is_autocorrelation():
     pulse = RrcPulse(theta=0.25)
     taus = np.array([0.4, 0.85, 1.7, 2.55])
-    vals = pulse.ambiguity(0.0, taus)
+    # with one carrier the table has the single column f = 0
+    vals = ambiguity_table(pulse, SystemConfig(M=1, N=1), taus)[:, 0]
     np.testing.assert_allclose(vals.imag, 0.0, atol=1e-9)
     np.testing.assert_allclose(vals.real, rc_autocorr(taus, 0.25), atol=5e-6)
 
@@ -171,7 +171,7 @@ def test_ambiguity_matches_quadrature_oracle(trial):
     f = float(rng.uniform(-2.0, 2.0))
     tau = float(rng.uniform(-3.0, 3.0))
     ref = ambiguity_time(f, tau, 0.25)
-    assert pulse.ambiguity(f, tau) == pytest.approx(ref, abs=1e-10)
+    assert pulse.ambiguity_batch(f, tau)[0] == pytest.approx(ref, abs=1e-10)
 
 
 @pytest.mark.parametrize("trial", range(4))
@@ -182,7 +182,7 @@ def test_ambiguity_close_to_ideal_pulse(trial):
     f = float(rng.uniform(-1.2, 1.2))
     tau = float(rng.uniform(-2.0, 2.0))
     ref = ambiguity_spectral(f, tau, 0.25)
-    assert pulse.ambiguity(f, tau) == pytest.approx(ref, abs=5e-6)
+    assert pulse.ambiguity_batch(f, tau)[0] == pytest.approx(ref, abs=5e-6)
 
 
 def test_ambiguity_conjugate_symmetry():
@@ -191,27 +191,28 @@ def test_ambiguity_conjugate_symmetry():
     for _ in range(6):
         f = float(rng.uniform(-2.0, 2.0))
         tau = float(rng.uniform(-2.5, 2.5))
-        lhs = pulse.ambiguity(-f, -tau)
-        rhs = np.conj(pulse.ambiguity(f, tau)) * np.exp(2j * np.pi * f * tau)
+        lhs = pulse.ambiguity_batch(-f, -tau)[0]
+        rhs = np.conj(pulse.ambiguity_batch(f, tau)[0]) * np.exp(2j * np.pi * f * tau)
         assert lhs == pytest.approx(rhs, abs=1e-12)
 
 
 def test_ambiguity_vanishes_beyond_overlap():
     pulse = RrcPulse(theta=0.25)
-    assert pulse.ambiguity(0.3, 64.5) == 0.0
-    assert pulse.ambiguity(0.0, -70.0) == 0.0
+    assert pulse.ambiguity_batch(0.3, 64.5)[0] == 0.0
+    assert pulse.ambiguity_batch(0.0, -70.0)[0] == 0.0
 
 
 def test_ambiguity_broadcasting():
     pulse = RrcPulse(theta=0.25)
     f = np.array([0.0, 0.5, 1.0, -0.5])
     tau = np.array([0.0, 0.85, -0.85, 1.7])
-    grid = pulse.ambiguity(f[:, None], tau[None, :])
-    assert grid.shape == (4, 4)
-    for i in range(4):
-        for j in range(4):
-            assert grid[i, j] == pytest.approx(
-                pulse.ambiguity(float(f[i]), float(tau[j])), abs=1e-13
+    # a batch of frequency offsets shares the nodes of its delay row
+    for j in range(4):
+        row = pulse.ambiguity_batch(f, float(tau[j]))
+        assert row.shape == (4,)
+        for i in range(4):
+            assert row[i] == pytest.approx(
+                pulse.ambiguity_batch(float(f[i]), float(tau[j]))[0], abs=1e-13
             )
 
 
@@ -221,8 +222,9 @@ def test_ambiguity_quadrature_converged():
     rng = np.random.default_rng(9)
     f = rng.uniform(-2.0, 2.0, 5)
     tau = rng.uniform(-2.0, 2.0, 5)
-    np.testing.assert_allclose(base.ambiguity(f, tau), fine.ambiguity(f, tau),
-                               atol=1e-12)
+    for fi, ti in zip(f, tau):
+        np.testing.assert_allclose(base.ambiguity_batch(fi, ti), fine.ambiguity_batch(fi, ti),
+                                   atol=1e-12)
     # the grid's node-count rule against a 128-node table: the largest
     # supported grid with the widest offsets (|doppler| = nu_max at
     # delay = tau_max), and 1x16, where the carrier recurrence has length 1
@@ -342,8 +344,8 @@ def test_ambiguity_table_layout():
     assert table.shape == (3, 5)
     for i, tau in enumerate(taus):
         for j, dm in enumerate(range(-2, 3)):
-            expect = pulse.ambiguity(dm * cfg.beta * cfg.delta_f0 - 0.05,
-                                     float(tau) - 0.3)
+            expect = pulse.ambiguity_batch(dm * cfg.beta * cfg.delta_f0 - 0.05,
+                                           float(tau) - 0.3)[0]
             assert table[i, j] == pytest.approx(expect, abs=1e-13)
 
 
