@@ -1,10 +1,13 @@
 """Command line front end: capacity sweeps, BER sweeps and Gram dumps.
 
-Configuration comes from an optional JSON file plus flag overrides; outputs
-are RFC-4180 CSV files with a matching gnuplot script so nothing here ever
-needs a plotting dependency. Exit codes: 0 success, 1 configuration error,
-2 numerical failure. The output directory is the --out flag if given, else
-the MCFTN_OTFS_OUT environment variable, else the working directory.
+Every flag parses straight into its JSON config key. The settings are the
+CLI's own defaults (an 8x4 grid and the 0-20 dB SNR grid), then the optional
+JSON file, then the flags given; they split into SystemConfig and SweepSpec
+fields, which supply every other default and reject every invalid value.
+Outputs are RFC-4180 CSV files with a matching gnuplot script so nothing here
+ever needs a plotting dependency. Exit codes: 0 success, 1 configuration
+error, 2 numerical failure. The output directory is the --out flag if given,
+else the MCFTN_OTFS_OUT environment variable, else the working directory.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ import sys
 from dataclasses import fields
 
 from .core import ConfigError, NumericalError, SystemConfig
+from .link import CONSTELLATIONS
 from .montecarlo import SCHEMES, SweepSpec, run_sweep
 from .pulse import build_gram
 
@@ -25,9 +29,17 @@ BER_HEADER = ["snr_db", "scheme", "alpha", "beta", "ber", "ci_low", "ci_high", "
 GRAM_HEADER = ["row", "col", "re", "im"]
 GRAM_EIGS_HEADER = ["index", "eigenvalue"]
 
+# metric -> (CSV header, point fields after the alpha/beta columns, y label, log y)
+_OUTPUTS = {
+    "capacity": (CAPACITY_HEADER, ("mean", "stderr", "n"),
+                 "normalized capacity (bits/s/Hz)", False),
+    "ber": (BER_HEADER, ("ber", "ci_low", "ci_high", "bits"), "uncoded BER", True),
+}
+
+_DEFAULTS = {"M": 8, "N": 4, "snr_db": (0.0, 5.0, 10.0, 15.0, 20.0)}
 _SYSTEM_KEYS = {f.name for f in fields(SystemConfig)}
 _SWEEP_KEYS = {"snr_db", "n_realizations", "schemes", "n_frames", "constellation"}
-_INT_KEYS = {"M", "N", "L", "n_tx", "n_rx", "seed", "n_realizations", "n_frames"}
+_INT_KEYS = {f.name for f in fields(SystemConfig) + fields(SweepSpec) if f.type == "int"}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -65,6 +77,11 @@ def load_config(path: str | None) -> dict:
     return raw
 
 
+def _list(text: str) -> list:
+    """Items of a comma-separated flag; SweepSpec converts and checks them."""
+    return [item.strip() for item in text.split(",") if item.strip()]
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="mcftn-otfs", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -73,72 +90,27 @@ def build_parser() -> _Parser:
         ("ber", "sweep uncoded BER over SNR"),
         ("gram", "dump the pulse Gram matrix and its spectrum"),
     ):
-        p = sub.add_parser(name, help=help_text)
+        # flags not given stay out of the namespace, so they never mask the file
+        p = sub.add_parser(name, help=help_text, argument_default=argparse.SUPPRESS)
         p.add_argument("--config", help="JSON config file")
         p.add_argument("--out", help="output directory (default: $MCFTN_OTFS_OUT or '.')")
-        p.add_argument("--M", type=int, dest="M")
-        p.add_argument("--N", type=int, dest="N")
-        p.add_argument("--alpha", type=float)
-        p.add_argument("--beta", type=float)
-        p.add_argument("--theta", type=float)
-        p.add_argument("--L", type=int, dest="L")
-        p.add_argument("--n-tx", type=int, dest="n_tx")
-        p.add_argument("--n-rx", type=int, dest="n_rx")
-        p.add_argument("--seed", type=int)
+        for key in ("M", "N", "alpha", "beta", "theta", "L", "n_tx", "n_rx", "seed"):
+            p.add_argument("--" + key.replace("_", "-"), type=int if key in _INT_KEYS else float)
         if name != "gram":
-            p.add_argument("--snr", help="comma-separated SNR points in dB")
-            p.add_argument("--realizations", type=int)
-            p.add_argument("--schemes", help=f"comma-separated subset of: {', '.join(SCHEMES)}")
-            p.add_argument("--frames", type=int, help="frames per realization (ber)")
-            p.add_argument("--constellation", choices=("bpsk", "qpsk"))
+            p.add_argument("--snr", dest="snr_db", metavar="SNR", type=_list,
+                           help="comma-separated SNR points in dB")
+            p.add_argument("--realizations", dest="n_realizations", metavar="REALIZATIONS",
+                           type=int)
+            p.add_argument("--schemes", type=_list,
+                           help=f"comma-separated subset of: {', '.join(SCHEMES)}")
+            p.add_argument("--frames", dest="n_frames", metavar="FRAMES", type=int,
+                           help="frames per realization (ber)")
+            p.add_argument("--constellation", choices=CONSTELLATIONS)
     return parser
 
 
-def _system_config(raw: dict, args) -> SystemConfig:
-    merged = {"M": 8, "N": 4}
-    for key in _SYSTEM_KEYS:
-        if key in raw:
-            merged[key] = raw[key]
-    for key in ("M", "N", "alpha", "beta", "theta", "L", "n_tx", "n_rx", "seed"):
-        value = getattr(args, key, None)
-        if value is not None:
-            merged[key] = value
-    try:
-        return SystemConfig(**merged)
-    except TypeError as exc:
-        raise ConfigError(str(exc))
-
-
-def _sweep_spec(raw: dict, args, metric: str, cfg: SystemConfig) -> SweepSpec:
-    snr = raw.get("snr_db", [0.0, 5.0, 10.0, 15.0, 20.0])
-    if getattr(args, "snr", None):
-        try:
-            snr = [float(s) for s in args.snr.split(",") if s.strip()]
-        except ValueError:
-            raise ConfigError(f"cannot parse --snr {args.snr!r}")
-    schemes = raw.get("schemes", ["siso_pa"])
-    if getattr(args, "schemes", None):
-        schemes = [s.strip() for s in args.schemes.split(",") if s.strip()]
-    spec_kwargs = {
-        "config": cfg,
-        "snr_points_db": snr,
-        "schemes": schemes,
-        "metric": metric,
-        "n_realizations": raw.get("n_realizations", 500),
-        "n_frames": raw.get("n_frames", 50),
-        "constellation": raw.get("constellation", "bpsk"),
-    }
-    if getattr(args, "realizations", None) is not None:
-        spec_kwargs["n_realizations"] = args.realizations
-    if getattr(args, "frames", None) is not None:
-        spec_kwargs["n_frames"] = args.frames
-    if getattr(args, "constellation", None) is not None:
-        spec_kwargs["constellation"] = args.constellation
-    return SweepSpec(**spec_kwargs)
-
-
-def _out_dir(args) -> str:
-    out = args.out or os.environ.get("MCFTN_OTFS_OUT") or "."
+def _out_dir(out: str | None) -> str:
+    out = out or os.environ.get("MCFTN_OTFS_OUT") or "."
     os.makedirs(out, exist_ok=True)
     return out
 
@@ -151,8 +123,7 @@ def _write_csv(path: str, header, rows) -> None:
             writer.writerow([_fmt(v) for v in row])
 
 
-def _plot_script(csv_name: str, schemes, ycol: int, ylabel: str,
-                 logscale: bool) -> str:
+def _plot_script(csv_name: str, schemes, ylabel: str, logscale: bool) -> str:
     lines = [
         f"# gnuplot script; expects {csv_name} in the same directory",
         "set datafile separator ','",
@@ -164,7 +135,7 @@ def _plot_script(csv_name: str, schemes, ycol: int, ylabel: str,
     if logscale:
         lines.append("set logscale y")
     plots = [
-        f"  '{csv_name}' every ::1 using 1:(strcol(2) eq '{s}' ? ${ycol} : 1/0) "
+        f"  '{csv_name}' every ::1 using 1:(strcol(2) eq '{s}' ? $5 : 1/0) "
         f"with linespoints title '{s}'"
         for s in schemes
     ]
@@ -173,46 +144,27 @@ def _plot_script(csv_name: str, schemes, ycol: int, ylabel: str,
     return "\n".join(lines) + "\n"
 
 
-def _cmd_sweep(args, metric: str) -> int:
-    raw = load_config(args.config)
-    cfg = _system_config(raw, args)
-    spec = _sweep_spec(raw, args, metric, cfg)
-    result = run_sweep(spec)
-    out = _out_dir(args)
-
-    if metric == "capacity":
-        rows = [
-            (p.snr_db, p.scheme, cfg.alpha, cfg.beta, p.mean, p.stderr, p.n)
-            for p in result.points
-        ]
-        csv_path = os.path.join(out, "capacity.csv")
-        _write_csv(csv_path, CAPACITY_HEADER, rows)
-        script = _plot_script("capacity.csv", spec.schemes, 5,
-                              "normalized capacity (bits/s/Hz)", logscale=False)
-        gp_path = os.path.join(out, "capacity.gp")
-    else:
-        rows = [
-            (p.snr_db, p.scheme, cfg.alpha, cfg.beta, p.ber, p.ci_low, p.ci_high, p.bits)
-            for p in result.points
-        ]
-        csv_path = os.path.join(out, "ber.csv")
-        _write_csv(csv_path, BER_HEADER, rows)
-        script = _plot_script("ber.csv", spec.schemes, 5,
-                              "uncoded BER", logscale=True)
-        gp_path = os.path.join(out, "ber.gp")
-
+def _cmd_sweep(spec: SweepSpec, out: str | None) -> int:
+    header, columns, ylabel, logscale = _OUTPUTS[spec.metric]
+    cfg = spec.config
+    rows = [
+        (p.snr_db, p.scheme, cfg.alpha, cfg.beta, *(getattr(p, c) for c in columns))
+        for p in run_sweep(spec).points
+    ]
+    out = _out_dir(out)
+    csv_path = os.path.join(out, f"{spec.metric}.csv")
+    _write_csv(csv_path, header, rows)
+    gp_path = os.path.join(out, f"{spec.metric}.gp")
     with open(gp_path, "w", encoding="utf-8") as fh:
-        fh.write(script)
+        fh.write(_plot_script(f"{spec.metric}.csv", spec.schemes, ylabel, logscale))
     print(f"wrote {csv_path}")
     print(f"wrote {gp_path}")
     return 0
 
 
-def _cmd_gram(args) -> int:
-    raw = load_config(args.config)
-    cfg = _system_config(raw, args)
+def _cmd_gram(cfg: SystemConfig, out: str | None) -> int:
     gram = build_gram(cfg)
-    out = _out_dir(args)
+    out = _out_dir(out)
 
     g = gram.matrix
     rows = [
@@ -234,14 +186,16 @@ def _cmd_gram(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        if args.command == "capacity":
-            return _cmd_sweep(args, "capacity")
-        if args.command == "ber":
-            return _cmd_sweep(args, "ber")
-        return _cmd_gram(args)
+        flags = vars(build_parser().parse_args(argv))
+        command, out = flags.pop("command"), flags.pop("out", None)
+        settings = {**_DEFAULTS, **load_config(flags.pop("config", None)), **flags}
+        cfg = SystemConfig(**{k: v for k, v in settings.items() if k in _SYSTEM_KEYS})
+        if command == "gram":
+            return _cmd_gram(cfg, out)
+        sweep = {k: v for k, v in settings.items() if k in _SWEEP_KEYS}
+        return _cmd_sweep(SweepSpec(config=cfg, snr_points_db=sweep.pop("snr_db"),
+                                    metric=command, **sweep), out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

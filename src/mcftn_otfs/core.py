@@ -35,6 +35,21 @@ def is_integer(v) -> bool:
     return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
 
 
+SNR_DB_LIMIT = 150.0
+
+
+def check_snr_db(snr_db: float) -> float:
+    """Return `snr_db` if it lies in the valid SNR range, else raise ConfigError.
+
+    10**(snr/10) overflows or underflows to zero a few hundred dB out, and
+    NaN fails the comparison, so the range also keeps N0 finite and positive.
+    """
+    if not -SNR_DB_LIMIT <= snr_db <= SNR_DB_LIMIT:
+        raise ConfigError(f"SNR must lie in [-{SNR_DB_LIMIT:g}, {SNR_DB_LIMIT:g}] dB, "
+                          f"got {snr_db!r}")
+    return snr_db
+
+
 @dataclass(frozen=True)
 class SystemConfig:
     """Static description of one transmission setup.
@@ -63,6 +78,11 @@ class SystemConfig:
     allow_small_alpha: bool = False  # lift the alpha >= 1/(1+theta) guard
 
     def __post_init__(self):
+        for name in ("alpha", "beta", "theta", "T0", "E0", "sigma_x2", "N0", "tau_max", "nu_max"):
+            v = getattr(self, name)
+            real = isinstance(v, (int, float, np.integer, np.floating)) and not isinstance(v, bool)
+            if not real and not (v is None and name in ("tau_max", "nu_max")):
+                raise ConfigError(f"{name} must be a real number, got {v!r}")
         for name in ("M", "N", "L", "n_tx", "n_rx"):
             v = getattr(self, name)
             if not is_integer(v) or v < 1:
@@ -114,7 +134,7 @@ class SystemConfig:
 
     def with_snr_db(self, snr_db: float) -> "SystemConfig":
         """Copy of this config with N0 set so sigma_x^2/N0 hits `snr_db`."""
-        return dataclasses.replace(self, N0=self.sigma_x2 / 10.0 ** (snr_db / 10.0))
+        return dataclasses.replace(self, N0=self.sigma_x2 / 10.0 ** (check_snr_db(snr_db) / 10.0))
 
     def replace(self, **kw) -> "SystemConfig":
         return dataclasses.replace(self, **kw)

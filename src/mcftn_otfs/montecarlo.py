@@ -10,7 +10,6 @@ trusting it.
 
 from __future__ import annotations
 
-import math
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 
@@ -18,7 +17,7 @@ import numpy as np
 
 from . import __version__
 from .channel import build_mimo_channel, paths_digest
-from .core import ConfigError, SystemConfig, is_integer, rng_stream, sfft_matrix
+from .core import ConfigError, SystemConfig, check_snr_db, is_integer, rng_stream, sfft_matrix
 from .link import bits_per_symbol, demap_symbols, map_bits, mmse_weights, wilson_interval, CONSTELLATIONS
 from .noise import draw_mimo_noise, make_noise_model
 from .precode_mimo import build_mimo_effective, relaxed_fill, sic_precode, wf_structured
@@ -92,8 +91,8 @@ class SweepSpec:
 
     def __post_init__(self):
         snr = _sequence("snr_points_db", self.snr_points_db, float)
-        if not all(math.isfinite(s) for s in snr):
-            raise ConfigError("snr_points_db must be finite")
+        for s in snr:
+            check_snr_db(s)
         object.__setattr__(self, "snr_points_db", snr)
         object.__setattr__(self, "schemes", _sequence("schemes", self.schemes, str))
         if not self.snr_points_db:

@@ -11,6 +11,7 @@ matrices). Agreement is therefore evidence, not bookkeeping.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
 from scipy import integrate
@@ -232,20 +233,27 @@ def _project_weighted(y: np.ndarray, phi: np.ndarray, budget: float) -> np.ndarr
 def _kkt_candidate(support: np.ndarray, a: np.ndarray, phi: np.ndarray,
                    budget: float):
     """Closed-form stationary point with the given support; None if the KKT
-    conditions reject it."""
+    conditions reject it.
+
+    The water level and the allocation level/phi - 1/a are formed in exact
+    rational arithmetic: in floats the difference cancels when 1/a is far
+    above the budget, as at -150 dB, and loses about eps/a absolutely.
+    """
     s = np.flatnonzero(support)
     if s.size == 0:
         return None
-    inv_mu = LN2 * (budget + float(np.sum(phi[s] / a[s]))) / s.size
-    x = np.zeros_like(a)
-    x[s] = inv_mu / (LN2 * phi[s]) - 1.0 / a[s]
-    if np.any(x[s] <= 0.0):
+    a_s = [Fraction(v) for v in a[s]]
+    phi_s = [Fraction(v) for v in phi[s]]
+    level = (Fraction(budget) + sum(p / q for p, q in zip(phi_s, a_s))) / s.size
+    x_s = [level / p - 1 / q for p, q in zip(phi_s, a_s)]
+    if any(v <= 0 for v in x_s):
         return None
-    # off-support multiplier test: gradient at zero must not beat mu * phi
-    mu = 1.0 / inv_mu
+    # off-support multiplier test: a zero mode must gain nothing at this level
     off = np.flatnonzero(~support & (a > 0.0))
-    if off.size and np.any(a[off] / LN2 > mu * phi[off] * (1.0 + 1e-12)):
+    if off.size and np.any(a[off] * float(level) > phi[off] * (1.0 + 1e-12)):
         return None
+    x = np.zeros_like(a)
+    x[s] = [float(v) for v in x_s]
     return x
 
 

@@ -1,5 +1,6 @@
 """Command line interface tests: files, headers, overrides, exit codes."""
 
+import argparse
 import csv
 import json
 
@@ -55,8 +56,10 @@ def test_unknown_config_key_exits_1(tmp_path, capsys):
     {"T0": float("nan")},
     {"nu_max": float("inf")},
     {"M": True},
+    {"alpha": True},
+    {"theta": "x"},
 ], ids=["seed-float", "snr-scalar", "snr-text", "realizations-text", "frames-float",
-        "tau-max-nan", "t0-nan", "nu-max-inf", "m-bool"])
+        "tau-max-nan", "t0-nan", "nu-max-inf", "m-bool", "alpha-bool", "theta-text"])
 def test_malformed_config_value_exits_1(tmp_path, capsys, bad):
     conf = tmp_path / "bad.json"
     conf.write_text(json.dumps({"M": 2, "N": 2, "n_realizations": 1, **bad}))
@@ -77,6 +80,16 @@ def test_integer_valued_floats_match_ints(tmp_path, command, ints):
         assert cli.main([command, "--config", str(conf), "--out", str(tmp_path / name)]) == 0
         outputs.append((tmp_path / name / f"{command}.csv").read_bytes())
     assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("flag", ["--snr=4000", "--snr=-4000", "--snr=", "--schemes="])
+def test_malformed_flag_value_exits_1(tmp_path, capsys, flag):
+    # SNR points outside [-150, 150] dB and empty lists are configuration errors
+    rc = cli.main(["capacity", "--M", "2", "--N", "2", "--realizations", "1", flag,
+                   "--out", str(tmp_path)])
+    assert rc == 1
+    assert "config error" in capsys.readouterr().err
+    assert not (tmp_path / "capacity.csv").exists()
 
 
 def test_unknown_flag_exits_1(tmp_path, capsys):
@@ -238,3 +251,45 @@ def test_out_flag_beats_env_var(tmp_path, monkeypatch):
     assert rc == 0
     assert (explicit / "gram.csv").exists()
     assert not (tmp_path / "env").exists()
+
+
+SWEEP_OPTIONS = ["--snr", "--realizations", "--schemes", "--frames", "--constellation"]
+SYSTEM_OPTIONS = ["-h", "--help", "--config", "--out", "--M", "--N", "--alpha", "--beta",
+                  "--theta", "--L", "--n-tx", "--n-rx", "--seed"]
+
+
+def test_cli_surface_flags_match_json_keys(tmp_path):
+    # no subcommand gains or loses an option
+    sub = next(a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    options = {name: [o for a in p._actions for o in a.option_strings]
+               for name, p in sub.choices.items()}
+    assert options == {"capacity": SYSTEM_OPTIONS + SWEEP_OPTIONS,
+                       "ber": SYSTEM_OPTIONS + SWEEP_OPTIONS,
+                       "gram": SYSTEM_OPTIONS}
+
+    # each sweep setting changes the output, and its flag and its JSON key
+    # write the same bytes over the same base file
+    base = {"M": 2, "N": 2, "alpha": 0.9, "beta": 0.9, "snr_db": [0.0, 8.0],
+            "n_realizations": 2, "n_frames": 2}
+    cases = [
+        ("capacity", ["--snr", "0,7"], {"snr_db": [0.0, 7.0]}),
+        ("capacity", ["--realizations", "3"], {"n_realizations": 3}),
+        ("capacity", ["--schemes", "siso_nopa,siso_pa"], {"schemes": ["siso_nopa", "siso_pa"]}),
+        ("ber", ["--frames", "4"], {"n_frames": 4}),
+        ("ber", ["--constellation", "qpsk"], {"constellation": "qpsk"}),
+        ("ber", ["--n-tx", "2", "--n-rx", "2", "--schemes", "sic"],
+         {"n_tx": 2, "n_rx": 2, "schemes": ["sic"]}),
+    ]
+
+    def run(command, name, flags, settings):
+        conf = tmp_path / f"{name}.json"
+        conf.write_text(json.dumps(settings))
+        out = tmp_path / name
+        assert cli.main([command, "--config", str(conf), "--out", str(out)] + flags) == 0
+        return (out / f"{command}.csv").read_bytes()
+
+    for i, (command, flags, keys) in enumerate(cases):
+        by_flag = run(command, f"flag{i}", flags, base)
+        assert by_flag == run(command, f"key{i}", [], {**base, **keys}), flags
+        assert by_flag != run(command, f"base{i}", [], base), flags

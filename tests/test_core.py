@@ -56,6 +56,16 @@ def test_config_rejects_bad_values():
     for name in ("M", "N", "L", "n_tx", "n_rx", "seed"):
         with pytest.raises(ConfigError, match=name):
             SystemConfig(**{"M": 8, "N": 4, name: True})
+    # the float fields take Python or numpy reals, never bool, text or None
+    for name in ("alpha", "beta", "theta", "T0", "E0", "sigma_x2", "N0", "tau_max", "nu_max"):
+        for bad in (True, "1", [1]):
+            with pytest.raises(ConfigError, match=name):
+                SystemConfig(M=8, N=4, **{name: bad})
+        if name not in ("tau_max", "nu_max"):
+            with pytest.raises(ConfigError, match=name):
+                SystemConfig(M=8, N=4, **{name: None})
+    cfg = SystemConfig(M=8, N=4, alpha=np.float32(0.9), theta=np.int64(1), tau_max=None)
+    assert cfg.tau_max == 2.0
 
 
 def test_config_alpha_guard():
@@ -78,6 +88,12 @@ def test_config_snr_helpers():
     assert cfg.replace(alpha=0.9).sigma_x2 == 2.0
     zero = cfg.replace(N0=0.0)
     assert zero.snr == np.inf
+    # the valid SNR range is [-150, 150] dB; outside it 10**(snr/10) overflows
+    for snr_db in (-150.0, 150.0):
+        assert np.isfinite(cfg.with_snr_db(snr_db).N0)
+    for snr_db in (-4000.0, -150.5, 150.5, 4000.0, float("nan")):
+        with pytest.raises(ConfigError, match="SNR"):
+            cfg.with_snr_db(snr_db)
 
 
 # ----------------------------------------------------------- transforms ----

@@ -55,6 +55,10 @@ def test_spec_validation():
         SweepSpec(config=BASE, snr_points_db=(5.0,), metric="ber", n_frames=True)
     with pytest.raises(ConfigError):
         SweepSpec(config=BASE, snr_points_db=(5.0,), metric="ber", constellation="pam")
+    for snr_db in (-4000.0, -150.5, 150.5, 4000.0, float("nan"), float("inf")):
+        with pytest.raises(ConfigError, match="SNR"):
+            SweepSpec(config=BASE, snr_points_db=(snr_db,))
+    assert SweepSpec(config=BASE, snr_points_db=(-150.0, 150.0)).snr_points_db == (-150.0, 150.0)
     mimo_cfg = BASE.replace(n_tx=2, n_rx=2)
     for scheme in ("siso_pa", "siso_nopa", "siso_unprecoded"):
         with pytest.raises(ConfigError):
