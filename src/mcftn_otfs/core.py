@@ -35,6 +35,14 @@ def is_integer(v) -> bool:
     return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
 
 
+def is_finite(v) -> bool:
+    """math.isfinite that reads an int beyond the float range as not finite."""
+    try:
+        return math.isfinite(v)
+    except OverflowError:
+        return False
+
+
 SNR_DB_LIMIT = 150.0
 
 
@@ -96,7 +104,7 @@ class SystemConfig:
         # NaN and inf pass every range comparison, so finiteness is its own test
         for name in ("T0", "E0", "sigma_x2"):
             v = getattr(self, name)
-            if not math.isfinite(v) or v <= 0.0:
+            if not is_finite(v) or v <= 0.0:
                 raise ConfigError(f"{name} must be finite and positive, got {v!r}")
         if not is_integer(self.seed) or self.seed < 0:
             raise ConfigError(f"seed must be a non-negative integer, got {self.seed!r}")
@@ -106,8 +114,10 @@ class SystemConfig:
             object.__setattr__(self, "nu_max", 0.1 / self.T0)
         for name in ("N0", "tau_max", "nu_max"):
             v = getattr(self, name)
-            if not math.isfinite(v) or v < 0.0:
+            if not is_finite(v) or v < 0.0:
                 raise ConfigError(f"{name} must be finite and non-negative, got {v!r}")
+        if not isinstance(self.allow_small_alpha, (bool, np.bool_)):
+            raise ConfigError(f"allow_small_alpha must be a bool, got {self.allow_small_alpha!r}")
         # the Gram loses rank fast once alpha drops below 1/(1+theta)
         if not self.allow_small_alpha and self.alpha < 1.0 / (1.0 + self.theta) - 1e-12:
             raise ConfigError(

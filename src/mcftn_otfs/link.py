@@ -16,50 +16,43 @@ import numpy as np
 
 from .core import ConfigError
 
-CONSTELLATIONS = ("bpsk", "qpsk")
-_WILSON_Z = 1.959963984540054   # two-sided 95%
+# bits per symbol; bit j of a symbol drives rail j (real, then imaginary)
+_BITS_PER_SYMBOL = {"bpsk": 1, "qpsk": 2}
+CONSTELLATIONS = tuple(_BITS_PER_SYMBOL)
 
 
 def bits_per_symbol(constellation: str) -> int:
-    if constellation == "bpsk":
-        return 1
-    if constellation == "qpsk":
-        return 2
-    raise ConfigError(f"unknown constellation {constellation!r}")
+    if constellation not in CONSTELLATIONS:
+        raise ConfigError(f"unknown constellation {constellation!r}")
+    return _BITS_PER_SYMBOL[constellation]
 
 
 def map_bits(bits: np.ndarray, constellation: str, sigma_x2: float = 1.0) -> np.ndarray:
     """Bits to unit-ordered symbols with average energy sigma_x2.
 
-    The leading axis is the bit axis; for QPSK consecutive bit pairs map
-    Gray-coded to quadrants (even-index bit on the real rail).
+    The leading axis is the bit axis; consecutive runs of bits_per_symbol
+    bits map Gray-coded to one symbol, bit j (1 -> -1) on rail j.
     """
+    k = bits_per_symbol(constellation)
     bits = np.asarray(bits)
     if bits.ndim == 0 or np.any((bits != 0) & (bits != 1)):
         raise ConfigError("bits must be an array of 0/1 values")
-    if constellation == "bpsk":
-        return (1.0 - 2.0 * bits.astype(float)) * np.sqrt(sigma_x2)
-    if constellation == "qpsk":
-        if bits.shape[0] % 2:
-            raise ConfigError("qpsk needs an even number of bits")
-        re = 1.0 - 2.0 * bits[0::2].astype(float)
-        im = 1.0 - 2.0 * bits[1::2].astype(float)
-        return (re + 1j * im) * np.sqrt(sigma_x2 / 2.0)
-    raise ConfigError(f"unknown constellation {constellation!r}")
+    if bits.shape[0] % k:
+        raise ConfigError(f"{constellation} needs a multiple of {k} bits")
+    # one strided slice per rail: converting all bits first raises the peak heap
+    rails = [1.0 - 2.0 * bits[j::k].astype(float) for j in range(k)]
+    symbols = rails[0] + 1j * rails[1] if k == 2 else rails[0]
+    return symbols * np.sqrt(sigma_x2 / k)
 
 
 def demap_symbols(x: np.ndarray, constellation: str) -> np.ndarray:
     """Hard decisions back to bits; zero estimates resolve to bit 0."""
+    k = bits_per_symbol(constellation)
     x = np.asarray(x)
-    if constellation == "bpsk":
-        return (x.real < 0.0).astype(np.int64)
-    if constellation == "qpsk":
-        out_shape = (2 * x.shape[0],) + x.shape[1:]
-        out = np.empty(out_shape, dtype=np.int64)
-        out[0::2] = x.real < 0.0
-        out[1::2] = x.imag < 0.0
-        return out
-    raise ConfigError(f"unknown constellation {constellation!r}")
+    out = np.empty((k * x.shape[0],) + x.shape[1:], dtype=np.int64)
+    for j, rail in enumerate((np.real, np.imag)[:k]):
+        out[j::k] = rail(x) < 0.0
+    return out
 
 
 def mmse_weights(b: np.ndarray, rz: np.ndarray, sigma_x2: float) -> np.ndarray:
@@ -76,10 +69,11 @@ def mmse_weights(b: np.ndarray, rz: np.ndarray, sigma_x2: float) -> np.ndarray:
         return sigma_x2 * (b.conj().T @ np.linalg.pinv(s, hermitian=True))
 
 
-def wilson_interval(errors: int, n: int, z: float = _WILSON_Z) -> tuple[float, float]:
-    """Wilson score interval for a binomial proportion."""
+def wilson_interval(errors: int, n: int) -> tuple[float, float]:
+    """Two-sided 95% Wilson score interval for a binomial proportion."""
     if n <= 0:
         raise ConfigError("interval needs at least one trial")
+    z = 1.959963984540054   # two-sided 95%
     p = errors / n
     denom = 1.0 + z * z / n
     center = (p + z * z / (2 * n)) / denom

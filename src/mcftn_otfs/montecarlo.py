@@ -18,51 +18,36 @@ import numpy as np
 from . import __version__
 from .channel import build_mimo_channel, paths_digest
 from .core import ConfigError, SystemConfig, check_snr_db, is_integer, rng_stream, sfft_matrix
-from .link import bits_per_symbol, demap_symbols, map_bits, mmse_weights, wilson_interval, CONSTELLATIONS
+from .link import bits_per_symbol, demap_symbols, map_bits, mmse_weights, wilson_interval
 from .noise import draw_mimo_noise, make_noise_model
 from .precode_mimo import build_mimo_effective, relaxed_fill, sic_precode, wf_structured
-from .precode_siso import mode_bits, modes, normalized_capacity
+from .precode_siso import modes, unit_fill, unprecoded_fill
 from .pulse import build_gram
 
 METRICS = ("capacity", "ber")
 
 
-# Each scheme is a pair (factor, solve). factor(cfg, gram, sfft, mimo) does the
-# SNR-independent work once per realization and is shared by every scheme
-# naming the same function; solve(factor, cfg_snr) -> (P, normalized capacity)
-# serves both metrics. The siso_* schemes are the one-antenna case of the
-# stacked factor: siso_pa is wf_relaxed on a single stream.
+# Each scheme is a pair (factor, design). factor(cfg, gram, D) does the SNR-
+# independent work on the realization's whitened channel D once and is shared
+# by every scheme naming it; design(cfg_snr, *factor) -> (P, normalized
+# capacity) serves both metrics. The siso_* schemes are the one-antenna case
+# of the stacked factor: siso_pa is wf_relaxed on a single stream.
 
-def _mimo_factor(cfg, gram, sfft, mimo):
-    return build_mimo_effective(gram, mimo.matrix, sfft, cfg.n_rx), gram
+def _mimo_factor(cfg, gram, D):
+    return D, gram
 
 
-def _stacked_factor(cfg, gram, sfft, mimo):
-    D = build_mimo_effective(gram, mimo.matrix, sfft, cfg.n_rx)
+def _stacked_factor(cfg, gram, D):
     return modes(D.conj().T @ D, gram.matrix, cfg.n_tx)
 
 
-def _unit_solve(precoded):
-    """Unit powers in the eigenbasis (P = U) or no precoding (P = I); both
-    carry the same bits because the log-det only sees the eigenvalues."""
-    def solve(factor, cfg):
-        U, lam, _ = factor
-        P = U if precoded else np.eye(len(lam), dtype=complex)
-        return P, normalized_capacity(mode_bits(np.ones_like(lam), lam, cfg.sigma_x2, cfg.N0), cfg)
-    return solve
-
-
-def _relaxed_solve(factor, cfg):
-    return relaxed_fill(cfg, *factor)
-
-
 SCHEME_TABLE = {
-    "siso_pa": (_stacked_factor, _relaxed_solve),
-    "siso_nopa": (_stacked_factor, _unit_solve(True)),
-    "siso_unprecoded": (_stacked_factor, _unit_solve(False)),
-    "sic": (_mimo_factor, lambda factor, cfg: sic_precode(cfg, *factor)),
-    "wf_relaxed": (_stacked_factor, _relaxed_solve),
-    "wf_structured": (_mimo_factor, lambda factor, cfg: wf_structured(cfg, *factor)),
+    "siso_pa": (_stacked_factor, relaxed_fill),
+    "siso_nopa": (_stacked_factor, unit_fill),
+    "siso_unprecoded": (_stacked_factor, unprecoded_fill),
+    "sic": (_mimo_factor, sic_precode),
+    "wf_relaxed": (_stacked_factor, relaxed_fill),
+    "wf_structured": (_mimo_factor, wf_structured),
 }
 SCHEMES = tuple(SCHEME_TABLE)
 
@@ -115,8 +100,7 @@ class SweepSpec:
             v = getattr(self, name)
             if not is_integer(v) or v < 1:
                 raise ConfigError(f"{name} must be a positive integer, got {v!r}")
-        if self.constellation not in CONSTELLATIONS:
-            raise ConfigError(f"unknown constellation {self.constellation!r}")
+        bits_per_symbol(self.constellation)     # raises on an unknown name
 
 
 @dataclass(frozen=True)
@@ -177,8 +161,9 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     """Execute the sweep; deterministic for a fixed spec.
 
     Realizations are independent; each one draws its channel from the stream
-    (seed, "paths", r), runs each distinct factor of the requested schemes
-    once, then walks the SNR grid, where only the power allocation is redone.
+    (seed, "paths", r), whitens it once, runs each distinct factor of the
+    requested schemes once on that D, then walks the SNR grid, where only
+    the power allocation is redone.
     For the BER metric the data bits and noise come from
     (seed, "bits"/"noise", r, snr index) and are shared by every scheme at
     that cell.
@@ -191,22 +176,19 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     dtype = float if spec.metric == "capacity" else np.int64
     values = {cell: np.zeros(spec.n_realizations, dtype=dtype) for cell in cells}
 
-    n_sym = cfg.n_tx * cfg.mn
-    frame_bits = bits_per_symbol(spec.constellation) * n_sym * spec.n_frames
+    rows = [SCHEME_TABLE[s] for s in spec.schemes]
+    frame_bits = bits_per_symbol(spec.constellation) * cfg.n_tx * cfg.mn * spec.n_frames
     digests = []
 
     for r in range(spec.n_realizations):
         mimo = build_mimo_channel(cfg, rng_stream(cfg.seed, "paths", r))
         digests.append(paths_digest(mimo.blocks))
-        factors = {}
-        for s in spec.schemes:
-            factor = SCHEME_TABLE[s][0]
-            if factor not in factors:
-                factors[factor] = factor(cfg, gram, sfft, mimo)
+        D = build_mimo_effective(gram, mimo.matrix, sfft, cfg.n_rx)
+        factors = {f: f(cfg, gram, D) for f in dict.fromkeys(f for f, _ in rows)}
 
         for si, snr in enumerate(spec.snr_points_db):
             cfg_s = cfg.with_snr_db(snr)
-            solved = (SCHEME_TABLE[s][1](factors[SCHEME_TABLE[s][0]], cfg_s) for s in spec.schemes)
+            solved = (design(cfg_s, *factors[factor]) for factor, design in rows)
             if spec.metric == "capacity":
                 cell = [capacity for _, capacity in solved]
             else:
@@ -215,7 +197,7 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
             for s, value in zip(spec.schemes, cell):
                 values[(s, snr)][r] = value
         # release this realization's factors before the next channel is built
-        del factors
+        del D, factors
 
     points = []
     for s in spec.schemes:

@@ -33,7 +33,7 @@ def build_mimo_effective(gram: GramMatrix, h_mimo: np.ndarray, sfft: np.ndarray,
                          n_rx: int) -> np.ndarray:
     """Whitened stacked channel (I (x) G^{-1/2} A^H) H, block row by block row."""
     h_mimo = np.asarray(h_mimo, dtype=complex)
-    n = gram.matrix.shape[0]
+    n = gram.size
     if h_mimo.shape[0] != n_rx * n or h_mimo.shape[1] % n != 0:
         raise ConfigError(f"stacked channel shape {h_mimo.shape} does not tile {n}-sized blocks")
     w = gram.inv_sqrt @ sfft.conj().T
@@ -58,7 +58,7 @@ def _solve_stream(gram: GramMatrix, a_t: np.ndarray, T: np.ndarray,
     with the stream's budget MN. Returns the stream's block P_t and its bits
     log2 det(I + c P_t^H Q P_t)."""
     U, lam_q, psi = modes(a_t.conj().T @ np.linalg.solve(T, a_t), gram.matrix)
-    _, _, P, bits = fill_modes(U, lam_q, psi, sigma_x2, N0, float(gram.matrix.shape[0]))
+    _, _, P, bits = fill_modes(U, lam_q, psi, sigma_x2, N0)
     return P, bits
 
 
@@ -66,7 +66,7 @@ def _check_mimo_args(cfg: SystemConfig, D: np.ndarray, gram: GramMatrix) -> int:
     """Validate a stream design's inputs; returns the block size MN."""
     if cfg.N0 <= 0.0:
         raise ConfigError("stream design needs N0 > 0")
-    n = gram.matrix.shape[0]
+    n = gram.size
     if D.shape != (cfg.n_rx * n, cfg.n_tx * n):
         raise ConfigError(f"effective channel shape {D.shape} does not match config")
     return n
@@ -84,8 +84,7 @@ def sic_precode(cfg: SystemConfig, D: np.ndarray, gram: GramMatrix):
     :func:`per_stream_rates` of P's diagonal blocks recovers those bits.
     """
     n = _check_mimo_args(cfg, D, gram)
-
-    c = cfg.sigma_x2 / cfg.N0
+    c = cfg.snr
     T = np.eye(D.shape[0], dtype=complex)
     blocks, bits = [], 0.0
     for t in range(cfg.n_tx):
@@ -107,25 +106,22 @@ def per_stream_rates(cfg: SystemConfig, D: np.ndarray, p_blocks) -> np.ndarray:
     if cfg.N0 <= 0.0:
         raise ConfigError("per-stream rates need N0 > 0")
     n = D.shape[1] // len(p_blocks)
-    c = cfg.sigma_x2 / cfg.N0
+    c = cfg.snr
     T = np.eye(D.shape[0], dtype=complex)
     rates = np.empty(len(p_blocks))
     for t, p_t in enumerate(p_blocks):
         b = D[:, t * n:(t + 1) * n] @ p_t
         x = np.linalg.solve(T, b)
         inner = np.eye(b.shape[1], dtype=complex) + c * (b.conj().T @ x)
-        sign, logdet = np.linalg.slogdet(inner)
-        rates[t] = logdet / LN2
+        rates[t] = np.linalg.slogdet(inner)[1] / LN2
         T = T + c * (b @ b.conj().T)
     return rates
 
 
 def _logdet_bits(cfg: SystemConfig, D: np.ndarray, P: np.ndarray) -> float:
-    c = cfg.sigma_x2 / cfg.N0
     b = D @ P
-    m = np.eye(D.shape[0], dtype=complex) + c * (b @ b.conj().T)
-    sign, logdet = np.linalg.slogdet(m)
-    return logdet / LN2
+    m = np.eye(D.shape[0], dtype=complex) + cfg.snr * (b @ b.conj().T)
+    return np.linalg.slogdet(m)[1] / LN2
 
 
 def wf_baseline(cfg: SystemConfig, D: np.ndarray, gram: GramMatrix):
@@ -142,7 +138,7 @@ def wf_baseline(cfg: SystemConfig, D: np.ndarray, gram: GramMatrix):
 
 def relaxed_fill(cfg: SystemConfig, U: np.ndarray, lam_d: np.ndarray, phi: np.ndarray):
     """The SNR-dependent half of :func:`wf_baseline` on an already factored D^H D."""
-    _, _, P, bits = fill_modes(U, lam_d, phi, cfg.sigma_x2, cfg.N0, float(cfg.n_tx * cfg.mn))
+    _, _, P, bits = fill_modes(U, lam_d, phi, cfg.sigma_x2, cfg.N0)
     return P, normalized_capacity(bits, cfg)
 
 
@@ -157,9 +153,8 @@ def wf_structured(cfg: SystemConfig, D: np.ndarray, gram: GramMatrix, max_sweeps
     measured against 0 bits). Returns (P, normalized capacity).
     """
     P, _ = sic_precode(cfg, D, gram)
-    n = gram.matrix.shape[0]
-
-    c = cfg.sigma_x2 / cfg.N0
+    n = gram.size
+    c = cfg.snr
     blocks = [P[t * n:(t + 1) * n, t * n:(t + 1) * n] for t in range(cfg.n_tx)]
     b_cache = [D[:, t * n:(t + 1) * n] @ p for t, p in enumerate(blocks)]
     prev_bits, bits = 0.0, _logdet_bits(cfg, D, P)

@@ -114,14 +114,36 @@ def mode_bits(lam_p: np.ndarray, lam: np.ndarray, sigma_x2: float, N0: float) ->
     return float(np.sum(np.log2(1.0 + (sigma_x2 / N0) * lam_p * lam)))
 
 
-def fill_modes(U: np.ndarray, lam: np.ndarray, phi: np.ndarray, sigma_x2: float,
-               N0: float, budget: float):
+def fill_modes(U: np.ndarray, lam: np.ndarray, phi: np.ndarray, sigma_x2: float, N0: float):
     """SNR-dependent half of the kernel: water-fill, P = U Lam_P^{1/2}, bits.
 
-    Returns (lam_P, xi, P, bits).
+    The budget is the mode count, MN per transmit antenna. Returns
+    (lam_P, xi, P, bits).
     """
-    lam_p, xi = waterfill(lam, phi, sigma_x2, N0, budget)
+    lam_p, xi = waterfill(lam, phi, sigma_x2, N0)
     return lam_p, xi, U * np.sqrt(lam_p), mode_bits(lam_p, lam, sigma_x2, N0)
+
+
+def unit_modes(U: np.ndarray, lam: np.ndarray, sigma_x2: float, N0: float, precoded=True):
+    """Unit power on every mode, in the eigenbasis (P = U) or unprecoded (P = I).
+    Both meet the budget exactly, tr(G P P^H) = tr(G) = MN per antenna, and carry
+    the same bits, since log det(I + c D^H D) only sees the eigenvalues.
+    Returns (lam_P, xi = nan, P, bits) like :func:`fill_modes`."""
+    lam_p = np.ones_like(lam)
+    P = U if precoded else np.eye(lam.size, dtype=complex)
+    return lam_p, math.nan, P, mode_bits(lam_p, lam, sigma_x2, N0)
+
+
+def unit_fill(cfg: SystemConfig, U: np.ndarray, lam: np.ndarray, phi: np.ndarray):
+    """The siso_nopa design, P = U: returns (P, normalized capacity)."""
+    _, _, P, bits = unit_modes(U, lam, cfg.sigma_x2, cfg.N0)
+    return P, normalized_capacity(bits, cfg)
+
+
+def unprecoded_fill(cfg: SystemConfig, U: np.ndarray, lam: np.ndarray, phi: np.ndarray):
+    """The siso_unprecoded design, P = I: returns (P, normalized capacity)."""
+    _, _, P, bits = unit_modes(U, lam, cfg.sigma_x2, cfg.N0, precoded=False)
+    return P, normalized_capacity(bits, cfg)
 
 
 def normalized_capacity(bits: float, cfg: SystemConfig) -> float:
@@ -146,25 +168,20 @@ def solve_siso(cfg: SystemConfig, gram: GramMatrix, h_dd: np.ndarray,
                sfft: np.ndarray, mode: str = "pa") -> SisoPrecoder:
     """Build D, diagonalize it, allocate power and count the bits at cfg's SNR.
 
-    mode "pa": water-filled allocation. mode "nopa": unit allocation in the
-    eigenbasis (P = U), which removes self-interference but leaves capacity
-    on the table. mode "unprecoded": P = I. All three meet the energy budget
-    tr(G P P^H) = MN exactly because tr(G) = MN, and "nopa" and
-    "unprecoded" carry the same bits because det(I + c D^H D) only sees the
-    eigenvalues. This is the one-antenna case of the stacked design: the
-    sweep reaches the same U, allocation and capacity through `modes` and
-    `fill_modes` on the stacked channel.
+    mode "pa": water-filled allocation (`fill_modes`). modes "nopa" (P = U,
+    which removes self-interference but leaves capacity on the table) and
+    "unprecoded" (P = I) are `unit_modes`. This is the one-antenna case of
+    the stacked design: the sweep reaches the same U, allocation and
+    capacity through `modes` and the same fills on the stacked channel.
     """
     if mode not in ("pa", "nopa", "unprecoded"):
         raise ConfigError(f"unknown precoder mode {mode!r}")
     D = build_effective_channel(gram, h_dd, sfft)
     U, lam_d, phi = modes(D.conj().T @ D, gram.matrix)
     if mode == "pa":
-        lam_p, xi, P, bits = fill_modes(U, lam_d, phi, cfg.sigma_x2, cfg.N0, float(cfg.mn))
+        lam_p, xi, P, bits = fill_modes(U, lam_d, phi, cfg.sigma_x2, cfg.N0)
     else:
-        lam_p, xi = np.ones_like(lam_d), math.nan
-        P = U if mode == "nopa" else np.eye(len(lam_d), dtype=complex)
-        bits = mode_bits(lam_p, lam_d, cfg.sigma_x2, cfg.N0)
+        lam_p, xi, P, bits = unit_modes(U, lam_d, cfg.sigma_x2, cfg.N0, mode == "nopa")
     return SisoPrecoder(D=D, lam_d=lam_d, lam_p=lam_p, xi=xi, P=P, bits=bits)
 
 

@@ -27,23 +27,41 @@ from .core import (
     DegenerateConfigurationError,
     NumericalError,
     SystemConfig,
+    is_finite,
 )
 
-# Gauss-Legendre nodes/weights on [-1, 1], cached per order.
-_GL_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+SPAN = 32    # truncation half-width of every pulse, in units of T0
 # nodes per ambiguity_table chunk: keeps each temporary near 0.5 MiB at any grid
 _CHUNK_NODES = 2 ** 15
 
 
+@lru_cache(maxsize=16)
 def _gl_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
-    if order not in _GL_CACHE:
-        _GL_CACHE[order] = np.polynomial.legendre.leggauss(order)
-    return _GL_CACHE[order]
+    """Gauss-Legendre nodes and weights on [-1, 1]."""
+    return np.polynomial.legendre.leggauss(order)
+
+
+def _panel_rule(lo: np.ndarray, hi: np.ndarray, panel: float,
+                order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Composite Gauss-Legendre rule on each interval [lo[i], hi[i]], tiled by
+    ceil(length / panel) equal panels of `order` nodes. Returns the nodes and
+    weights, both (len(lo), nodes); rows with fewer panels than the longest
+    are padded with zero weight, and an empty interval is all zero."""
+    length = np.maximum(hi - lo, 0.0)
+    n_panels = np.where(length > 0.0, np.maximum(1.0, np.ceil(length / panel - 1e-12)), 0.0)
+    width = length / np.maximum(n_panels, 1.0)
+    x, w = _gl_rule(order)
+    k = np.arange(int(n_panels.max(initial=0.0)))
+    starts = lo[:, None] + width[:, None] * k
+    half = 0.5 * width[:, None, None]
+    t = (starts[:, :, None] + half * (x + 1.0)).reshape(len(lo), -1)
+    weights = np.where(k[:, None] < n_panels[:, None, None], half * w, 0.0)
+    return t, weights.reshape(len(lo), -1)
 
 
 @dataclass(frozen=True)
 class RrcPulse:
-    """Unit-energy root raised cosine pulse, truncated to |t| <= span*T0.
+    """Unit-energy root raised cosine pulse, truncated to |t| <= SPAN*T0 = 32*T0.
 
     The closed form (T0 the Nyquist interval, theta the roll-off):
 
@@ -55,56 +73,50 @@ class RrcPulse:
     support: the amplitude tails decay like 1/t^2, so the raw truncation at
     32*T0 would leave about 1e-6 of energy outside and poison every
     unit-energy invariant downstream; renormalizing pins A(0, 0) = 1 and the
-    Gram diagonal at quadrature precision instead. theta = 0 degenerates to
-    a sinc whose 1/t tails defeat the truncation entirely; it is only
-    usable on the uncompressed grid (alpha = beta = 1).
+    Gram diagonal at quadrature precision instead. At theta = 0 the same
+    form is sin(pi u)/(pi u), a sinc whose 1/t tails defeat the truncation
+    entirely; it is only usable on the uncompressed grid (alpha = beta = 1).
 
-    `nodes_per_t0` controls the composite Gauss-Legendre rule used for
-    ambiguity integrals (one panel per T0 of overlap). The frequency offset
-    it resolves grows with it, so the Gram and every channel do not use the
-    default: `coupling_matrix` takes its pulse from `lattice_pulse`, which
-    sets the node count from the largest offset on the grid,
-    (M-1)*beta*delta_f0 plus the largest Doppler. The default of 64 serves
-    direct calls and resolves offsets up to about 19/T0.
+    `nodes_per_t0` sets the composite Gauss-Legendre rule `_panel_rule` (one
+    panel per T0) that both the energy normalization and the ambiguity
+    integrals use. The frequency offset it resolves grows with it, so the
+    Gram and every channel do not use the default: `coupling_matrix` takes
+    its pulse from `lattice_pulse`, which sets the node count from the
+    largest offset on the grid, (M-1)*beta*delta_f0 plus the largest
+    Doppler. The default of 64 serves direct calls and resolves offsets up
+    to about 19/T0.
     """
 
     theta: float
     T0: float = 1.0
-    span: int = 32            # truncation half-width in units of T0
     nodes_per_t0: int = 64    # quadrature nodes per T0 of overlap
 
     def __post_init__(self):
         if not 0.0 <= self.theta <= 1.0:
             raise ConfigError(f"theta must lie in [0, 1], got {self.theta}")
-        if self.T0 <= 0.0:
-            raise ConfigError("T0 must be positive")
-        if self.span < 1 or self.nodes_per_t0 < 2:
-            raise ConfigError("span and nodes_per_t0 must be at least 1 and 2")
+        if not (is_finite(self.T0) and self.T0 > 0.0):
+            raise ConfigError(f"T0 must be finite and positive, got {self.T0!r}")
+        if self.nodes_per_t0 < 2:
+            raise ConfigError("nodes_per_t0 must be at least 2")
 
     @property
     def support(self) -> float:
         """Half-width of the truncated support."""
-        return self.span * self.T0
+        return SPAN * self.T0
 
     @cached_property
     def _norm(self) -> float:
-        # energy of the raw truncated pulse via the same composite rule used
-        # for ambiguities; dividing by its square root makes A(0, 0) exactly 1
-        x, w = _gl_rule(self.nodes_per_t0)
-        starts = -self.support + self.T0 * np.arange(2 * self.span)
-        t = (starts[:, None] + 0.5 * self.T0 * (x[None, :] + 1.0)).ravel()
-        weights = np.tile(0.5 * self.T0 * w, 2 * self.span)
-        energy = float(weights @ self._raw_amplitude(t) ** 2)
+        # energy of the raw truncated pulse by the ambiguity rule at tau = 0;
+        # dividing by its square root makes A(0, 0) exactly 1
+        t, weights = _panel_rule(np.array([-self.support]), np.array([self.support]),
+                                 self.T0, self.nodes_per_t0)
+        energy = float(weights[0] @ self._raw_amplitude(t[0]) ** 2)
         return 1.0 / np.sqrt(energy)
 
     def _raw_amplitude(self, t: np.ndarray) -> np.ndarray:
         u = t / self.T0
         scale = 1.0 / np.sqrt(self.T0)
         inside = np.abs(t) <= self.support
-
-        if self.theta == 0.0:
-            return np.where(inside, scale * np.sinc(u), 0.0)
-
         th = self.theta
         au = np.abs(u, out=u)
         a = 4.0 * th * au
@@ -151,29 +163,18 @@ class RrcPulse:
     def _profiles(self, taus) -> tuple[np.ndarray, np.ndarray]:
         """Quadrature nodes and weighted profiles for a batch of delays.
 
-        Row i holds the composite Gauss-Legendre rule over the support
-        overlap of g(t) and g(t - taus[i]): one panel per T0, stretched to
-        tile the overlap so that both truncation edges fall on panel ends.
-        Returns the nodes s = t - tau and the profile g(s) g(t) w, both
-        (len(taus), nodes). Rows with fewer panels than the longest are
-        padded with zero weight; a row whose supports do not overlap is all
-        zero, so every ambiguity built from it is an exact zero.
+        Row i holds `_panel_rule` over the support overlap of g(t) and
+        g(t - taus[i]), so both truncation edges fall on panel ends. Returns
+        the nodes s = t - tau and the profile g(s) g(t) w, both
+        (len(taus), nodes). A row whose supports do not overlap is all zero,
+        so every ambiguity built from it is an exact zero.
         """
         taus = np.atleast_1d(np.asarray(taus, dtype=float))
-        lo = np.maximum(-self.support, taus - self.support)
-        hi = np.minimum(self.support, taus + self.support)
-        length = np.maximum(hi - lo, 0.0)
-        n_panels = np.where(length > 0.0,
-                            np.maximum(1.0, np.ceil(length / self.T0 - 1e-12)), 0.0)
-        width = length / np.maximum(n_panels, 1.0)
-        x, w = _gl_rule(self.nodes_per_t0)
-        k = np.arange(int(n_panels.max(initial=0.0)))
-        starts = lo[:, None] + width[:, None] * k
-        half = 0.5 * width[:, None, None]
-        t = (starts[:, :, None] + half * (x + 1.0)).reshape(len(taus), -1)
-        weights = np.where(k[:, None] < n_panels[:, None, None], half * w, 0.0)
+        t, weights = _panel_rule(np.maximum(-self.support, taus - self.support),
+                                 np.minimum(self.support, taus + self.support),
+                                 self.T0, self.nodes_per_t0)
         s = t - taus[:, None]
-        return s, self.amplitude(s) * self.amplitude(t) * weights.reshape(len(taus), -1)
+        return s, self.amplitude(s) * self.amplitude(t) * weights
 
     def ambiguity_batch(self, f_values: np.ndarray, tau: float) -> np.ndarray:
         """A(f, tau) for a batch of frequency offsets at one delay offset.
@@ -288,7 +289,7 @@ def ambiguity_table(pulse, cfg: SystemConfig, delays: np.ndarray, doppler: float
     f_min = -(cfg.M - 1) * f_step - doppler
     delays = np.atleast_1d(np.asarray(delays, dtype=float)) - delay_shift
     table = np.empty((len(delays), 2 * cfg.M - 1), dtype=complex)
-    rows = max(1, _CHUNK_NODES // (2 * pulse.span * pulse.nodes_per_t0))
+    rows = max(1, _CHUNK_NODES // (2 * SPAN * pulse.nodes_per_t0))
     for r in range(0, len(delays), rows):
         s, profile = pulse._profiles(delays[r:r + rows])
         v = -2j * np.pi * f_min * s

@@ -52,6 +52,15 @@ def test_config_rejects_bad_values():
             with pytest.raises(ConfigError, match=name):
                 SystemConfig(M=8, N=4, **{name: bad})
     assert SystemConfig(M=8, N=4, N0=0.0).N0 == 0.0
+    # an int beyond the float range is not finite either
+    for name in ("T0", "E0", "sigma_x2", "N0", "tau_max", "nu_max"):
+        with pytest.raises(ConfigError, match=name):
+            SystemConfig(M=8, N=4, **{name: 10 ** 400})
+    # a non-empty string is truthy, so only a bool may lift the alpha guard
+    for bad in ("no", "yes", 1, None):
+        with pytest.raises(ConfigError, match="allow_small_alpha"):
+            SystemConfig(M=8, N=4, alpha=0.7, allow_small_alpha=bad)
+    assert SystemConfig(M=8, N=4, alpha=0.7, allow_small_alpha=np.bool_(True)).alpha == 0.7
     # bool is an int subclass, but not a count
     for name in ("M", "N", "L", "n_tx", "n_rx", "seed"):
         with pytest.raises(ConfigError, match=name):

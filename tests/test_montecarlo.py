@@ -190,6 +190,26 @@ def test_mimo_sweep_schemes():
     assert np.all(relaxed >= structured - 1e-9)
 
 
+def test_sweep_whitens_each_realization_once(monkeypatch):
+    # sic takes D itself and wf_relaxed the modes of D^H D; both start from
+    # one whitening per realization
+    from mcftn_otfs import montecarlo
+
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return build_mimo_effective(*args)
+
+    monkeypatch.setattr(montecarlo, "build_mimo_effective", counted)
+    cfg = BASE.replace(n_tx=2, n_rx=2, seed=7)
+    spec = SweepSpec(config=cfg, snr_points_db=(0.0, 10.0), n_realizations=3,
+                     schemes=("sic", "wf_relaxed"), metric="ber", n_frames=4,
+                     constellation="qpsk")
+    run_sweep(spec)
+    assert len(calls) == spec.n_realizations
+
+
 # ------------------------------------------------------------------- ber ----
 
 def test_ber_sweep_counts_and_interval():

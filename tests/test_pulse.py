@@ -122,10 +122,10 @@ def test_pulse_validation():
         RrcPulse(theta=-0.1)
     with pytest.raises(ConfigError):
         RrcPulse(theta=1.5)
-    with pytest.raises(ConfigError):
-        RrcPulse(theta=0.25, T0=0.0)
-    with pytest.raises(ConfigError):
-        RrcPulse(theta=0.25, span=0)
+    # T0 must be finite and positive, as in SystemConfig
+    for bad in (0.0, -1.0, float("nan"), float("inf"), 10 ** 400):
+        with pytest.raises(ConfigError, match="T0"):
+            RrcPulse(theta=0.25, T0=bad)
     with pytest.raises(ConfigError):
         RrcPulse(theta=0.25, nodes_per_t0=1)
 
