@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import ConfigError
+from .core import ConfigError, is_integer
 
 # bits per symbol; bit j of a symbol drives rail j (real, then imaginary)
 _BITS_PER_SYMBOL = {"bpsk": 1, "qpsk": 2}
@@ -71,8 +71,9 @@ def mmse_weights(b: np.ndarray, rz: np.ndarray, sigma_x2: float) -> np.ndarray:
 
 def wilson_interval(errors: int, n: int) -> tuple[float, float]:
     """Two-sided 95% Wilson score interval for a binomial proportion."""
-    if n <= 0:
-        raise ConfigError("interval needs at least one trial")
+    if not (is_integer(errors) and is_integer(n) and 0 <= errors <= n and n >= 1):
+        raise ConfigError(f"interval needs integer counts 0 <= errors <= n and n >= 1, "
+                          f"got {errors!r} errors in {n!r} trials")
     z = 1.959963984540054   # two-sided 95%
     p = errors / n
     denom = 1.0 + z * z / n

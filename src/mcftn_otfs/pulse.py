@@ -28,6 +28,7 @@ from .core import (
     NumericalError,
     SystemConfig,
     is_finite,
+    is_integer,
 )
 
 SPAN = 32    # truncation half-width of every pulse, in units of T0
@@ -41,22 +42,11 @@ def _gl_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
     return np.polynomial.legendre.leggauss(order)
 
 
-def _panel_rule(lo: np.ndarray, hi: np.ndarray, panel: float,
-                order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Composite Gauss-Legendre rule on each interval [lo[i], hi[i]], tiled by
-    ceil(length / panel) equal panels of `order` nodes. Returns the nodes and
-    weights, both (len(lo), nodes); rows with fewer panels than the longest
-    are padded with zero weight, and an empty interval is all zero."""
-    length = np.maximum(hi - lo, 0.0)
-    n_panels = np.where(length > 0.0, np.maximum(1.0, np.ceil(length / panel - 1e-12)), 0.0)
-    width = length / np.maximum(n_panels, 1.0)
+def _panel_rule(lo: np.ndarray, hi: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray]:
+    """`order` Gauss-Legendre nodes and weights on each panel [lo, hi]; empty panels weigh 0."""
     x, w = _gl_rule(order)
-    k = np.arange(int(n_panels.max(initial=0.0)))
-    starts = lo[:, None] + width[:, None] * k
-    half = 0.5 * width[:, None, None]
-    t = (starts[:, :, None] + half * (x + 1.0)).reshape(len(lo), -1)
-    weights = np.where(k[:, None] < n_panels[:, None, None], half * w, 0.0)
-    return t, weights.reshape(len(lo), -1)
+    half = 0.5 * np.maximum(hi - lo, 0.0)
+    return lo + half * (x + 1.0), half * w
 
 
 @dataclass(frozen=True)
@@ -77,14 +67,11 @@ class RrcPulse:
     form is sin(pi u)/(pi u), a sinc whose 1/t tails defeat the truncation
     entirely; it is only usable on the uncompressed grid (alpha = beta = 1).
 
-    `nodes_per_t0` sets the composite Gauss-Legendre rule `_panel_rule` (one
-    panel per T0) that both the energy normalization and the ambiguity
-    integrals use. The frequency offset it resolves grows with it, so the
-    Gram and every channel do not use the default: `coupling_matrix` takes
-    its pulse from `lattice_pulse`, which sets the node count from the
-    largest offset on the grid, (M-1)*beta*delta_f0 plus the largest
-    Doppler. The default of 64 serves direct calls and resolves offsets up
-    to about 19/T0.
+    The energy normalization and every ambiguity integral run on one grid,
+    cached per pulse: `_panel_rule` panels of `nodes_per_t0` nodes, one per T0
+    of the support. The offset it resolves grows with the node count, which
+    `lattice_pulse` sets from the largest offset on a config's lattice; the
+    default of 64 serves direct calls and resolves offsets up to about 19/T0.
     """
 
     theta: float
@@ -96,8 +83,8 @@ class RrcPulse:
             raise ConfigError(f"theta must lie in [0, 1], got {self.theta}")
         if not (is_finite(self.T0) and self.T0 > 0.0):
             raise ConfigError(f"T0 must be finite and positive, got {self.T0!r}")
-        if self.nodes_per_t0 < 2:
-            raise ConfigError("nodes_per_t0 must be at least 2")
+        if not is_integer(self.nodes_per_t0) or self.nodes_per_t0 < 2:
+            raise ConfigError(f"nodes_per_t0 must be an integer >= 2, got {self.nodes_per_t0!r}")
 
     @property
     def support(self) -> float:
@@ -105,13 +92,21 @@ class RrcPulse:
         return SPAN * self.T0
 
     @cached_property
+    def _grid(self) -> tuple[np.ndarray, ...]:
+        # nodes t, weights w, the raw (unnormalized) pulse on t, and sin, cos
+        # of pi (1 -/+ theta) t / T0, from which g(t - tau) follows for any tau
+        edges = self.T0 * np.arange(-SPAN, SPAN + 1.0)[:, None]
+        t, w = (a.ravel() for a in _panel_rule(edges[:-1], edges[1:], self.nodes_per_t0))
+        phase = np.pi * t / self.T0
+        minus, plus = (1.0 - self.theta) * phase, (1.0 + self.theta) * phase
+        return (t, w, self._raw_amplitude(t),
+                np.sin(minus), np.cos(minus), np.sin(plus), np.cos(plus))
+
+    @cached_property
     def _norm(self) -> float:
-        # energy of the raw truncated pulse by the ambiguity rule at tau = 0;
-        # dividing by its square root makes A(0, 0) exactly 1
-        t, weights = _panel_rule(np.array([-self.support]), np.array([self.support]),
-                                 self.T0, self.nodes_per_t0)
-        energy = float(weights[0] @ self._raw_amplitude(t[0]) ** 2)
-        return 1.0 / np.sqrt(energy)
+        # 1/sqrt of the raw pulse's energy on the grid, which makes A(0, 0) exactly 1
+        _, w, raw = self._grid[:3]
+        return 1.0 / np.sqrt(float(w @ raw ** 2))
 
     def _raw_amplitude(self, t: np.ndarray) -> np.ndarray:
         u = t / self.T0
@@ -160,32 +155,55 @@ class RrcPulse:
         out = self._norm * self._raw_amplitude(t.reshape(-1)).reshape(t.shape)
         return out if out.ndim else float(out)
 
-    def _profiles(self, taus) -> tuple[np.ndarray, np.ndarray]:
-        """Quadrature nodes and weighted profiles for a batch of delays.
+    def _ambiguities(self, taus: np.ndarray, f_values: np.ndarray, carriers: np.ndarray,
+                     doppler: float = 0.0) -> np.ndarray:
+        """A(f_values[j], taus[i]), given carriers[k, j] = exp(-2j pi (f_values[j]
+        + doppler) t_k) on the grid nodes t.
 
-        Row i holds `_panel_rule` over the support overlap of g(t) and
-        g(t - taus[i]), so both truncation edges fall on panel ends. Returns
-        the nodes s = t - tau and the profile g(s) g(t) w, both
-        (len(taus), nodes). A row whose supports do not overlap is all zero,
-        so every ambiguity built from it is an exact zero.
+        g(t - tau) follows from the grid by angle addition, except where that
+        cancels (u = (t - tau)/T0 near 0 and |1 - 4 theta |u|| < 1/2): there
+        the pulse is evaluated directly. The grid panels inside the overlap
+        of g(t) and g(t - tau) enter one GEMM per chunk of _CHUNK_NODES grid
+        nodes; the panel cut by the truncation edge of g(t - tau) gets its
+        own nodes. A row without overlap is an exact zero.
         """
-        taus = np.atleast_1d(np.asarray(taus, dtype=float))
-        t, weights = _panel_rule(np.maximum(-self.support, taus - self.support),
-                                 np.minimum(self.support, taus + self.support),
-                                 self.T0, self.nodes_per_t0)
-        s = t - taus[:, None]
-        return s, self.amplitude(s) * self.amplitude(t) * weights
+        t, w, raw, sin_minus, cos_minus, sin_plus, cos_plus = self._grid
+        th, T0, S, n = self.theta, self.T0, self.support, self.nodes_per_t0
+        weighted = self._norm ** 2 * w * raw * np.exp(2j * np.pi * doppler * t)
+        out = np.empty((len(taus), len(f_values)), dtype=complex)
+        rows = max(1, _CHUNK_NODES // len(t))
+        for r in range(0, len(taus), rows):
+            tau = taus[r:r + rows, None]
+            right = tau >= 0.0    # g(t - tau) is cut at tau - S, else at tau + S
+            edge = np.where(right, tau - S, tau + S)
+            a = np.floor((edge + S) / T0) * T0 - S    # the grid panel [a, a + T0] it cuts
+            t_edge, w_edge = _panel_rule(np.where(right, edge, a), np.where(right, a + T0, edge), n)
+            s = t - tau
+            u = s / T0
+            minus, plus = np.pi * (1.0 - th) / T0 * tau, np.pi * (1.0 + th) / T0 * tau
+            g = sin_minus * np.cos(minus) - cos_minus * np.sin(minus)
+            g += 4.0 * th * u * (cos_plus * np.cos(plus) + sin_plus * np.sin(plus))
+            with np.errstate(divide="ignore", invalid="ignore"):
+                g /= np.pi * u * (1.0 - (4.0 * th * u) ** 2) * np.sqrt(T0)
+            direct = (np.abs(u) <= 1.5) | (np.abs(1.0 - 4.0 * th * np.abs(u)) < 0.5)
+            # one direct evaluation for those nodes and both factors on the edge panel
+            s = s[direct]
+            values = self._raw_amplitude(np.concatenate([s, t_edge, t_edge - tau], axis=None))
+            g[direct] = values[:s.size]
+            g *= np.where(right, t > a + T0, t < a)    # the grid panels inside the overlap
+            out[r:r + rows] = (g * weighted) @ carriers
+            p_edge = self._norm ** 2 * w_edge * values[s.size:].reshape(2, -1, n).prod(axis=0)
+            phases = np.exp(-2j * np.pi * t_edge[..., None] * f_values)
+            out[r:r + rows] += (p_edge[:, None] @ phases)[:, 0]
+        # the carriers ran in t; A takes its phase in t - tau
+        return out * np.exp(2j * np.pi * np.outer(taus, f_values))
 
     def ambiguity_batch(self, f_values: np.ndarray, tau: float) -> np.ndarray:
-        """A(f, tau) for a batch of frequency offsets at one delay offset.
-
-        One row of `_profiles`, shared nodes for the whole batch. Exact zero
-        when the supports of g(t) and g(t - tau) no longer overlap.
-        """
+        """A(f, tau) for a batch of frequency offsets at one delay offset: one row
+        of `_ambiguities`, exactly zero once g(t) and g(t - tau) no longer overlap."""
         f_values = np.atleast_1d(np.asarray(f_values, dtype=float))
-        s, profile = self._profiles(tau)
-        phases = -2j * np.pi * np.outer(f_values, s[0])
-        return np.exp(phases, out=phases) @ profile[0]
+        carriers = np.exp(-2j * np.pi * np.outer(self._grid[0], f_values))
+        return self._ambiguities(np.array([float(tau)]), f_values, carriers)[0]
 
 
 @dataclass
@@ -272,35 +290,27 @@ class GramMatrix:
         return float(active_vals[0] / active_vals[-1])
 
 
+@lru_cache(maxsize=16)
+def _carriers(pulse: RrcPulse, f_step: float, M: int) -> np.ndarray:
+    """exp(-2j pi dm f_step t) on the grid nodes t, (nodes, 2M-1) for dm = 1-M .. M-1."""
+    carriers = np.exp(-2j * np.pi * np.outer(pulse._grid[0], np.arange(1 - M, M) * f_step))
+    carriers.flags.writeable = False
+    return carriers
+
+
 def ambiguity_table(pulse, cfg: SystemConfig, delays: np.ndarray, doppler: float = 0.0,
                     delay_shift: float = 0.0) -> np.ndarray:
     """A(dm*beta*delta_f0 - doppler, tau - delay_shift) for all grid offsets.
 
     Returns a (len(delays), 2M-1) table indexed by [dn + N - 1, dm + M - 1]
-    when `delays` is the signed tau lattice. All rows share one batched
-    quadrature (`RrcPulse._profiles`); the frequency axis is uniform, so
-    each column is the previous one times the phasor
-    exp(-2j pi beta delta_f0 s), and only two complex exponentials per node
-    are taken whatever M is. Rows go in chunks of at most _CHUNK_NODES
-    nodes to keep the temporaries small. `coupling_matrix` builds one table
-    per path and fills the MN x MN matrix from it by indexing.
+    when `delays` is the signed tau lattice. The carriers are cached per
+    (pulse, beta*delta_f0, M); the Doppler costs one exp per grid node.
+    `coupling_matrix` fills the MN x MN matrix from one table per path.
     """
     f_step = cfg.beta * cfg.delta_f0
-    f_min = -(cfg.M - 1) * f_step - doppler
     delays = np.atleast_1d(np.asarray(delays, dtype=float)) - delay_shift
-    table = np.empty((len(delays), 2 * cfg.M - 1), dtype=complex)
-    rows = max(1, _CHUNK_NODES // (2 * SPAN * pulse.nodes_per_t0))
-    for r in range(0, len(delays), rows):
-        s, profile = pulse._profiles(delays[r:r + rows])
-        v = -2j * np.pi * f_min * s
-        np.exp(v, out=v)
-        v *= profile
-        step = -2j * np.pi * f_step * s
-        np.exp(step, out=step)
-        for j in range(table.shape[1]):
-            table[r:r + rows, j] = v.sum(axis=1)
-            v *= step
-    return table
+    return pulse._ambiguities(delays, np.arange(1 - cfg.M, cfg.M) * f_step - doppler,
+                              _carriers(pulse, f_step, cfg.M), doppler)
 
 
 @lru_cache(maxsize=16)
@@ -318,7 +328,8 @@ def lattice_pulse(cfg: SystemConfig, dopplers) -> RrcPulse:
     carrier phase ramp). Its tables agree with 128-node ones to about 1e-14
     from 1xN up to 16x16 at alpha = beta = 1 and roll-offs 0.05 to 1; at
     that 16x16 grid a fixed 24 nodes is off by 0.2. Pulses are cached per
-    (theta, T0, nodes), so their normalization is computed once.
+    (theta, T0, nodes), so the Gram and every channel of a config share one
+    quadrature grid, normalization and carrier table.
     """
     if cfg.theta == 0.0 and (cfg.alpha != 1.0 or cfg.beta != 1.0):
         raise ConfigError(
@@ -350,28 +361,18 @@ def coupling_matrix(cfg: SystemConfig, paths) -> np.ndarray:
     """
     paths = list(paths)
     pulse = lattice_pulse(cfg, [doppler for _, _, doppler in paths])
-    idx = np.arange(cfg.mn)
-    m_idx = idx % cfg.M
-    n_idx = idx // cfg.M
+    n_idx, m_idx = np.divmod(np.arange(cfg.mn), cfg.M)    # transmit slot (m', n') per column
     dm_grid = m_idx[:, None] - m_idx[None, :]
     dn_grid = n_idx[:, None] - n_idx[None, :]
     dt_grid = dn_grid * cfg.alpha * cfg.T0
-    mp_grid = np.broadcast_to(m_idx[None, :], (cfg.mn, cfg.mn))
-    np_grid = np.broadcast_to(n_idx[None, :], (cfg.mn, cfg.mn))
-
-    dn = np.arange(-(cfg.N - 1), cfg.N)
-    taus = dn * cfg.alpha * cfg.T0
+    taus = np.arange(-(cfg.N - 1), cfg.N) * cfg.alpha * cfg.T0
 
     h = np.zeros((cfg.mn, cfg.mn), dtype=complex)
     for gain, delay, doppler in paths:
         table = ambiguity_table(pulse, cfg, taus, doppler=doppler, delay_shift=delay)
         amb = table[dn_grid + cfg.N - 1, dm_grid + cfg.M - 1]
-        phase = np.exp(
-            2j * np.pi * (
-                (doppler + mp_grid * cfg.beta * cfg.delta_f0) * (dt_grid - delay)
-                + doppler * np_grid * cfg.alpha * cfg.T0
-            )
-        )
+        phase = np.exp(2j * np.pi * ((doppler + m_idx * cfg.beta * cfg.delta_f0) * (dt_grid - delay)
+                                     + doppler * n_idx * cfg.alpha * cfg.T0))
         h += gain * amb * phase
     return h
 

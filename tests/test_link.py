@@ -154,8 +154,14 @@ def test_wilson_interval_matches_scipy():
 
 
 def test_wilson_interval_validation():
-    with pytest.raises(ConfigError):
-        wilson_interval(0, 0)
+    # counts outside 0 <= errors <= n, n >= 1, or not integers, have no interval
+    for errors, n in [(0, 0), (5, 3), (-1, 3), (1, -2), (1.5, 3), (1, 3.0), (True, 3), ("1", 3)]:
+        with pytest.raises(ConfigError):
+            wilson_interval(errors, n)
+    # the ends of the valid range, and numpy counts as the sweep passes them
+    assert wilson_interval(0, 3)[0] == pytest.approx(0.0, abs=1e-15)
+    assert wilson_interval(3, 3)[1] == pytest.approx(1.0, abs=1e-15)
+    assert wilson_interval(np.int64(2), np.int64(4)) == wilson_interval(2, 4)
 
 
 # ------------------------------------------------------------- ber physics ----

@@ -126,8 +126,11 @@ def test_pulse_validation():
     for bad in (0.0, -1.0, float("nan"), float("inf"), 10 ** 400):
         with pytest.raises(ConfigError, match="T0"):
             RrcPulse(theta=0.25, T0=bad)
-    with pytest.raises(ConfigError):
-        RrcPulse(theta=0.25, nodes_per_t0=1)
+    # the node count sizes the pulse's quadrature grid: an integer of at least 2
+    for bad in (1, 0, 2.5, "64", True, None):
+        with pytest.raises(ConfigError, match="nodes_per_t0"):
+            RrcPulse(theta=0.25, nodes_per_t0=bad)
+    assert RrcPulse(theta=0.25, nodes_per_t0=np.int64(2)).nodes_per_t0 == 2
 
 
 # ------------------------------------------------------------- ambiguity ----
@@ -240,6 +243,70 @@ def test_ambiguity_quadrature_converged():
                 ambiguity_table(pulse, cfg, taus, doppler, cfg.tau_max),
                 ambiguity_table(reference, cfg, taus, doppler, cfg.tau_max),
                 rtol=0.0, atol=1e-12, err_msg=f"{M}x{N}, doppler {doppler}")
+
+
+# Each row of a table is integrated on the pulse's fixed grid of one panel per
+# T0 over [-32, 32], except the panel cut by the row's truncation edge (tau - 32
+# or tau + 32), which gets its own nodes. These cases pin that edge handling
+# and the directly evaluated zones against the adaptive-quadrature oracle.
+EDGE_CASES = {
+    # alpha = 1 and an integer delay shift put every edge on a panel boundary:
+    # delay -1 leaves an empty edge panel, delay 2 a full-width one
+    "edge-on-panel-boundary": (0.25, 3, 3, 1.0, 0.03, -1.0, [(0, 0), (3, 4)]),
+    # delays 1 - 5e-13 and -(1 - 5e-13): edge panels 5e-13 T0 wide
+    "edge-panel-below-1e-12-right": (0.25, 2, 2, 1.0, 0.0, 5e-13, [(2, 1)]),
+    "edge-panel-below-1e-12-left": (0.25, 2, 2, 1.0, 0.0, -5e-13, [(0, 2)]),
+}
+
+
+@pytest.mark.parametrize("case", EDGE_CASES)
+def test_ambiguity_table_edges_match_oracle(case):
+    theta, M, N, alpha, doppler, delay_shift, entries = EDGE_CASES[case]
+    cfg = SystemConfig(M=M, N=N, alpha=alpha, beta=alpha, theta=theta)
+    taus = np.arange(-(N - 1), N) * cfg.alpha * cfg.T0
+    table = ambiguity_table(lattice_pulse(cfg, [doppler]), cfg, taus, doppler, delay_shift)
+    for i, j in entries:
+        f = (j - (M - 1)) * cfg.beta * cfg.delta_f0 - doppler
+        ref = ambiguity_time(f, float(taus[i] - delay_shift), theta)
+        assert table[i, j] == pytest.approx(ref, abs=1e-10), (i, j)
+
+
+@pytest.mark.parametrize("theta, u", [(0.05, 5.0), (1.0, 0.25), (1.0, 0.0)])
+def test_ambiguity_table_near_cancelling_nodes_matches_oracle(theta, u):
+    # The closed form of g(t - tau) cancels at u = (t - tau)/T0 = 0 and at
+    # |u| = 1/(4 theta), so near them the pulse is evaluated directly instead
+    # of by angle addition. Put a grid node 1e-11 T0 from each point (for
+    # theta = 0.05 the band around |u| = 5 lies outside the |u| <= 1.5 zone);
+    # without the direct evaluation the error there is about 1e-7.
+    cfg = SystemConfig(M=4, N=3, alpha=1.0, beta=1.0, theta=theta)
+    pulse = lattice_pulse(cfg, [0.02])
+    x, _ = np.polynomial.legendre.leggauss(pulse.nodes_per_t0)
+    delay = 0.5 * (x[0] + 1.0) * cfg.T0 - (u + 1e-11) * cfg.T0   # first node of panel [0, T0]
+    table = ambiguity_table(pulse, cfg, np.array([delay]), 0.02)
+    ref = ambiguity_time(cfg.beta * cfg.delta_f0 - 0.02, delay, theta)
+    assert table[0, 4] == pytest.approx(ref, abs=1e-10)
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_ambiguity_table_at_largest_doppler_matches_oracle(sign):
+    cfg = SystemConfig(M=8, N=4, alpha=0.9, beta=0.9, theta=0.25)
+    doppler = sign * cfg.nu_max
+    taus = np.arange(-(cfg.N - 1), cfg.N) * cfg.alpha * cfg.T0
+    table = ambiguity_table(lattice_pulse(cfg, [doppler]), cfg, taus, doppler, cfg.tau_max)
+    ref = ambiguity_time(cfg.beta * cfg.delta_f0 - doppler, taus[4] - cfg.tau_max, cfg.theta)
+    assert table[4, 8] == pytest.approx(ref, abs=1e-10)
+
+
+def test_ambiguity_table_rows_without_overlap_are_exact_zeros():
+    # |tau| >= 64 T0 leaves no overlap; tau = 63.5 T0 leaves half a panel,
+    # integrated by the edge nodes alone
+    cfg = SystemConfig(M=2, N=1, theta=0.25)
+    pulse = lattice_pulse(cfg, [0.0])
+    table = ambiguity_table(pulse, cfg, np.array([63.5, 64.0, 70.0, -64.0, -80.0]), 0.01)
+    assert np.all(table[1:] == 0.0)
+    ref = ambiguity_time(-cfg.beta * cfg.delta_f0 - 0.01, 63.5, cfg.theta)
+    assert table[0, 0] == pytest.approx(ref, abs=1e-10)
+    assert table[0, 0] != 0.0
 
 
 # ----------------------------------------------------------------- gram ----
