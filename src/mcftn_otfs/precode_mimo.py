@@ -1,28 +1,30 @@
 """Per-stream SIC precoding and water-filling baselines for the MIMO link.
 
 The stacked whitened channel D = (I (x) G^{-1/2} A^H) H couples all transmit
-streams. The low-complexity design walks the streams once: stream t sees the
-interference of the already-designed streams through the cumulative matrix
+streams. One stream sweep serves both block-diagonal designs: stream t sees
+the interference of the other designed streams through
 
-    T_t = T_{t-1} + (sigma_x^2/N0) (D_t P_t)(D_t P_t)^H,   T_0 = I,
+    T = I + sum_{s != t} (sigma_x^2/N0) (D_s P_s)(D_s P_s)^H,
 
-diagonalizes its own quadratic form Q_t = D_t^H T_{t-1}^{-1} D_t and
-water-fills inside that eigenbasis. The achieved sum rate telescopes:
-sum_t log2 det(I + c P_t^H Q_t P_t) = log2 det(I + c D P P^H D^H) for any
-block-column split of P, which is also how the tests audit the loop.
+diagonalizes its own quadratic form Q_t = D_t^H T^{-1} D_t and water-fills
+inside that eigenbasis. The low-complexity SIC design is one sweep from
+empty streams, so stream t sees only the streams before it. The achieved
+sum rate telescopes, sum_t log2 det(I + c P_t^H Q_t P_t) =
+log2 det(I + c D P P^H D^H) for any block-column split of P, which is also
+how the tests audit the loop.
 
 Two baselines: a paper-style relaxed water-filling over the eigenbasis of
 D^H D with a single pooled budget (unstructured P), and a block-diagonal
-alternating variant whose first sweep is the SIC design and whose later
-sweeps keep ascending. All three designs take (cfg, D, gram) and return
-(P, normalized capacity).
+alternating variant that repeats the sweep: its first sweep is the SIC
+design and its later sweeps keep ascending. All three designs take
+(cfg, D, gram) and return (P, normalized capacity).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .core import ConfigError, SystemConfig
+from .core import ConfigError, SystemConfig, is_integer
 from .pulse import GramMatrix
 from .precode_siso import LN2, fill_modes, modes, normalized_capacity
 
@@ -43,37 +45,44 @@ def build_mimo_effective(gram: GramMatrix, h_mimo: np.ndarray, sfft: np.ndarray,
     return out
 
 
-def block_diag(blocks) -> np.ndarray:
-    """Block-diagonal matrix of equal square blocks, one per stream."""
-    n = blocks[0].shape[0]
-    out = np.zeros((len(blocks) * n,) * 2, dtype=complex)
-    for t, b in enumerate(blocks):
-        out[t * n:(t + 1) * n, t * n:(t + 1) * n] = b
-    return out
-
-
-def _solve_stream(gram: GramMatrix, a_t: np.ndarray, T: np.ndarray,
-                  sigma_x2: float, N0: float) -> tuple[np.ndarray, float]:
-    """Diagonalize Q = A_t^H T^{-1} A_t and water-fill inside its eigenbasis
-    with the stream's budget MN. Returns the stream's block P_t and its bits
-    log2 det(I + c P_t^H Q P_t)."""
-    U, lam_q, psi = modes(a_t.conj().T @ np.linalg.solve(T, a_t), gram.matrix)
-    _, _, P, bits = fill_modes(U, lam_q, psi, sigma_x2, N0)
-    return P, bits
-
-
-def _check_mimo_args(cfg: SystemConfig, D: np.ndarray, gram: GramMatrix) -> int:
-    """Validate a stream design's inputs; returns the block size MN."""
+def _check_mimo_args(cfg: SystemConfig, D: np.ndarray, gram: GramMatrix) -> None:
+    """Validate a stream design's inputs."""
     if cfg.N0 <= 0.0:
         raise ConfigError("stream design needs N0 > 0")
     n = gram.size
     if D.shape != (cfg.n_rx * n, cfg.n_tx * n):
         raise ConfigError(f"effective channel shape {D.shape} does not match config")
-    return n
+
+
+def _sweep(cfg: SystemConfig, D: np.ndarray, gram: GramMatrix, P: np.ndarray, o: list) -> float:
+    """One pass over the streams in natural order. Stream t is re-solved
+    against T = I + sum_{s != t} o_s, where o_s = c (D_s P_s)(D_s P_s)^H is
+    cached when stream s is designed and None before that: it diagonalizes
+    Q = D_t^H T^{-1} D_t and water-fills inside that eigenbasis with the
+    stream's budget MN. Writes P's diagonal blocks and o in place and returns
+    the streams' bits log2 det(I + c P_t^H Q P_t) summed in stream order.
+    """
+    n = gram.size
+    bits = 0.0
+    for t in range(cfg.n_tx):
+        # ascending s: the streams re-solved in this pass, then the later ones
+        T = np.eye(D.shape[0], dtype=complex)
+        for s in range(cfg.n_tx):
+            if s != t and o[s] is not None:
+                T += o[s]
+        a_t = D[:, t * n:(t + 1) * n]
+        p_t, bits_t = fill_modes(*modes(a_t.conj().T @ np.linalg.solve(T, a_t), gram.matrix),
+                                 cfg.sigma_x2, cfg.N0)
+        P[t * n:(t + 1) * n, t * n:(t + 1) * n] = p_t
+        b = a_t @ p_t
+        o[t] = cfg.snr * (b @ b.conj().T)
+        bits += bits_t
+    return bits
 
 
 def sic_precode(cfg: SystemConfig, D: np.ndarray, gram: GramMatrix):
-    """One pass over the streams in natural order with cumulative interference.
+    """One :func:`_sweep` from empty streams: stream t sees the interference of
+    the streams before it only.
 
     Each stream gets the budget MN (grid size), the SISO constraint per
     stream; with one antenna the single stream is the SISO problem. T stays
@@ -83,29 +92,25 @@ def sic_precode(cfg: SystemConfig, D: np.ndarray, gram: GramMatrix):
     block-diagonal precoder and the per-stream bits summed in stream order;
     :func:`per_stream_rates` of P's diagonal blocks recovers those bits.
     """
-    n = _check_mimo_args(cfg, D, gram)
-    c = cfg.snr
-    T = np.eye(D.shape[0], dtype=complex)
-    blocks, bits = [], 0.0
-    for t in range(cfg.n_tx):
-        a_t = D[:, t * n:(t + 1) * n]
-        p_t, bits_t = _solve_stream(gram, a_t, T, cfg.sigma_x2, cfg.N0)
-        blocks.append(p_t)
-        bits += bits_t
-        b = a_t @ p_t
-        T = T + c * (b @ b.conj().T)
-    return block_diag(blocks), normalized_capacity(bits, cfg)
+    _check_mimo_args(cfg, D, gram)
+    P = np.zeros((D.shape[1],) * 2, dtype=complex)
+    return P, normalized_capacity(_sweep(cfg, D, gram, P, [None] * cfg.n_tx), cfg)
 
 
 def per_stream_rates(cfg: SystemConfig, D: np.ndarray, p_blocks) -> np.ndarray:
     """log2 det(I + c P_t^H Q_t P_t) per stream for an arbitrary block precoder.
 
-    Uses the same cumulative T recursion as the designer, so summing the
-    returned rates must reproduce log2 det(I + c D P P^H D^H) exactly.
+    Stream t sees the streams before it, as in the SIC sweep, so summing the
+    returned rates must reproduce log2 det(I + c D P P^H D^H) exactly. The
+    blocks must be square and tile D's columns.
     """
     if cfg.N0 <= 0.0:
         raise ConfigError("per-stream rates need N0 > 0")
-    n = D.shape[1] // len(p_blocks)
+    p_blocks = [np.asarray(p) for p in p_blocks]
+    n = D.shape[1] // len(p_blocks) if p_blocks else 0
+    if n == 0 or n * len(p_blocks) != D.shape[1] or any(p.shape != (n, n) for p in p_blocks):
+        raise ConfigError(f"blocks of shapes {[p.shape for p in p_blocks]} do not tile "
+                          f"the {D.shape[1]} columns of D with square blocks")
     c = cfg.snr
     T = np.eye(D.shape[0], dtype=complex)
     rates = np.empty(len(p_blocks))
@@ -138,12 +143,12 @@ def wf_baseline(cfg: SystemConfig, D: np.ndarray, gram: GramMatrix):
 
 def relaxed_fill(cfg: SystemConfig, U: np.ndarray, lam_d: np.ndarray, phi: np.ndarray):
     """The SNR-dependent half of :func:`wf_baseline` on an already factored D^H D."""
-    _, _, P, bits = fill_modes(U, lam_d, phi, cfg.sigma_x2, cfg.N0)
+    P, bits = fill_modes(U, lam_d, phi, cfg.sigma_x2, cfg.N0)
     return P, normalized_capacity(bits, cfg)
 
 
 def wf_structured(cfg: SystemConfig, D: np.ndarray, gram: GramMatrix, max_sweeps: int = 30):
-    """Block-diagonal water-filling by alternating per-stream solves.
+    """Block-diagonal water-filling by repeated :func:`_sweep` passes.
 
     The first sweep is :func:`sic_precode`; each later sweep re-solves every
     stream against the interference of all the others and ascends
@@ -152,24 +157,16 @@ def wf_structured(cfg: SystemConfig, D: np.ndarray, gram: GramMatrix, max_sweeps
     sweep gains at most STRUCTURED_TOL relative bits (the SIC sweep is
     measured against 0 bits). Returns (P, normalized capacity).
     """
-    P, _ = sic_precode(cfg, D, gram)
-    n = gram.size
-    c = cfg.snr
-    blocks = [P[t * n:(t + 1) * n, t * n:(t + 1) * n] for t in range(cfg.n_tx)]
-    b_cache = [D[:, t * n:(t + 1) * n] @ p for t, p in enumerate(blocks)]
-    prev_bits, bits = 0.0, _logdet_bits(cfg, D, P)
-    for _ in range(1, max_sweeps):
+    if not is_integer(max_sweeps) or max_sweeps < 1:
+        raise ConfigError(f"max_sweeps must be a positive integer, got {max_sweeps!r}")
+    _check_mimo_args(cfg, D, gram)
+    P = np.zeros((D.shape[1],) * 2, dtype=complex)
+    o = [None] * cfg.n_tx
+    prev_bits = 0.0
+    for _ in range(max_sweeps):
+        _sweep(cfg, D, gram, P, o)
+        bits = _logdet_bits(cfg, D, P)
         if bits - prev_bits <= STRUCTURED_TOL * max(1.0, abs(bits)):
             break
         prev_bits = bits
-        for t in range(cfg.n_tx):
-            T = np.eye(D.shape[0], dtype=complex)
-            for s in range(cfg.n_tx):
-                if s != t:
-                    T = T + c * (b_cache[s] @ b_cache[s].conj().T)
-            a_t = D[:, t * n:(t + 1) * n]
-            blocks[t], _ = _solve_stream(gram, a_t, T, cfg.sigma_x2, cfg.N0)
-            b_cache[t] = a_t @ blocks[t]
-        P = block_diag(blocks)
-        bits = _logdet_bits(cfg, D, P)
     return P, normalized_capacity(bits, cfg)

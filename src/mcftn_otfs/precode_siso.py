@@ -117,32 +117,30 @@ def mode_bits(lam_p: np.ndarray, lam: np.ndarray, sigma_x2: float, N0: float) ->
 def fill_modes(U: np.ndarray, lam: np.ndarray, phi: np.ndarray, sigma_x2: float, N0: float):
     """SNR-dependent half of the kernel: water-fill, P = U Lam_P^{1/2}, bits.
 
-    The budget is the mode count, MN per transmit antenna. Returns
-    (lam_P, xi, P, bits).
+    The budget is the mode count, MN per transmit antenna. Returns (P, bits).
     """
-    lam_p, xi = waterfill(lam, phi, sigma_x2, N0)
-    return lam_p, xi, U * np.sqrt(lam_p), mode_bits(lam_p, lam, sigma_x2, N0)
+    lam_p, _ = waterfill(lam, phi, sigma_x2, N0)
+    return U * np.sqrt(lam_p), mode_bits(lam_p, lam, sigma_x2, N0)
 
 
 def unit_modes(U: np.ndarray, lam: np.ndarray, sigma_x2: float, N0: float, precoded=True):
     """Unit power on every mode, in the eigenbasis (P = U) or unprecoded (P = I).
     Both meet the budget exactly, tr(G P P^H) = tr(G) = MN per antenna, and carry
     the same bits, since log det(I + c D^H D) only sees the eigenvalues.
-    Returns (lam_P, xi = nan, P, bits) like :func:`fill_modes`."""
-    lam_p = np.ones_like(lam)
+    Returns (P, bits) like :func:`fill_modes`."""
     P = U if precoded else np.eye(lam.size, dtype=complex)
-    return lam_p, math.nan, P, mode_bits(lam_p, lam, sigma_x2, N0)
+    return P, mode_bits(np.ones_like(lam), lam, sigma_x2, N0)
 
 
 def unit_fill(cfg: SystemConfig, U: np.ndarray, lam: np.ndarray, phi: np.ndarray):
     """The siso_nopa design, P = U: returns (P, normalized capacity)."""
-    _, _, P, bits = unit_modes(U, lam, cfg.sigma_x2, cfg.N0)
+    P, bits = unit_modes(U, lam, cfg.sigma_x2, cfg.N0)
     return P, normalized_capacity(bits, cfg)
 
 
 def unprecoded_fill(cfg: SystemConfig, U: np.ndarray, lam: np.ndarray, phi: np.ndarray):
     """The siso_unprecoded design, P = I: returns (P, normalized capacity)."""
-    _, _, P, bits = unit_modes(U, lam, cfg.sigma_x2, cfg.N0, precoded=False)
+    P, bits = unit_modes(U, lam, cfg.sigma_x2, cfg.N0, precoded=False)
     return P, normalized_capacity(bits, cfg)
 
 
@@ -154,12 +152,10 @@ def normalized_capacity(bits: float, cfg: SystemConfig) -> float:
 @dataclass
 class SisoPrecoder:
     """Solved single-antenna precoder: the whitened channel, its eigenvalues,
-    the allocation, P itself and the bits it carries at the solve's SNR."""
+    P itself and the bits it carries at the solve's SNR."""
 
     D: np.ndarray
     lam_d: np.ndarray         # eigenvalues of D^H D, descending
-    lam_p: np.ndarray
-    xi: float
     P: np.ndarray
     bits: float               # log2 det(I + (sigma_x2/N0) P^H D^H D P)
 
@@ -179,10 +175,10 @@ def solve_siso(cfg: SystemConfig, gram: GramMatrix, h_dd: np.ndarray,
     D = build_effective_channel(gram, h_dd, sfft)
     U, lam_d, phi = modes(D.conj().T @ D, gram.matrix)
     if mode == "pa":
-        lam_p, xi, P, bits = fill_modes(U, lam_d, phi, cfg.sigma_x2, cfg.N0)
+        P, bits = fill_modes(U, lam_d, phi, cfg.sigma_x2, cfg.N0)
     else:
-        lam_p, xi, P, bits = unit_modes(U, lam_d, cfg.sigma_x2, cfg.N0, mode == "nopa")
-    return SisoPrecoder(D=D, lam_d=lam_d, lam_p=lam_p, xi=xi, P=P, bits=bits)
+        P, bits = unit_modes(U, lam_d, cfg.sigma_x2, cfg.N0, mode == "nopa")
+    return SisoPrecoder(D=D, lam_d=lam_d, P=P, bits=bits)
 
 
 def siso_capacity(pre: SisoPrecoder, cfg: SystemConfig) -> float:

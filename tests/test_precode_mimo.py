@@ -118,6 +118,17 @@ def test_sic_validation():
         sic_precode(cfg, d[:, :4], gram)
 
 
+def test_per_stream_rates_validation():
+    cfg, _, _, d = mimo_instance(77)
+    block = np.eye(4, dtype=complex)
+    for blocks in ([], [block], [block, block, block], [block[:, :3], block[:, :3]],
+                   [block, np.eye(3)], [block[:2], block[:2]]):
+        with pytest.raises(ConfigError):
+            per_stream_rates(cfg, d, blocks)
+    # two square blocks that tile D's eight columns are fine, in any container
+    assert per_stream_rates(cfg, d, (block, block)).shape == (2,)
+
+
 # ---------------------------------------------------- telescoping identity ----
 
 @pytest.mark.parametrize("trial", range(8))
@@ -197,6 +208,19 @@ def test_wf_structured_first_sweep_is_sic():
     p1, cap1 = wf_structured(cfg, d, gram, max_sweeps=1)
     np.testing.assert_allclose(p1, p_sic, atol=1e-10)
     assert cap1 == pytest.approx(cap_sic, rel=1e-10)
+
+
+@pytest.mark.parametrize("max_sweeps", [0, -3, True, 2.5, "3", None])
+def test_wf_structured_rejects_bad_sweep_counts(max_sweeps):
+    cfg, gram, _, d = mimo_instance(96)
+    with pytest.raises(ConfigError):
+        wf_structured(cfg, d, gram, max_sweeps=max_sweeps)
+
+
+def test_wf_structured_takes_numpy_sweep_counts():
+    cfg, gram, _, d = mimo_instance(96)
+    _, cap = wf_structured(cfg, d, gram, max_sweeps=np.int64(2))
+    assert cap == wf_structured(cfg, d, gram, max_sweeps=2)[1]
 
 
 def test_wf_structured_ascends_and_stays_block_diagonal():

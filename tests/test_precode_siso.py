@@ -224,7 +224,8 @@ def test_identity_channel_capacity_closed_form():
     gram = GramMatrix.from_matrix(np.eye(4, dtype=complex))
     pre = solve_siso(cfg, gram, np.eye(4, dtype=complex), sfft_matrix(cfg))
     np.testing.assert_allclose(pre.lam_d, 1.0, atol=1e-12)
-    np.testing.assert_allclose(pre.lam_p, 1.0, atol=1e-12)
+    # unit power on every mode: P is unitary
+    np.testing.assert_allclose(pre.P.conj().T @ pre.P, np.eye(4), atol=1e-12)
     assert pre.bits == pytest.approx(4.0 * np.log2(11.0), rel=1e-12)
     assert siso_capacity(pre, cfg) == pytest.approx(np.log2(11.0), rel=1e-12)
 
@@ -234,7 +235,7 @@ def test_null_channel_capacity_zero():
     gram = GramMatrix.from_matrix(np.eye(4, dtype=complex))
     pre = solve_siso(cfg, gram, np.zeros((4, 4), dtype=complex), sfft_matrix(cfg))
     assert pre.bits == 0.0
-    assert pre.xi == np.inf
+    np.testing.assert_array_equal(pre.P, 0.0)     # no mode can carry power
 
 
 def test_zero_noise_capacity_infinite():

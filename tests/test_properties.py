@@ -1,13 +1,13 @@
-"""Property tests over the valid input space: the Gram, water-filling and
-the symbol mapping, on inputs drawn by hypothesis (derandomized, so every
-run draws the same examples)."""
+"""Property tests over the valid input space: the Gram, water-filling, the
+per-stream rate split and the symbol mapping, on inputs drawn by hypothesis
+(derandomized, so every run draws the same examples)."""
 
 import math
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from mcftn_otfs import SystemConfig, demap_symbols, map_bits, waterfill
+from mcftn_otfs import SystemConfig, demap_symbols, map_bits, per_stream_rates, waterfill
 from mcftn_otfs.link import CONSTELLATIONS, bits_per_symbol
 from mcftn_otfs.precode_siso import LN2
 from mcftn_otfs.pulse import coupling_matrix
@@ -62,6 +62,27 @@ def test_waterfill_meets_budget_on_one_level(pairs, snr_db):
     unit = np.sum(np.log1p(c * lam_d))
     assert best >= unit * (1.0 - 1e-9)
     assert math.isfinite(xi)
+
+
+def _complex_normal(rng, shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=40)
+@given(st.integers(1, 3), st.integers(1, 3), st.integers(1, 4), st.floats(-20.0, 40.0),
+       st.integers(0, 2 ** 32 - 1))
+def test_per_stream_rates_telescope_to_logdet(n_tx, n_rx, n, snr_db, seed):
+    # the per-stream split is exact for any block precoder, not only a design
+    cfg = SystemConfig(M=n, N=1, n_tx=n_tx, n_rx=n_rx).with_snr_db(snr_db)
+    rng = np.random.default_rng(seed)
+    d = _complex_normal(rng, (n_rx * n, n_tx * n))
+    blocks = [_complex_normal(rng, (n, n)) for _ in range(n_tx)]
+    p = np.zeros((n_tx * n,) * 2, dtype=complex)
+    for t, block in enumerate(blocks):
+        p[t * n:(t + 1) * n, t * n:(t + 1) * n] = block
+    b = d @ p
+    direct = np.linalg.slogdet(np.eye(n_rx * n) + cfg.snr * (b @ b.conj().T))[1] / LN2
+    assert abs(float(np.sum(per_stream_rates(cfg, d, blocks))) - direct) <= 1e-9
 
 
 @PROPERTY
