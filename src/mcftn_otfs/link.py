@@ -1,13 +1,15 @@
 """Symbol mapping, LMMSE weights and the BER confidence interval.
 
-The receive vector is y = H P x + z with colored noise z, so the linear MMSE
+For a receive vector y = B x + z with noise covariance R_z the linear MMSE
 estimate is
 
-    x_hat = sigma_x^2 B^H (sigma_x^2 B B^H + R_z)^{-1} y,   B = H P,
+    x_hat = sigma_x^2 B^H (sigma_x^2 B B^H + R_z)^{-1} y,
 
-followed by hard per-symbol decisions. The sweep in `montecarlo` runs that
-chain on batches of frames, counts bit errors against the transmitted bits
-and summarizes them with the Wilson 95% confidence interval given here.
+followed by hard per-symbol decisions. The sweep in `montecarlo` receives on
+the whitened channel the designs solved, y = D P x + sqrt(N0) w, so there
+B = D P and R_z = N0 I. It runs that chain on batches of frames, counts bit
+errors against the transmitted bits and summarizes them with the Wilson 95%
+confidence interval given here.
 """
 
 from __future__ import annotations
@@ -56,7 +58,8 @@ def demap_symbols(x: np.ndarray, constellation: str) -> np.ndarray:
 
 
 def mmse_weights(b: np.ndarray, rz: np.ndarray, sigma_x2: float) -> np.ndarray:
-    """LMMSE matrix W with x_hat = W y for the model y = B x + z.
+    """LMMSE matrix W with x_hat = W y for the model y = B x + z, Cov(z) = R_z
+    (N0 I for the whitened receiver of the sweep).
 
     Solves against S = sigma_x^2 B B^H + R_z; if S is singular (only
     possible with N0 = 0 and a rank-deficient channel) falls back to the

@@ -6,6 +6,12 @@ realization r sees the same channel draw in every scheme and in every
 compared configuration (common random numbers). The per-realization path
 digests are kept in the result so tests can assert that pairing instead of
 trusting it.
+
+Both metrics work on one receive domain: the whitened channel D that the
+designs solve on. The BER cell receives y = D P x + sqrt(N0) w with white w,
+which gives the same LMMSE estimate as the colored delay-Doppler link
+y = H_dd P x + z (the whitening is invertible on the active Gram modes, and
+dead modes carry neither signal nor noise into the estimate).
 """
 
 from __future__ import annotations
@@ -19,7 +25,7 @@ from . import __version__
 from .channel import build_mimo_channel, paths_digest
 from .core import ConfigError, SystemConfig, check_snr_db, is_integer, rng_stream, sfft_matrix
 from .link import bits_per_symbol, demap_symbols, map_bits, mmse_weights, wilson_interval
-from .noise import draw_mimo_noise, make_noise_model
+from .noise import draw_mimo_noise
 from .precode_mimo import build_mimo_effective, relaxed_fill, sic_precode, wf_structured
 from .precode_siso import modes, unit_fill, unprecoded_fill
 from .pulse import build_gram
@@ -136,22 +142,23 @@ class SweepResult:
     version: str = __version__
 
 
-def _bit_errors(spec: SweepSpec, cfg: SystemConfig, gram, sfft, h, precoders,
-                r: int, si: int) -> list:
+def _bit_errors(spec: SweepSpec, cfg: SystemConfig, D, precoders, r: int, si: int) -> list:
     """Bit errors of each precoder over the n_frames frames of one cell.
 
-    The data bits and noise come from (seed, "bits"/"noise", r, si) and are
-    shared by every precoder; the frame-sized arrays die with the call.
+    Each frame is received on the whitened channel the designs solved,
+    y = D P x + sqrt(N0) w with white w. The data bits and noise come from
+    (seed, "bits"/"noise", r, si) and are shared by every precoder; the
+    frame-sized arrays die with the call.
     """
-    model = make_noise_model(cfg.N0, gram, sfft)
-    rz = model.stacked_covariance(cfg.n_rx)
     n_bits = bits_per_symbol(spec.constellation) * cfg.n_tx * cfg.mn
     bits = rng_stream(cfg.seed, "bits", r, si).integers(0, 2, size=(n_bits, spec.n_frames))
     x = map_bits(bits, spec.constellation, cfg.sigma_x2)
-    z = draw_mimo_noise(model, rng_stream(cfg.seed, "noise", r, si), cfg.n_rx, n=spec.n_frames)
+    z = draw_mimo_noise(cfg.N0, rng_stream(cfg.seed, "noise", r, si), cfg.n_rx,
+                        (cfg.mn, spec.n_frames))
+    rz = cfg.N0 * np.eye(D.shape[0])
     errors = []
     for P in precoders:
-        b = h @ P
+        b = D @ P
         w = mmse_weights(b, rz, cfg.sigma_x2)
         errors.append(np.count_nonzero(bits != demap_symbols(w @ (b @ x + z), spec.constellation)))
     return errors
@@ -164,9 +171,9 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     (seed, "paths", r), whitens it once, runs each distinct factor of the
     requested schemes once on that D, then walks the SNR grid, where only
     the power allocation is redone.
-    For the BER metric the data bits and noise come from
-    (seed, "bits"/"noise", r, snr index) and are shared by every scheme at
-    that cell.
+    For the BER metric each cell equalizes on that same D with white noise;
+    the data bits and noise come from (seed, "bits"/"noise", r, snr index)
+    and are shared by every scheme at that cell.
     """
     cfg = spec.config
     gram = build_gram(cfg)
@@ -192,8 +199,7 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
             if spec.metric == "capacity":
                 cell = [capacity for _, capacity in solved]
             else:
-                cell = _bit_errors(spec, cfg_s, gram, sfft, mimo.matrix,
-                                   (P for P, _ in solved), r, si)
+                cell = _bit_errors(spec, cfg_s, D, (P for P, _ in solved), r, si)
             for s, value in zip(spec.schemes, cell):
                 values[(s, snr)][r] = value
         # release this realization's factors before the next channel is built

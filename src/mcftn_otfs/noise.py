@@ -1,11 +1,15 @@
-"""Colored delay-Doppler noise.
+"""Receiver noise: the colored delay-Doppler model and the whitened draw.
 
 White noise enters through the non-orthogonal matched filter bank, so its
 time-frequency covariance is N0 * G; in the delay-Doppler domain a draw is
 
     z = sqrt(N0) * A @ G^{1/2} @ w,   w circular standard complex Gaussian,
 
-with covariance N0 * A G A^H. Receive antennas see independent draws.
+with covariance N0 * A G A^H (`make_noise_model`, `draw_dd_noise`). The
+whitening G^{-1/2} A^H that every design applies to the channel turns that
+draw back into sqrt(N0) w on the active Gram modes, so the sweep receives in
+the whitened domain and draws white noise directly (`draw_mimo_noise`).
+Receive antennas see independent draws.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ConfigError
+from .core import ConfigError, is_finite
 from .pulse import GramMatrix
 
 
@@ -26,16 +30,10 @@ class NoiseModel:
     coloring: np.ndarray     # A @ G^{1/2}
     covariance: np.ndarray   # N0 * A G A^H
 
-    def stacked_covariance(self, n_rx: int = 1) -> np.ndarray:
-        """Block-diagonal covariance for n_rx independent antennas."""
-        if n_rx == 1:
-            return self.covariance
-        return np.kron(np.eye(n_rx), self.covariance)
-
 
 def make_noise_model(N0: float, gram: GramMatrix, sfft: np.ndarray) -> NoiseModel:
-    if N0 < 0.0:
-        raise ConfigError("N0 must be non-negative")
+    if not is_finite(N0) or N0 < 0.0:
+        raise ConfigError(f"N0 must be non-negative and finite, got {N0!r}")
     coloring = sfft @ gram.sqrt
     covariance = N0 * (sfft @ gram.matrix @ sfft.conj().T)
     return NoiseModel(N0=N0, coloring=coloring, covariance=covariance)
@@ -56,12 +54,12 @@ def draw_dd_noise(model: NoiseModel, rng: np.random.Generator, n: int | None = N
     return np.sqrt(model.N0) * (model.coloring @ w)
 
 
-def draw_mimo_noise(model: NoiseModel, rng: np.random.Generator, n_rx: int,
-                    n: int | None = None) -> np.ndarray:
-    """Stacked noise for n_rx antennas, drawn independently per antenna.
+def draw_mimo_noise(N0: float, rng: np.random.Generator, n_rx: int, shape) -> np.ndarray:
+    """Stacked white noise sqrt(N0) w for n_rx antennas of the given shape each.
 
     Antenna 0's block is drawn first, then antenna 1's, and so on, so the
     stream consumption order is part of the reproducibility contract.
     """
-    parts = [draw_dd_noise(model, rng, n) for _ in range(n_rx)]
-    return np.concatenate(parts, axis=0)
+    z = np.concatenate([_standard_complex(rng, shape) for _ in range(n_rx)], axis=0)
+    z *= np.sqrt(N0)      # in place: a scaled copy would raise the cell's peak heap
+    return z

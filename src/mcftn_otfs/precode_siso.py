@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ConfigError, NumericalError, SystemConfig
+from .core import ConfigError, NumericalError, SystemConfig, is_finite
 from .pulse import GramMatrix
 
 LN2 = math.log(2.0)
@@ -66,8 +66,12 @@ def waterfill(lam_d: np.ndarray, phi: np.ndarray, sigma_x2: float, N0: float,
         raise ConfigError("lam_d and phi must have matching shapes")
     if budget is None:
         budget = float(lam_d.size)
-    if budget <= 0.0:
-        raise ConfigError("power budget must be positive")
+    if not is_finite(budget) or budget <= 0.0:
+        raise ConfigError(f"power budget must be positive and finite, got {budget!r}")
+    if not is_finite(N0) or N0 < 0.0:
+        raise ConfigError(f"N0 must be non-negative and finite, got {N0!r}")
+    if not is_finite(sigma_x2) or sigma_x2 <= 0.0:
+        raise ConfigError(f"sigma_x2 must be positive and finite, got {sigma_x2!r}")
 
     idx = np.flatnonzero((lam_d > 0.0) & (phi >= PHI_FLOOR))
     lam_p = np.zeros_like(lam_d)

@@ -3,6 +3,10 @@
 import argparse
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -172,12 +176,29 @@ def test_capacity_csv_layout(tmp_path, capsys):
     assert "logscale" not in script
 
 
+BER_ARGS = ["ber", "--M", "2", "--N", "2", "--alpha", "0.9", "--beta", "0.9",
+            "--snr", "0,8", "--realizations", "2", "--frames", "3", "--n-tx", "2",
+            "--n-rx", "2", "--constellation", "qpsk", "--schemes", "sic,wf_relaxed"]
+
+
 def test_capacity_output_stable_across_runs(tmp_path):
     d1, d2 = tmp_path / "a", tmp_path / "b"
     assert cli.main(CAP_ARGS + ["--out", str(d1)]) == 0
     assert cli.main(CAP_ARGS + ["--out", str(d2)]) == 0
     assert (d1 / "capacity.csv").read_bytes() == (d2 / "capacity.csv").read_bytes()
     assert (d1 / "capacity.gp").read_bytes() == (d2 / "capacity.gp").read_bytes()
+    # fresh processes with different string hashing write the same bytes
+    src = str(Path(cli.__file__).resolve().parents[1])
+    runs = []
+    for hash_seed in ("1", "2"):
+        out = tmp_path / f"proc{hash_seed}"
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
+        for args in (CAP_ARGS, BER_ARGS):
+            subprocess.run([sys.executable, "-m", "mcftn_otfs.cli", *args, "--out", str(out)],
+                           env=env, check=True, capture_output=True, timeout=120)
+        runs.append([(out / name).read_bytes() for name in ("capacity.csv", "ber.csv")])
+    assert runs[0] == runs[1]
+    assert runs[0][0] == (d1 / "capacity.csv").read_bytes()
 
 
 def test_ber_csv_layout(tmp_path):

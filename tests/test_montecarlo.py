@@ -14,6 +14,11 @@ from mcftn_otfs import (
     build_gram,
     build_mimo_channel,
     build_mimo_effective,
+    demap_symbols,
+    draw_dd_noise,
+    make_noise_model,
+    map_bits,
+    mmse_weights,
     rng_stream,
     run_sweep,
     sample_paths,
@@ -26,6 +31,8 @@ from mcftn_otfs import (
     wf_structured,
     run_sweep as _run_sweep,
 )
+from mcftn_otfs.link import bits_per_symbol
+from mcftn_otfs.montecarlo import SCHEME_TABLE
 
 BASE = SystemConfig(M=2, N=2, alpha=0.9, beta=0.9, theta=0.25, seed=3)
 
@@ -247,3 +254,67 @@ def test_ber_sweep_qpsk_bit_accounting():
     res = run_sweep(spec)
     assert res.bits_per_realization == 2 * 4 * 2
     assert res.points[0].bits == 32
+
+
+def _colored_dd_errors(spec, r, si):
+    """Bit errors of each scheme at cell (r, si) on the colored delay-Doppler
+    link: channel H_dd, noise drawn per antenna with covariance N0 A G A^H,
+    and the LMMSE equalizer built on that covariance. Same bits, noise
+    stream and precoders as the sweep."""
+    cfg = spec.config
+    cfg_s = cfg.with_snr_db(spec.snr_points_db[si])
+    gram, sfft = build_gram(cfg), sfft_matrix(cfg)
+    mimo = build_mimo_channel(cfg, rng_stream(cfg.seed, "paths", r))
+    D = build_mimo_effective(gram, mimo.matrix, sfft, cfg.n_rx)
+    model = make_noise_model(cfg_s.N0, gram, sfft)
+    rz = np.kron(np.eye(cfg.n_rx), model.covariance)
+    n_bits = bits_per_symbol(spec.constellation) * cfg.n_tx * cfg.mn
+    bits = rng_stream(cfg.seed, "bits", r, si).integers(0, 2, size=(n_bits, spec.n_frames))
+    x = map_bits(bits, spec.constellation, cfg.sigma_x2)
+    rng = rng_stream(cfg.seed, "noise", r, si)
+    z = np.concatenate([draw_dd_noise(model, rng, spec.n_frames) for _ in range(cfg.n_rx)])
+    errors = {}
+    for s in spec.schemes:
+        factor, design = SCHEME_TABLE[s]
+        P, _ = design(cfg_s, *factor(cfg, gram, D))
+        b = mimo.matrix @ P
+        w = mmse_weights(b, rz, cfg.sigma_x2)
+        errors[s] = np.count_nonzero(bits != demap_symbols(w @ (b @ x + z), spec.constellation))
+    return errors
+
+
+@pytest.mark.parametrize("n_ant,constellation,schemes", [
+    (2, "qpsk", ("sic", "wf_relaxed", "wf_structured")),
+    (1, "bpsk", ("siso_pa", "siso_nopa", "siso_unprecoded")),
+])
+def test_ber_sweep_matches_colored_dd_receiver(n_ant, constellation, schemes):
+    # the sweep equalizes on the whitened channel D with white noise; the
+    # LMMSE estimate is invariant under the invertible whitening, so every
+    # count equals the colored delay-Doppler receiver's
+    cfg = SystemConfig(M=4, N=2, alpha=0.9, beta=0.9, theta=0.25, seed=3,
+                       n_tx=n_ant, n_rx=n_ant)
+    spec = SweepSpec(config=cfg, snr_points_db=(0.0, 10.0, 20.0), n_realizations=2,
+                     schemes=schemes, metric="ber", n_frames=40, constellation=constellation)
+    res = run_sweep(spec)
+    total = 0
+    for r in range(spec.n_realizations):
+        for si, snr in enumerate(spec.snr_points_db):
+            for s, errors in _colored_dd_errors(spec, r, si).items():
+                assert res.values[(s, snr)][r] == errors, (s, snr, r)
+                total += errors
+    assert total > 0
+
+
+@pytest.mark.parametrize("cfg,metric,constellation,schemes", [
+    (BASE, "capacity", "bpsk", SCHEMES),
+    (BASE.replace(n_tx=2, n_rx=2), "ber", "qpsk", ("sic", "wf_relaxed", "wf_structured")),
+])
+def test_realization_values_do_not_depend_on_the_count(cfg, metric, constellation, schemes):
+    k = 2
+    short, long = (run_sweep(SweepSpec(config=cfg, snr_points_db=(0.0, 10.0), n_realizations=n,
+                                       schemes=schemes, metric=metric, n_frames=6,
+                                       constellation=constellation))
+                   for n in (k, k + 2))
+    assert long.channel_digests[:k] == short.channel_digests
+    for cell, values in short.values.items():
+        np.testing.assert_array_equal(long.values[cell][:k], values)

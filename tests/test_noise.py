@@ -1,4 +1,4 @@
-"""Colored noise model tests."""
+"""Noise tests: the colored delay-Doppler reference model and the white stacked draw."""
 
 import numpy as np
 import pytest
@@ -38,8 +38,10 @@ def test_covariance_formula(compressed_model):
 
 def test_negative_n0_rejected(compressed_model):
     cfg, gram, _ = compressed_model
-    with pytest.raises(ConfigError):
-        make_noise_model(-0.1, gram, sfft_matrix(cfg))
+    # NaN and inf used to give a NaN or inf covariance without complaint
+    for n0 in (-0.1, float("nan"), float("inf")):
+        with pytest.raises(ConfigError, match="N0"):
+            make_noise_model(n0, gram, sfft_matrix(cfg))
 
 
 def test_zero_n0_draws_zeros(compressed_model):
@@ -87,16 +89,17 @@ def test_whitening_on_active_subspace(compressed_model):
     np.testing.assert_allclose(w, proj, atol=1e-10)
 
 
-def test_mimo_noise_stacking(compressed_model):
-    _, _, model = compressed_model
-    z = draw_mimo_noise(model, rng_stream(4, "noise", 0), n_rx=2)
+def test_mimo_noise_stacking():
+    z = draw_mimo_noise(0.5, rng_stream(4, "noise", 0), 2, (4,))
     assert z.shape == (8,)
-    # antenna 0 consumes the stream first
-    solo = draw_dd_noise(model, rng_stream(4, "noise", 0))
+    # antenna 0 consumes the stream first, real parts before imaginary parts
+    rng = rng_stream(4, "noise", 0)
+    solo = np.sqrt(0.5) * ((rng.standard_normal(4) + 1j * rng.standard_normal(4)) / np.sqrt(2.0))
     np.testing.assert_array_equal(z[:4], solo)
+    np.testing.assert_array_equal(z[:4], draw_mimo_noise(0.5, rng_stream(4, "noise", 0), 1, (4,)))
     assert not np.allclose(z[4:], z[:4])
-    cov = model.stacked_covariance(2)
-    assert cov.shape == (8, 8)
-    np.testing.assert_allclose(cov[:4, :4], model.covariance, atol=1e-15)
-    np.testing.assert_allclose(cov[:4, 4:], 0.0, atol=1e-15)
-    assert model.stacked_covariance(1) is model.covariance
+    # frames stack along the second axis; the antennas are white and independent
+    draws = draw_mimo_noise(0.5, rng_stream(5, "noise", 0), 2, (4, 40000))
+    assert draws.shape == (8, 40000)
+    cov = draws @ draws.conj().T / draws.shape[1]
+    np.testing.assert_allclose(cov, 0.5 * np.eye(8), atol=0.02)

@@ -1,4 +1,5 @@
-"""The benchmark traces library functions by name; they must all resolve."""
+"""The benchmark's hooks into the library: the functions it traces by name
+must all resolve, and every workload must pass its correctness gate."""
 
 import importlib
 from pathlib import Path
@@ -16,3 +17,16 @@ def test_every_traced_function_resolves(monkeypatch):
         assert mcftn_otfs.precode_mimo.sic_precode is not original
     assert not tracer._restore
     assert mcftn_otfs.precode_mimo.sic_precode is original
+
+
+def test_every_workload_passes_the_gate(monkeypatch):
+    # the gate holds the recorded BER counts and capacities of seed 0, so a
+    # drift fails here before it reaches the benchmark
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    gate = importlib.import_module("gate")
+    workloads = importlib.import_module("workloads")
+    for name in workloads.NAMES:
+        specs = workloads.specs(name, 0)
+        checker = gate.Gate(specs, gate.load_reference(name, 0))
+        assert checker.check([mcftn_otfs.run_sweep(spec) for spec in specs]) == 0, \
+            (name, checker.messages)

@@ -116,6 +116,17 @@ def test_waterfill_validation():
         waterfill(np.ones(3), np.ones(2), 1.0, 1.0)
     with pytest.raises(ConfigError):
         waterfill(np.ones(3), np.ones(3), 1.0, 1.0, budget=0.0)
+    # non-finite levels used to end in a bare IndexError or an infinite allocation
+    nan, inf = float("nan"), float("inf")
+    for budget in (nan, inf, -inf):
+        with pytest.raises(ConfigError, match="budget"):
+            waterfill(np.ones(2), np.ones(2), 1.0, 1.0, budget=budget)
+    for n0 in (nan, inf, -0.5):
+        with pytest.raises(ConfigError, match="N0"):
+            waterfill(np.ones(2), np.ones(2), 1.0, n0)
+    for sigma_x2 in (0.0, -1.0, nan, inf):
+        with pytest.raises(ConfigError, match="sigma_x2"):
+            waterfill(np.ones(2), np.ones(2), sigma_x2, 1.0)
 
 
 # the ten random instances draw N0 themselves; the extremes pin it at the ends
