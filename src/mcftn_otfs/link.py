@@ -7,9 +7,9 @@ estimate is
 
 followed by hard per-symbol decisions. The sweep in `montecarlo` receives on
 the whitened channel the designs solved, y = D P x + sqrt(N0) w, so there
-B = D P and R_z = N0 I. It runs that chain on batches of frames, counts bit
-errors against the transmitted bits and summarizes them with the Wilson 95%
-confidence interval given here.
+B = D P and R_z = N0 I. It runs that chain on blocks of frames, counts bit
+errors against the transmitted bool bits and summarizes them with the Wilson
+95% confidence interval given here.
 """
 
 from __future__ import annotations
@@ -33,27 +33,34 @@ def map_bits(bits: np.ndarray, constellation: str, sigma_x2: float = 1.0) -> np.
     """Bits to unit-ordered symbols with average energy sigma_x2.
 
     The leading axis is the bit axis; consecutive runs of bits_per_symbol
-    bits map Gray-coded to one symbol, bit j (1 -> -1) on rail j.
+    bits map Gray-coded to one symbol, bit j (1 -> -1) on rail j. Bool
+    input is 0/1 by type and skips the value check.
     """
     k = bits_per_symbol(constellation)
     bits = np.asarray(bits)
-    if bits.ndim == 0 or np.any((bits != 0) & (bits != 1)):
+    if bits.ndim == 0 or (bits.dtype != bool and np.any((bits != 0) & (bits != 1))):
         raise ConfigError("bits must be an array of 0/1 values")
     if bits.shape[0] % k:
         raise ConfigError(f"{constellation} needs a multiple of {k} bits")
-    # one strided slice per rail: converting all bits first raises the peak heap
-    rails = [1.0 - 2.0 * bits[j::k].astype(float) for j in range(k)]
-    symbols = rails[0] + 1j * rails[1] if k == 2 else rails[0]
-    return symbols * np.sqrt(sigma_x2 / k)
+    amp = np.sqrt(sigma_x2 / k)
+    symbols = np.empty((bits.shape[0] // k,) + bits.shape[1:], dtype=float if k == 1 else complex)
+    rails = (symbols,) if k == 1 else (symbols.real, symbols.imag)
+    for j, rail in enumerate(rails):
+        # amp - 2 amp b, in place on one strided slice per rail: exactly +-amp
+        np.multiply(bits[j::k], -2.0 * amp, out=rail)
+        rail += amp
+    return symbols
 
 
 def demap_symbols(x: np.ndarray, constellation: str) -> np.ndarray:
-    """Hard decisions back to bits; zero estimates resolve to bit 0."""
+    """Hard decisions back to bool bits; zero estimates resolve to bit 0."""
     k = bits_per_symbol(constellation)
     x = np.asarray(x)
-    out = np.empty((k * x.shape[0],) + x.shape[1:], dtype=np.int64)
+    if x.ndim == 0:
+        raise ConfigError("symbols must be an array with a leading symbol axis")
+    out = np.empty((k * x.shape[0],) + x.shape[1:], dtype=bool)
     for j, rail in enumerate((np.real, np.imag)[:k]):
-        out[j::k] = rail(x) < 0.0
+        np.less(rail(x), 0.0, out=out[j::k])
     return out
 
 

@@ -142,25 +142,41 @@ class SweepResult:
     version: str = __version__
 
 
+# Frames per block of the BER cell. Only the bits (bools) and the noise span
+# the whole cell; a block's symbols, receive vectors, estimates and decisions
+# do not. 512 to 2048 frames per block run equally fast, smaller blocks pay
+# more per-call overhead, and the counts do not depend on it.
+_BLOCK_FRAMES = 512
+
+
 def _bit_errors(spec: SweepSpec, cfg: SystemConfig, D, precoders, r: int, si: int) -> list:
     """Bit errors of each precoder over the n_frames frames of one cell.
 
     Each frame is received on the whitened channel the designs solved,
     y = D P x + sqrt(N0) w with white w. The data bits and noise come from
-    (seed, "bits"/"noise", r, si) and are shared by every precoder; the
-    frame-sized arrays die with the call.
+    (seed, "bits"/"noise", r, si) and are shared by every precoder. The bits
+    are the values of one (n_bits, n_frames) integer draw, taken a row at a
+    time into bools so no integer copy of the cell is held; the frames then
+    run through mapping, receive, equalization and counting in blocks of
+    _BLOCK_FRAMES.
     """
     n_bits = bits_per_symbol(spec.constellation) * cfg.n_tx * cfg.mn
-    bits = rng_stream(cfg.seed, "bits", r, si).integers(0, 2, size=(n_bits, spec.n_frames))
-    x = map_bits(bits, spec.constellation, cfg.sigma_x2)
+    rng = rng_stream(cfg.seed, "bits", r, si)
+    bits = np.empty((n_bits, spec.n_frames), dtype=bool)
+    for row in bits:
+        row[...] = rng.integers(0, 2, size=spec.n_frames)
     z = draw_mimo_noise(cfg.N0, rng_stream(cfg.seed, "noise", r, si), cfg.n_rx,
                         (cfg.mn, spec.n_frames))
     rz = cfg.N0 * np.eye(D.shape[0])
-    errors = []
-    for P in precoders:
-        b = D @ P
-        w = mmse_weights(b, rz, cfg.sigma_x2)
-        errors.append(np.count_nonzero(bits != demap_symbols(w @ (b @ x + z), spec.constellation)))
+    links = [(b, mmse_weights(b, rz, cfg.sigma_x2)) for b in (D @ P for P in precoders)]
+    errors = [0] * len(links)
+    for start in range(0, spec.n_frames, _BLOCK_FRAMES):
+        block = slice(start, start + _BLOCK_FRAMES)
+        x = map_bits(bits[:, block], spec.constellation, cfg.sigma_x2)
+        for i, (b, w) in enumerate(links):
+            y = b @ x
+            y += z[:, block]
+            errors[i] += np.count_nonzero(bits[:, block] != demap_symbols(w @ y, spec.constellation))
     return errors
 
 

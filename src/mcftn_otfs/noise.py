@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ConfigError, is_finite
+from .core import ConfigError, is_finite, is_integer
 from .pulse import GramMatrix
 
 
@@ -31,9 +31,13 @@ class NoiseModel:
     covariance: np.ndarray   # N0 * A G A^H
 
 
-def make_noise_model(N0: float, gram: GramMatrix, sfft: np.ndarray) -> NoiseModel:
+def _check_n0(N0: float) -> None:
     if not is_finite(N0) or N0 < 0.0:
         raise ConfigError(f"N0 must be non-negative and finite, got {N0!r}")
+
+
+def make_noise_model(N0: float, gram: GramMatrix, sfft: np.ndarray) -> NoiseModel:
+    _check_n0(N0)
     coloring = sfft @ gram.sqrt
     covariance = N0 * (sfft @ gram.matrix @ sfft.conj().T)
     return NoiseModel(N0=N0, coloring=coloring, covariance=covariance)
@@ -57,9 +61,21 @@ def draw_dd_noise(model: NoiseModel, rng: np.random.Generator, n: int | None = N
 def draw_mimo_noise(N0: float, rng: np.random.Generator, n_rx: int, shape) -> np.ndarray:
     """Stacked white noise sqrt(N0) w for n_rx antennas of the given shape each.
 
-    Antenna 0's block is drawn first, then antenna 1's, and so on, so the
-    stream consumption order is part of the reproducibility contract.
+    Antenna 0's block is drawn first, then antenna 1's, and so on, each as
+    its real parts before its imaginary parts, so the stream consumption
+    order is part of the reproducibility contract. The draws go through one
+    real scratch buffer into a preallocated complex array and are scaled in
+    place by 1/sqrt(2) and then sqrt(N0): the same values as
+    (re + 1j im) / sqrt(2) * sqrt(N0), without the complex temporaries.
     """
-    z = np.concatenate([_standard_complex(rng, shape) for _ in range(n_rx)], axis=0)
-    z *= np.sqrt(N0)      # in place: a scaled copy would raise the cell's peak heap
-    return z
+    _check_n0(N0)
+    if not is_integer(n_rx) or n_rx < 1:
+        raise ConfigError(f"n_rx must be a positive integer, got {n_rx!r}")
+    buf = np.empty(shape)
+    z = np.empty((n_rx,) + buf.shape, dtype=complex)
+    for block in z:
+        for part in (block.real, block.imag):
+            rng.standard_normal(out=buf)
+            np.multiply(buf, 1.0 / np.sqrt(2.0), out=part)
+    z *= np.sqrt(N0)
+    return z.reshape((n_rx * buf.shape[0],) + buf.shape[1:])

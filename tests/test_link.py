@@ -61,14 +61,34 @@ def test_mapping_energy():
 
 
 def test_mapping_validation():
-    with pytest.raises(ConfigError):
-        map_bits(np.array([0, 2]), "bpsk")
+    for bad in (2, 0.5, np.nan):
+        with pytest.raises(ConfigError):
+            map_bits(np.array([0, bad]), "bpsk")
     with pytest.raises(ConfigError):
         map_bits(np.array(1), "bpsk")
     with pytest.raises(ConfigError):
         map_bits(np.array([0, 1, 0]), "qpsk")
     with pytest.raises(ConfigError):
         map_bits(np.array([0, 1]), "8psk")
+    with pytest.raises(ConfigError):
+        demap_symbols(np.complex128(1 + 1j), "qpsk")
+
+
+@pytest.mark.parametrize("constellation", ["bpsk", "qpsk"])
+def test_bool_bits_map_like_ints(constellation):
+    # bool bits skip the 0/1 scan and give the same symbols bit for bit,
+    # exactly (1 - 2 b) sqrt(sigma_x2 / k) on each rail
+    ints = np.random.default_rng(8).integers(0, 2, (64, 9))
+    k = bits_per_symbol(constellation)
+    for sigma_x2 in (1.0, 0.3, 2.0, 1e-300, 1e300):
+        x = map_bits(ints.astype(bool), constellation, sigma_x2)
+        y = map_bits(ints, constellation, sigma_x2)
+        assert x.dtype == y.dtype and x.shape == y.shape
+        assert x.tobytes() == y.tobytes()
+        rails = [1.0 - 2.0 * ints[j::k].astype(float) for j in range(k)]
+        formula = (rails[0] + 1j * rails[1] if k == 2 else rails[0]) * np.sqrt(sigma_x2 / k)
+        assert x.tobytes() == formula.tobytes()
+        np.testing.assert_array_equal(demap_symbols(x, constellation), ints)
 
 
 @pytest.mark.parametrize("constellation", ["bpsk", "qpsk"])

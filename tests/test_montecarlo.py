@@ -1,5 +1,7 @@
 """Sweep orchestration tests: pairing, determinism, aggregation."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -31,6 +33,7 @@ from mcftn_otfs import (
     wf_structured,
     run_sweep as _run_sweep,
 )
+from mcftn_otfs import montecarlo
 from mcftn_otfs.link import bits_per_symbol
 from mcftn_otfs.montecarlo import SCHEME_TABLE
 
@@ -283,14 +286,23 @@ def _colored_dd_errors(spec, r, si):
     return errors
 
 
-@pytest.mark.parametrize("n_ant,constellation,schemes", [
-    (2, "qpsk", ("sic", "wf_relaxed", "wf_structured")),
-    (1, "bpsk", ("siso_pa", "siso_nopa", "siso_unprecoded")),
+MIMO_SCHEMES = ("sic", "wf_relaxed", "wf_structured")
+
+
+@pytest.mark.parametrize("n_ant,constellation,schemes,block", [
+    pytest.param(2, "qpsk", MIMO_SCHEMES, None, id="2-qpsk-schemes0"),
+    pytest.param(1, "bpsk", ("siso_pa", "siso_nopa", "siso_unprecoded"), None,
+                 id="1-bpsk-schemes1"),
+    # 40 frames in blocks of 16: two full blocks and a partial one
+    pytest.param(2, "qpsk", MIMO_SCHEMES, 16, id="2-qpsk-blocks-of-16"),
 ])
-def test_ber_sweep_matches_colored_dd_receiver(n_ant, constellation, schemes):
+def test_ber_sweep_matches_colored_dd_receiver(n_ant, constellation, schemes, block,
+                                               monkeypatch):
     # the sweep equalizes on the whitened channel D with white noise; the
     # LMMSE estimate is invariant under the invertible whitening, so every
     # count equals the colored delay-Doppler receiver's
+    if block is not None:
+        monkeypatch.setattr(montecarlo, "_BLOCK_FRAMES", block)
     cfg = SystemConfig(M=4, N=2, alpha=0.9, beta=0.9, theta=0.25, seed=3,
                        n_tx=n_ant, n_rx=n_ant)
     spec = SweepSpec(config=cfg, snr_points_db=(0.0, 10.0, 20.0), n_realizations=2,
@@ -303,6 +315,70 @@ def test_ber_sweep_matches_colored_dd_receiver(n_ant, constellation, schemes):
                 assert res.values[(s, snr)][r] == errors, (s, snr, r)
                 total += errors
     assert total > 0
+
+
+def test_ber_counts_do_not_depend_on_the_block_size(monkeypatch):
+    # the cell runs its frames in blocks; single frames, a block size that
+    # leaves a partial last block and one block larger than the cell must
+    # all give the same counts
+    spec = SweepSpec(config=BASE.replace(n_tx=2, n_rx=2), snr_points_db=(0.0, 10.0),
+                     n_realizations=2, schemes=MIMO_SCHEMES, metric="ber", n_frames=40,
+                     constellation="qpsk")
+    first = run_sweep(spec).values
+    assert montecarlo._BLOCK_FRAMES > spec.n_frames
+    for block in (1, 7, spec.n_frames + 1):
+        monkeypatch.setattr(montecarlo, "_BLOCK_FRAMES", block)
+        values = run_sweep(spec).values
+        assert values.keys() == first.keys()
+        for cell, counts in first.items():
+            np.testing.assert_array_equal(values[cell], counts, err_msg=f"{cell} block {block}")
+    assert sum(int(np.sum(v)) for v in first.values()) > 0
+
+
+def _q(v):
+    return 0.5 * math.erfc(v / math.sqrt(2.0))
+
+
+@pytest.mark.parametrize("n_ant,constellation,scheme", [
+    (1, "bpsk", "siso_pa"),
+    (1, "qpsk", "siso_pa"),
+    (2, "qpsk", "wf_relaxed"),
+    (2, "bpsk", "wf_relaxed"),
+])
+def test_ber_sweep_matches_closed_form(n_ant, constellation, scheme):
+    # for the pooled designs B^H B (B = D P) is diagonal, so the LMMSE
+    # estimate splits into independent scalar channels: each rail of mode k
+    # errs with probability Q(sqrt(sigma_x2 g_k / N0)) for QPSK and
+    # Q(sqrt(2 sigma_x2 g_k / N0)) for BPSK, g_k = (B^H B)_kk, and 1/2 on an
+    # unloaded mode. Built from D and P alone, this checks the noise scale
+    # and the symbol mapping of the cell without reusing them.
+    cfg = SystemConfig(M=4, N=2, alpha=0.9, beta=0.9, theta=0.25, seed=3,
+                       n_tx=n_ant, n_rx=n_ant)
+    spec = SweepSpec(config=cfg, snr_points_db=(0.0, 8.0, 16.0), n_realizations=2,
+                     schemes=(scheme,), metric="ber", n_frames=2000,
+                     constellation=constellation)
+    res = run_sweep(spec)
+    gram, sfft = build_gram(cfg), sfft_matrix(cfg)
+    factor, design = SCHEME_TABLE[scheme]
+    k = bits_per_symbol(constellation)
+    channels = []
+    for r in range(spec.n_realizations):
+        mimo = build_mimo_channel(cfg, rng_stream(cfg.seed, "paths", r))
+        channels.append(build_mimo_effective(gram, mimo.matrix, sfft, cfg.n_rx))
+    for snr in spec.snr_points_db:
+        cfg_s = cfg.with_snr_db(snr)
+        mean = var = 0.0
+        for D in channels:
+            P, _ = design(cfg_s, *factor(cfg, gram, D))
+            bb = (D @ P).conj().T @ (D @ P)
+            g = np.diag(bb).real
+            assert np.max(np.abs(bb - np.diag(g))) <= 1e-12 * max(1.0, np.max(g))
+            for gk in g:
+                p = _q(math.sqrt(2.0 / k * cfg_s.sigma_x2 * gk / cfg_s.N0))
+                mean += spec.n_frames * k * p
+                var += spec.n_frames * k * p * (1.0 - p)
+        errors = int(np.sum(res.values[(scheme, snr)]))
+        assert abs(errors - mean) <= 4.0 * math.sqrt(var), (snr, errors, mean, math.sqrt(var))
 
 
 @pytest.mark.parametrize("cfg,metric,constellation,schemes", [

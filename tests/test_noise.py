@@ -42,6 +42,8 @@ def test_negative_n0_rejected(compressed_model):
     for n0 in (-0.1, float("nan"), float("inf")):
         with pytest.raises(ConfigError, match="N0"):
             make_noise_model(n0, gram, sfft_matrix(cfg))
+        with pytest.raises(ConfigError, match="N0"):
+            draw_mimo_noise(n0, rng_stream(0, "noise", 0), 2, (4,))
 
 
 def test_zero_n0_draws_zeros(compressed_model):
@@ -98,6 +100,22 @@ def test_mimo_noise_stacking():
     np.testing.assert_array_equal(z[:4], solo)
     np.testing.assert_array_equal(z[:4], draw_mimo_noise(0.5, rng_stream(4, "noise", 0), 1, (4,)))
     assert not np.allclose(z[4:], z[:4])
+    for n_rx in (0, -1, 1.0, True):
+        with pytest.raises(ConfigError, match="n_rx"):
+            draw_mimo_noise(0.5, rng_stream(4, "noise", 0), n_rx, (4,))
+    # every antenna block is bit for bit (re + 1j im) / sqrt(2) * sqrt(N0) of
+    # the same stream, whatever the antenna count, shape and N0
+    for n_rx in (1, 2, 3, 4):
+        for shape in ((5,), (3, 4)):
+            for N0 in (0.0, 0.5):
+                z = draw_mimo_noise(N0, rng_stream(6, "noise", n_rx), n_rx, shape)
+                assert z.shape == (n_rx * shape[0],) + shape[1:]
+                rng = rng_stream(6, "noise", n_rx)
+                for a in range(n_rx):
+                    re = rng.standard_normal(shape)
+                    im = rng.standard_normal(shape)
+                    want = (re + 1j * im) / np.sqrt(2.0) * np.sqrt(N0)
+                    assert z[a * shape[0]:(a + 1) * shape[0]].tobytes() == want.tobytes()
     # frames stack along the second axis; the antennas are white and independent
     draws = draw_mimo_noise(0.5, rng_stream(5, "noise", 0), 2, (4, 40000))
     assert draws.shape == (8, 40000)
