@@ -21,8 +21,32 @@ LN2 = math.log(2.0)
 
 # ---------------------------------------------------------------- pulse ----
 
+def _rrc_raw_unit(u: float, theta: float) -> float:
+    """Scalar root raised cosine at u = t / T0, before the 1/sqrt(T0) scale.
+
+    Same closed form and singular-point limits as the vectorized branch of
+    ``rrc_raw``; adaptive quadrature calls the pulse one point at a time, and
+    the per-call cost of numpy on 0-d arrays dominates those integrals.
+    """
+    if theta == 0.0:
+        return 1.0 if u == 0.0 else math.sin(math.pi * u) / (math.pi * u)
+    if abs(u) < 1e-8:
+        return 1.0 - theta + 4.0 * theta / math.pi
+    if abs(abs(u) - 1.0 / (4.0 * theta)) < 1e-8:
+        return (theta / math.sqrt(2.0)) * (
+            (1.0 + 2.0 / math.pi) * math.sin(math.pi / (4.0 * theta))
+            + (1.0 - 2.0 / math.pi) * math.cos(math.pi / (4.0 * theta))
+        )
+    return (
+        math.sin(math.pi * u * (1.0 - theta))
+        + 4.0 * theta * u * math.cos(math.pi * u * (1.0 + theta))
+    ) / (math.pi * u * (1.0 - (4.0 * theta * u) ** 2))
+
+
 def rrc_raw(t, theta: float, T0: float = 1.0):
     """Root raised cosine closed form, no truncation, vectorized."""
+    if isinstance(t, (int, float)):
+        return _rrc_raw_unit(t / T0, theta) / math.sqrt(T0)
     t = np.asarray(t, dtype=float)
     u = t / T0
     scale = 1.0 / math.sqrt(T0)
@@ -63,6 +87,10 @@ def rrc_energy_norm(theta: float, T0: float = 1.0, span: int = 32) -> float:
 
 def rrc_ref(t, theta: float, T0: float = 1.0, span: int = 32):
     """Truncated, unit-energy-renormalized pulse (the object under test)."""
+    if isinstance(t, (int, float)):
+        if abs(t) > span * T0:
+            return 0.0
+        return rrc_raw(t, theta, T0) * rrc_energy_norm(theta, T0, span)
     t = np.asarray(t, dtype=float)
     out = rrc_raw(t, theta, T0) * rrc_energy_norm(theta, T0, span)
     out = np.where(np.abs(t) <= span * T0, out, 0.0)
