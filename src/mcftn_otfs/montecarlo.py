@@ -200,6 +200,7 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     values = {cell: np.zeros(spec.n_realizations, dtype=dtype) for cell in cells}
 
     rows = [SCHEME_TABLE[s] for s in spec.schemes]
+    snr_cfgs = [cfg.with_snr_db(snr) for snr in spec.snr_points_db]
     frame_bits = bits_per_symbol(spec.constellation) * cfg.n_tx * cfg.mn * spec.n_frames
     digests = []
 
@@ -209,8 +210,7 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
         D = build_mimo_effective(gram, mimo.matrix, sfft, cfg.n_rx)
         factors = {f: f(cfg, gram, D) for f in dict.fromkeys(f for f, _ in rows)}
 
-        for si, snr in enumerate(spec.snr_points_db):
-            cfg_s = cfg.with_snr_db(snr)
+        for si, (snr, cfg_s) in enumerate(zip(spec.snr_points_db, snr_cfgs)):
             solved = (design(cfg_s, *factors[factor]) for factor, design in rows)
             if spec.metric == "capacity":
                 cell = [capacity for _, capacity in solved]

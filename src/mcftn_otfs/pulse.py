@@ -93,52 +93,42 @@ class RrcPulse:
 
     @cached_property
     def _grid(self) -> tuple[np.ndarray, ...]:
-        # nodes t, weights w, the raw (unnormalized) pulse on t, and sin, cos
-        # of pi (1 -/+ theta) t / T0, from which g(t - tau) follows for any tau
+        # nodes t, weights w, and six rows from which the numerator of g(t - tau)
+        # follows for any tau by angle addition: sin, cos of pi (1 - theta) t / T0,
+        # cos, sin of pi (1 + theta) t / T0, and t times that last pair
         edges = self.T0 * np.arange(-SPAN, SPAN + 1.0)[:, None]
         t, w = (a.ravel() for a in _panel_rule(edges[:-1], edges[1:], self.nodes_per_t0))
         phase = np.pi * t / self.T0
         minus, plus = (1.0 - self.theta) * phase, (1.0 + self.theta) * phase
-        return (t, w, self._raw_amplitude(t),
-                np.sin(minus), np.cos(minus), np.sin(plus), np.cos(plus))
+        cos_plus, sin_plus = np.cos(plus), np.sin(plus)
+        return t, w, np.stack([np.sin(minus), np.cos(minus), cos_plus, sin_plus,
+                               t * cos_plus, t * sin_plus])
 
     @cached_property
     def _norm(self) -> float:
         # 1/sqrt of the raw pulse's energy on the grid, which makes A(0, 0) exactly 1
-        _, w, raw = self._grid[:3]
-        return 1.0 / np.sqrt(float(w @ raw ** 2))
+        t, w, _ = self._grid
+        return 1.0 / np.sqrt(float(w @ self._raw_amplitude(t) ** 2))
+
+    @cached_property
+    def _weighted(self) -> np.ndarray:
+        # g(t) times its quadrature weight and the norm of g(t - tau): the factor
+        # every ambiguity integrand shares on the grid
+        t, w, _ = self._grid
+        return self._norm ** 2 * w * self._raw_amplitude(t)
 
     def _raw_amplitude(self, t: np.ndarray) -> np.ndarray:
-        u = t / self.T0
         scale = 1.0 / np.sqrt(self.T0)
-        inside = np.abs(t) <= self.support
         th = self.theta
-        au = np.abs(u, out=u)
-        a = 4.0 * th * au
-        pu = np.pi * au
-        # in place where possible: at quadrature sizes the temporaries, not
-        # the arithmetic, dominate the cost
-        den = np.subtract(1.0, a * a)
-        den *= pu
-        out = pu * (1.0 - th)
-        np.sin(out, out=out)
-        pu *= 1.0 + th
-        np.cos(pu, out=pu)
-        pu *= a
-        out += pu
-        out *= scale
-        with np.errstate(divide="ignore", invalid="ignore"):
-            out /= den
-        out[~inside] = 0.0
-        out[au < 1e-8] = scale * (1.0 - th + 4.0 * th / np.pi)
-
+        au = np.abs(t / self.T0)
+        eps = 1.0 - 4.0 * th * au
+        inside = np.abs(t) <= self.support
         # near |u| = 1/(4 theta) numerator and denominator both carry the
         # factor eps = 1 - 4 theta |u| and cancel in floating point; within
         # |eps| < 1/2 use the sum-to-product form of numerator / eps, which
         # has no singularity, with pi |u| (1 + theta) = pi (|u| + 1/4 - eps/4).
         # The quarter shifts and the removal of whole periods of cos(pi x)
         # are exact in binary, so the cosines lose no digits to a large |u|.
-        eps = np.subtract(1.0, a, out=a)
         band = inside & (np.abs(eps) < 0.5)
         ub, eb = au[band], eps[band]
         x1, x2 = ub - 0.25, ub + 0.25
@@ -146,7 +136,27 @@ class RrcPulse:
         x2 -= 2.0 * np.round(0.5 * x2)
         bracket = (0.5 * np.pi * np.sinc(0.25 * eb) * np.cos(np.pi * x1)
                    - np.cos(np.pi * (x2 - 0.25 * eb)))
+        out = np.zeros_like(au)
         out[band] = scale * bracket / (np.pi * ub * (1.0 + 4.0 * th * ub))
+
+        # the closed form on the rest of the support, in place where possible:
+        # at quadrature sizes the temporaries, not the arithmetic, dominate the cost
+        plain = inside & ~band
+        pu = np.pi * au[plain]
+        a = 4.0 * th * au[plain]
+        den = np.subtract(1.0, a * a)
+        den *= pu
+        value = pu * (1.0 - th)
+        np.sin(value, out=value)
+        pu *= 1.0 + th
+        np.cos(pu, out=pu)
+        pu *= a
+        value += pu
+        value *= scale
+        with np.errstate(divide="ignore", invalid="ignore"):
+            value /= den
+        out[plain] = value
+        out[au < 1e-8] = scale * (1.0 - th + 4.0 * th / np.pi)
         return out
 
     def amplitude(self, t) -> np.ndarray:
@@ -155,55 +165,106 @@ class RrcPulse:
         out = self._norm * self._raw_amplitude(t.reshape(-1)).reshape(t.shape)
         return out if out.ndim else float(out)
 
-    def _ambiguities(self, taus: np.ndarray, f_values: np.ndarray, carriers: np.ndarray,
-                     doppler: float = 0.0) -> np.ndarray:
-        """A(f_values[j], taus[i]), given carriers[k, j] = exp(-2j pi (f_values[j]
-        + doppler) t_k) on the grid nodes t.
+    def _ambiguities(self, taus: np.ndarray, dopplers: np.ndarray, carriers: np.ndarray,
+                     f_step: float) -> np.ndarray:
+        """A(dm f_step - dopplers[i], taus[i]) for the 2M-1 offsets dm = 1-M .. M-1,
+        given carriers[k, j] = exp(-2j pi dm_j f_step t_k) on the grid nodes t.
 
-        g(t - tau) follows from the grid by angle addition, except where that
-        cancels (u = (t - tau)/T0 near 0 and |1 - 4 theta |u|| < 1/2): there
-        the pulse is evaluated directly. The grid panels inside the overlap
-        of g(t) and g(t - tau) enter one GEMM per chunk of _CHUNK_NODES grid
-        nodes; the panel cut by the truncation edge of g(t - tau) gets its
-        own nodes. A row without overlap is an exact zero.
+        g(t - tau) follows from the grid rows by angle addition (its numerator
+        is one small GEMM per chunk of rows), except where that cancels (u =
+        (t - tau)/T0 near 0 and |1 - 4 theta |u|| < 1/2): there, inside a
+        window of each row, the pulse is evaluated directly. The grid panels
+        inside the overlap of g(t) and g(t - tau) enter one GEMM per chunk of
+        _CHUNK_NODES grid nodes, each row weighted by exp(2j pi doppler t); the
+        panel cut by the truncation edge of g(t - tau) gets its own nodes,
+        whose carriers run along dm by angle addition. A row without overlap
+        is an exact zero.
         """
-        t, w, raw, sin_minus, cos_minus, sin_plus, cos_plus = self._grid
+        t, _, grid_rows = self._grid
         th, T0, S, n = self.theta, self.T0, self.support, self.nodes_per_t0
-        weighted = self._norm ** 2 * w * raw * np.exp(2j * np.pi * doppler * t)
-        out = np.empty((len(taus), len(f_values)), dtype=complex)
+        n_off = carriers.shape[1]
+        f_values = (np.arange(n_off) - (n_off - 1) // 2) * f_step - dopplers[:, None]
+        # the distinct Dopplers and each row's index among them (not np.unique:
+        # its first call imports numpy.ma, about 2 MiB of resident memory)
+        index = {}
+        which = np.array([index.setdefault(v, len(index)) for v in dopplers.tolist()], dtype=int)
+        nus = np.array(list(index), dtype=float)
+        # g(t) w exp(2j pi doppler t) per distinct Doppler, the phase taken as
+        # that of the node's panel start times that of its offset in the panel
+        turns = 2j * np.pi * nus[:, None]
+        weighted = (np.exp(turns * T0 * np.arange(-SPAN, SPAN))[:, :, None]
+                    * np.exp(turns * (t[:n] + S))[:, None, :]).reshape(len(nus), len(t))
+        weighted *= self._weighted
+
+        right = taus >= 0.0    # g(t - tau) is cut at tau - S, else at tau + S
+        edge = np.where(right, taus - S, taus + S)
+        a = np.floor((edge + S) / T0) * T0 - S    # the grid panel [a, a + T0] it cuts
+        t_edge, w_edge = _panel_rule(np.where(right, edge, a)[:, None],
+                                     np.where(right, a + T0, edge)[:, None], n)
+        # the grid panels inside the overlap: t > a + T0, else t < a
+        cut = np.where(right, np.searchsorted(t, a + T0, side="right"),
+                       np.searchsorted(t, a, side="left"))
+        # the direct nodes, by the exact test, inside a window of each row that
+        # reaches one T0 past |u| = max(1.5, 3 / (8 theta))
+        reach = T0 * (1.0 + (max(1.5, 0.375 / th) if th > 0.0 else 1.5))
+        lo = np.searchsorted(t, taus - reach)
+        width = np.max(np.searchsorted(t, taus + reach) - lo, initial=0)
+        window = np.minimum(lo[:, None] + np.arange(width), len(t) - 1)
+        s = t[window] - taus[:, None]
+        u = s / T0
+        i, j = np.nonzero((np.abs(u) <= 1.5) | (np.abs(1.0 - 4.0 * th * np.abs(u)) < 0.5))
+        # one direct evaluation for those nodes and both factors on the edge panels
+        values = self._raw_amplitude(np.concatenate([s[i, j], t_edge, t_edge - taus[:, None]],
+                                                    axis=None))
+        direct, cols = values[:i.size], window[i, j]
+
+        # g(t - tau) = numerator / (scale s (1 - (k s)^2)), s = t - tau
+        k = 4.0 * th / T0
+        scale = np.pi * np.sqrt(T0) / T0
+        minus, plus = np.pi * (1.0 - th) / T0 * taus, np.pi * (1.0 + th) / T0 * taus
+        cos_plus, sin_plus = np.cos(plus), np.sin(plus)
+        coef = np.stack([np.cos(minus), -np.sin(minus), -k * taus * cos_plus,
+                         -k * taus * sin_plus, k * cos_plus, k * sin_plus], axis=1) / scale
+        out = np.empty((len(taus), n_off), dtype=complex)
         rows = max(1, _CHUNK_NODES // len(t))
         for r in range(0, len(taus), rows):
-            tau = taus[r:r + rows, None]
-            right = tau >= 0.0    # g(t - tau) is cut at tau - S, else at tau + S
-            edge = np.where(right, tau - S, tau + S)
-            a = np.floor((edge + S) / T0) * T0 - S    # the grid panel [a, a + T0] it cuts
-            t_edge, w_edge = _panel_rule(np.where(right, edge, a), np.where(right, a + T0, edge), n)
-            s = t - tau
-            u = s / T0
-            minus, plus = np.pi * (1.0 - th) / T0 * tau, np.pi * (1.0 + th) / T0 * tau
-            g = sin_minus * np.cos(minus) - cos_minus * np.sin(minus)
-            g += 4.0 * th * u * (cos_plus * np.cos(plus) + sin_plus * np.sin(plus))
+            g = coef[r:r + rows] @ grid_rows
+            s = t - taus[r:r + rows, None]
             with np.errstate(divide="ignore", invalid="ignore"):
-                g /= np.pi * u * (1.0 - (4.0 * th * u) ** 2) * np.sqrt(T0)
-            direct = (np.abs(u) <= 1.5) | (np.abs(1.0 - 4.0 * th * np.abs(u)) < 0.5)
-            # one direct evaluation for those nodes and both factors on the edge panel
-            s = s[direct]
-            values = self._raw_amplitude(np.concatenate([s, t_edge, t_edge - tau], axis=None))
-            g[direct] = values[:s.size]
-            g *= np.where(right, t > a + T0, t < a)    # the grid panels inside the overlap
-            out[r:r + rows] = (g * weighted) @ carriers
-            p_edge = self._norm ** 2 * w_edge * values[s.size:].reshape(2, -1, n).prod(axis=0)
-            phases = np.exp(-2j * np.pi * t_edge[..., None] * f_values)
-            out[r:r + rows] += (p_edge[:, None] @ phases)[:, 0]
+                g /= s
+                s *= s
+                s *= -k * k
+                s += 1.0
+                g /= s
+            del s    # before the complex integrand, which sets the chunk's peak memory
+            chunk = slice(*np.searchsorted(i, [r, r + rows]))
+            g[i[chunk] - r, cols[chunk]] = direct[chunk]
+            for row, c, keep_after in zip(g, cut[r:r + rows], right[r:r + rows]):
+                if keep_after:
+                    row[:c] = 0.0
+                else:
+                    row[c:] = 0.0
+            integrand = weighted[which[r:r + rows]]
+            integrand *= g
+            out[r:r + rows] = integrand @ carriers
+        # the edge panels: exp(-2j pi f t_edge) along the offsets by angle
+        # addition, one exp for the first offset and one for the step
+        term = (self._norm ** 2 * w_edge * values[i.size:].reshape(2, -1, n).prod(axis=0)
+                * np.exp(-2j * np.pi * f_values[:, :1] * t_edge))
+        step = np.exp(-2j * np.pi * f_step * t_edge)
+        for column in out.T:
+            column += term.sum(axis=1)
+            term *= step
         # the carriers ran in t; A takes its phase in t - tau
-        return out * np.exp(2j * np.pi * np.outer(taus, f_values))
+        return out * np.exp(2j * np.pi * taus[:, None] * f_values)
 
     def ambiguity_batch(self, f_values: np.ndarray, tau: float) -> np.ndarray:
-        """A(f, tau) for a batch of frequency offsets at one delay offset: one row
-        of `_ambiguities`, exactly zero once g(t) and g(t - tau) no longer overlap."""
-        f_values = np.atleast_1d(np.asarray(f_values, dtype=float))
-        carriers = np.exp(-2j * np.pi * np.outer(self._grid[0], f_values))
-        return self._ambiguities(np.array([float(tau)]), f_values, carriers)[0]
+        """A(f, tau) for a batch of frequency offsets at one delay offset, exactly
+        zero once g(t) and g(t - tau) no longer overlap: one row of `_ambiguities`
+        per offset, which enters as that row's Doppler at the single offset dm = 0."""
+        f_values = np.asarray(f_values, dtype=float).ravel()
+        carrier = np.ones((len(self._grid[0]), 1))
+        return self._ambiguities(np.full(f_values.shape, float(tau)), -f_values, carrier, 0.0)[:, 0]
 
 
 @dataclass
@@ -298,19 +359,25 @@ def _carriers(pulse: RrcPulse, f_step: float, M: int) -> np.ndarray:
     return carriers
 
 
-def ambiguity_table(pulse, cfg: SystemConfig, delays: np.ndarray, doppler: float = 0.0,
+def ambiguity_table(pulse, cfg: SystemConfig, delays: np.ndarray, doppler: float | np.ndarray = 0.0,
                     delay_shift: float = 0.0) -> np.ndarray:
     """A(dm*beta*delta_f0 - doppler, tau - delay_shift) for all grid offsets.
 
     Returns a (len(delays), 2M-1) table indexed by [dn + N - 1, dm + M - 1]
-    when `delays` is the signed tau lattice. The carriers are cached per
-    (pulse, beta*delta_f0, M); the Doppler costs one exp per grid node.
-    `coupling_matrix` fills the MN x MN matrix from one table per path.
+    when `delays` is the signed tau lattice. `doppler` is one value for every
+    row or one value per delay row. The carriers are cached per (pulse,
+    beta*delta_f0, M); each distinct Doppler costs one exp per grid node.
+    `coupling_matrix` fills the MN x MN matrix from one table of all its
+    paths' rows.
     """
     f_step = cfg.beta * cfg.delta_f0
     delays = np.atleast_1d(np.asarray(delays, dtype=float)) - delay_shift
-    return pulse._ambiguities(delays, np.arange(1 - cfg.M, cfg.M) * f_step - doppler,
-                              _carriers(pulse, f_step, cfg.M), doppler)
+    dopplers = np.asarray(doppler, dtype=float)
+    if dopplers.ndim and dopplers.shape != delays.shape:
+        raise ConfigError(f"doppler must be one value or one per delay row ({delays.shape}), "
+                          f"got shape {dopplers.shape}")
+    return pulse._ambiguities(delays, np.broadcast_to(dopplers, delays.shape),
+                              _carriers(pulse, f_step, cfg.M), f_step)
 
 
 @lru_cache(maxsize=16)
@@ -343,7 +410,8 @@ def lattice_pulse(cfg: SystemConfig, dopplers) -> RrcPulse:
 def coupling_matrix(cfg: SystemConfig, paths) -> np.ndarray:
     """Matched-filter coupling of the compressed grid through a set of paths.
 
-    `paths` are (gain, delay, doppler) triples. Rows and columns are flat
+    `paths` are (gain, delay, doppler) triples, each value finite (else
+    ConfigError); no paths give the zero matrix. Rows and columns are flat
     indices n*M + m; entry (receive slot (m, n), transmit slot (m', n')) is
 
         sum_p gain * A(dm beta delta_f0 - doppler, dt - delay)
@@ -351,30 +419,44 @@ def coupling_matrix(cfg: SystemConfig, paths) -> np.ndarray:
                            + doppler n' alpha T0])
 
     with dm = m - m', dt = (n - n') alpha T0, for the config's pulse with
-    the node count of `lattice_pulse`. Per path only the (2N-1)(2M-1)
-    distinct ambiguity values are integrated, in one batched
-    `ambiguity_table` evaluation; the rest is phase bookkeeping, so cost
-    scales with L quadrature batches rather than with the matrix size.
-    Hermitian symmetry of the unit-path result is a property of the
-    formula, not enforced here, so the validation in GramMatrix.from_matrix
-    is a real check on the quadrature.
+    the node count of `lattice_pulse`. Only the (2N-1)(2M-1) distinct
+    ambiguity values of each path are integrated, all paths' rows in one
+    `ambiguity_table` call. The phase splits into exp(2j pi doppler
+    (n alpha T0 - delay)), which depends on the receive slot only,
+    exp(-2j pi m' beta delta_f0 delay), on the transmit carrier only, and
+    exp(2j pi m' beta delta_f0 (n - n') alpha T0), the same for every path
+    and applied once to their sum; so a path costs M + N exponentials and a
+    gather, and cost scales with the quadrature rows rather than with the
+    matrix size. Hermitian symmetry of the unit-path result is a property of
+    the formula, not enforced here, so the validation in
+    GramMatrix.from_matrix is a real check on the quadrature.
     """
     paths = list(paths)
-    pulse = lattice_pulse(cfg, [doppler for _, _, doppler in paths])
-    n_idx, m_idx = np.divmod(np.arange(cfg.mn), cfg.M)    # transmit slot (m', n') per column
-    dm_grid = m_idx[:, None] - m_idx[None, :]
-    dn_grid = n_idx[:, None] - n_idx[None, :]
-    dt_grid = dn_grid * cfg.alpha * cfg.T0
-    taus = np.arange(-(cfg.N - 1), cfg.N) * cfg.alpha * cfg.T0
-
-    h = np.zeros((cfg.mn, cfg.mn), dtype=complex)
     for gain, delay, doppler in paths:
-        table = ambiguity_table(pulse, cfg, taus, doppler=doppler, delay_shift=delay)
-        amb = table[dn_grid + cfg.N - 1, dm_grid + cfg.M - 1]
-        phase = np.exp(2j * np.pi * ((doppler + m_idx * cfg.beta * cfg.delta_f0) * (dt_grid - delay)
-                                     + doppler * n_idx * cfg.alpha * cfg.T0))
-        h += gain * amb * phase
-    return h
+        if not all(map(is_finite, (gain.real, gain.imag, delay, doppler))):
+            raise ConfigError(f"path gain, delay and doppler must be finite, "
+                              f"got {(gain, delay, doppler)!r}")
+    pulse = lattice_pulse(cfg, [doppler for _, _, doppler in paths])
+    if not paths:
+        return np.zeros((cfg.mn, cfg.mn), dtype=complex)
+    M, N = cfg.M, cfg.N
+    f_step, t_step = cfg.beta * cfg.delta_f0, cfg.alpha * cfg.T0
+    gains, delays, dopplers = (np.array(v) for v in zip(*paths))
+    taus = np.arange(1 - N, N) * t_step
+    tables = ambiguity_table(pulse, cfg, (taus - delays[:, None]).ravel(),
+                             np.repeat(dopplers, 2 * N - 1)).reshape(len(paths), -1)
+    n_idx, m_idx = np.divmod(np.arange(cfg.mn), M)
+    flat = (n_idx[:, None] - n_idx + N - 1) * (2 * M - 1) + (m_idx[:, None] - m_idx + M - 1)
+    receive = gains[:, None] * np.exp(2j * np.pi * dopplers[:, None]
+                                      * (np.arange(N) * t_step - delays[:, None]))
+    transmit = np.exp(-2j * np.pi * f_step * delays[:, None] * np.arange(M))
+    h = tables[:, flat].reshape(len(paths), N, M, N, M)
+    h *= receive[:, :, None, None, None] * transmit[:, None, None, None, :]
+    h = h.sum(axis=0)
+    # the path-independent factor, one exp per (n - n', m')
+    lattice = np.exp(2j * np.pi * f_step * t_step * np.arange(1 - N, N)[:, None] * np.arange(M))
+    h *= lattice[np.arange(N)[:, None] - np.arange(N) + N - 1][:, None]
+    return h.reshape(cfg.mn, cfg.mn)
 
 
 def build_gram(cfg: SystemConfig) -> GramMatrix:

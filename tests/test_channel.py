@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from mcftn_otfs import (
+    ConfigError,
     DdPath,
     SystemConfig,
     build_dd_channel,
@@ -115,6 +116,31 @@ def test_identity_path_tf_channel_equals_gram(theta, alpha, beta):
     h_tf = build_tf_channel(IDENTITY_PATH, cfg)
     g = build_gram(cfg).matrix
     np.testing.assert_allclose(h_tf, g, atol=1e-13)
+
+
+NON_FINITE = (float("nan"), float("inf"), -float("inf"))
+
+
+@pytest.mark.parametrize("bad", NON_FINITE, ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("field", ["gain.real", "gain.imag", "delay", "doppler"])
+def test_non_finite_path_rejected(field, bad):
+    # a non-finite value used to come back as an all-NaN matrix
+    cfg = SystemConfig(M=4, N=2, alpha=0.9, beta=0.9, theta=0.25)
+    values = {"gain.real": 0.6, "gain.imag": -0.2, "delay": 0.3, "doppler": 0.02, field: bad}
+    path = DdPath(gain=complex(values["gain.real"], values["gain.imag"]),
+                  delay=values["delay"], doppler=values["doppler"])
+    for build in (build_tf_channel, build_dd_channel):
+        with pytest.raises(ConfigError, match="finite"):
+            build((IDENTITY_PATH[0], path), cfg)
+
+
+def test_no_paths_give_zero_channel():
+    cfg = SystemConfig(M=4, N=2, alpha=0.9, beta=0.9, theta=0.25)
+    zero = np.zeros((8, 8), dtype=complex)
+    np.testing.assert_array_equal(build_tf_channel((), cfg), zero)
+    ch = build_dd_channel([], cfg)
+    np.testing.assert_array_equal(ch.h_tf, zero)
+    np.testing.assert_array_equal(ch.h_dd, zero)
 
 
 # ------------------------------------------------------------- dd channel ----

@@ -16,7 +16,7 @@ from mcftn_otfs import (
     build_gram,
     build_tf_channel,
 )
-from mcftn_otfs.pulse import lattice_pulse
+from mcftn_otfs.pulse import coupling_matrix, lattice_pulse
 from reference import (
     ambiguity_spectral,
     ambiguity_time,
@@ -433,6 +433,65 @@ def test_ambiguity_table_matches_per_row_batches(delay_shift):
     empty = np.abs(taus - delay_shift) >= 2 * pulse.support
     assert np.any(empty) == (abs(delay_shift) > pulse.support)
     assert np.all(table[empty] == 0.0)
+
+
+def test_ambiguity_table_per_row_doppler_matches_per_path_calls():
+    # rows of three paths, shuffled so Dopplers interleave, over more rows
+    # than one chunk of the grid holds
+    cfg = SystemConfig(M=4, N=6, alpha=0.9, beta=0.9, theta=0.25)
+    pulse = lattice_pulse(cfg, [cfg.nu_max])
+    taus = np.arange(1 - cfg.N, cfg.N) * cfg.alpha * cfg.T0
+    paths = ((cfg.tau_max, cfg.nu_max), (0.37, -cfg.nu_max), (0.0, 0.0))
+    delays = np.concatenate([taus - delay for delay, _ in paths])
+    dopplers = np.repeat([doppler for _, doppler in paths], len(taus))
+    order = np.random.default_rng(3).permutation(len(delays))
+    table = np.empty((len(delays), 2 * cfg.M - 1), dtype=complex)
+    table[order] = ambiguity_table(pulse, cfg, delays[order], dopplers[order])
+    for p, (delay, doppler) in enumerate(paths):
+        np.testing.assert_allclose(table[p * len(taus):(p + 1) * len(taus)],
+                                   ambiguity_table(pulse, cfg, taus, doppler, delay),
+                                   rtol=0.0, atol=1e-15, err_msg=f"path {p}")
+
+
+def test_ambiguity_table_rejects_doppler_of_another_length():
+    cfg = SystemConfig(M=2, N=2, theta=0.25)
+    pulse = lattice_pulse(cfg, [0.0])
+    taus = np.arange(-1, 2) * cfg.alpha * cfg.T0
+    for bad in ([0.01, 0.02], np.zeros(4), np.zeros((3, 1))):
+        with pytest.raises(ConfigError, match="doppler"):
+            ambiguity_table(pulse, cfg, taus, bad)
+
+
+def coupling_per_entry(cfg, paths):
+    """The docstring formula of `coupling_matrix`: one `ambiguity_table` per
+    path and one exp of the whole exponent per entry."""
+    pulse = lattice_pulse(cfg, [doppler for _, _, doppler in paths])
+    f_step, t_step = cfg.beta * cfg.delta_f0, cfg.alpha * cfg.T0
+    n, m = np.divmod(np.arange(cfg.mn), cfg.M)       # transmit slot (m', n') per column
+    dn, dm = n[:, None] - n, m[:, None] - m
+    taus = np.arange(1 - cfg.N, cfg.N) * t_step
+    h = np.zeros((cfg.mn, cfg.mn), dtype=complex)
+    for gain, delay, doppler in paths:
+        table = ambiguity_table(pulse, cfg, taus, doppler, delay)
+        exponent = (doppler + m * f_step) * (dn * t_step - delay) + doppler * n * t_step
+        h += gain * table[dn + cfg.N - 1, dm + cfg.M - 1] * np.exp(2j * np.pi * exponent)
+    return h
+
+
+@pytest.mark.parametrize("M, N", [(1, 16), (16, 1), (8, 4), (16, 16)])
+def test_coupling_matrix_matches_per_entry_formula(M, N):
+    cfg = SystemConfig(M=M, N=N, alpha=0.9, beta=0.9, theta=0.25)
+    # Dopplers of both signs up to nu_max, delays up to tau_max
+    paths = ((0.8 - 0.3j, cfg.tau_max, cfg.nu_max),
+             (-0.4 + 0.5j, 0.37 * cfg.tau_max, -cfg.nu_max),
+             (0.5, 0.81 * cfg.tau_max, 0.6 * cfg.nu_max),
+             (0.2 + 0.1j, 0.0, -0.3 * cfg.nu_max))
+    h, ref = coupling_matrix(cfg, paths), coupling_per_entry(cfg, paths)
+    assert np.max(np.abs(h - ref)) <= 1e-13 * np.max(np.abs(ref))
+    # the unit path is the Gram, whose phase is the path-independent factor alone
+    gram = coupling_matrix(cfg, [(1.0, 0.0, 0.0)])
+    ref = coupling_per_entry(cfg, [(1.0, 0.0, 0.0)])
+    assert np.max(np.abs(gram - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 # ------------------------------------------------------- gram validation ----

@@ -1,5 +1,6 @@
 """Static checks on the package source with the standard-library `ast`:
-no unused imports and no dead module-level private names."""
+no unused imports, no dead module-level private names, and no private
+method or cached property of a class that nothing reads."""
 
 import ast
 from pathlib import Path
@@ -40,14 +41,24 @@ def test_every_import_is_used():
     assert not unused, f"unused imports: {unused}"
 
 
-def test_every_private_module_name_is_referenced():
-    modules = _modules()
+def _referenced(modules: dict) -> set:
+    """Every name read or imported by name anywhere in the package."""
     referenced = set()
     for tree in modules.values():
         referenced |= _loaded(tree)
         for node in ast.walk(tree):
             if isinstance(node, ast.ImportFrom):
                 referenced.update(alias.name for alias in node.names)
+    return referenced
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not name.startswith("__")
+
+
+def test_every_private_module_name_is_referenced():
+    modules = _modules()
+    referenced = _referenced(modules)
     dead = []
     for name, tree in modules.items():
         for node in tree.body:
@@ -59,6 +70,22 @@ def test_every_private_module_name_is_referenced():
                 defined = [node.target.id]
             else:
                 continue
-            dead += [f"{name}: {d}" for d in defined
-                     if d.startswith("_") and not d.startswith("__") and d not in referenced]
+            dead += [f"{name}: {d}" for d in defined if _private(d) and d not in referenced]
     assert not dead, f"private names nothing in src/ uses: {dead}"
+
+
+def test_every_private_method_and_cached_property_is_read():
+    # the attribute name must be read somewhere in src/ (tests do not count)
+    modules = _modules()
+    referenced = _referenced(modules)
+    dead = []
+    for name, tree in modules.items():
+        for cls in (node for node in ast.walk(tree) if isinstance(node, ast.ClassDef)):
+            for node in cls.body:
+                if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    continue
+                cached = any((d.id if isinstance(d, ast.Name) else getattr(d, "attr", None))
+                             == "cached_property" for d in node.decorator_list)
+                if (cached or _private(node.name)) and node.name not in referenced:
+                    dead.append(f"{name}: {cls.name}.{node.name}")
+    assert not dead, f"private methods or cached properties nothing in src/ reads: {dead}"
