@@ -24,6 +24,7 @@ from .channel import (
     MimoChannel,
     build_dd_channel,
     build_mimo_channel,
+    build_mimo_channels,
     build_tf_channel,
     paths_digest,
     sample_paths,

@@ -6,19 +6,23 @@ ambiguity value at the offset (dm*beta*delta_f0 - doppler,
 dn*alpha*T0 - delay) times two phase factors, the same lattice formula whose
 unit path is the pulse Gram. Conjugating with the SFFT gives the
 delay-Doppler matrix the equalizer works in. Matrices are never sampled
-directly: they are rebuilt deterministically from the paths.
+directly: they are rebuilt deterministically from the paths. A block of
+realizations, every antenna pair of each, integrates in one quadrature call
+(`build_mimo_channels`), and each realization's matrices are the same bit
+for bit as when it is built alone.
 """
 
 from __future__ import annotations
 
 import hashlib
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
-from typing import Sequence
+from itertools import islice
 
 import numpy as np
 
 from .core import SystemConfig, sfft_matrix
-from .pulse import coupling_matrix
+from .pulse import _CHUNK_NODES, coupling_matrices, coupling_matrix, lattice_pulse
 
 
 @dataclass(frozen=True)
@@ -46,9 +50,13 @@ def sample_paths(cfg: SystemConfig, rng: np.random.Generator) -> tuple[DdPath, .
     return tuple(DdPath(complex(g), float(t), float(v)) for g, t, v in zip(gains, delays, dopplers))
 
 
+def _triples(paths: Sequence[DdPath]) -> list:
+    return [(p.gain, p.delay, p.doppler) for p in paths]
+
+
 def build_tf_channel(paths: Sequence[DdPath], cfg: SystemConfig) -> np.ndarray:
     """Time-frequency channel matrix over the whole block, rows and columns n*M + m."""
-    return coupling_matrix(cfg, [(p.gain, p.delay, p.doppler) for p in paths])
+    return coupling_matrix(cfg, _triples(paths))
 
 
 @dataclass
@@ -65,9 +73,11 @@ def build_dd_channel(paths: Sequence[DdPath], cfg: SystemConfig,
     """Delay-Doppler channel H_dd = A H_tf A^H for the given paths."""
     if sfft is None:
         sfft = sfft_matrix(cfg)
-    h_tf = build_tf_channel(paths, cfg)
-    h_dd = sfft @ h_tf @ sfft.conj().T
-    return DdChannel(paths=tuple(paths), h_tf=h_tf, h_dd=h_dd)
+    return _conjugated(paths, build_tf_channel(paths, cfg), sfft)
+
+
+def _conjugated(paths: Sequence[DdPath], h_tf: np.ndarray, sfft: np.ndarray) -> DdChannel:
+    return DdChannel(paths=tuple(paths), h_tf=h_tf, h_dd=sfft @ h_tf @ sfft.conj().T)
 
 
 @dataclass
@@ -83,14 +93,40 @@ def build_mimo_channel(cfg: SystemConfig, rng: np.random.Generator) -> MimoChann
 
     The generator is split once into n_rx*n_tx children; antenna pair
     (rx, tx) uses child rx*n_tx + tx, so block realizations are independent
-    and reproducible regardless of assembly order.
+    and reproducible regardless of assembly order. The one-realization case
+    of :func:`build_mimo_channels`: all pairs integrate in one call.
     """
-    children = rng.spawn(cfg.n_rx * cfg.n_tx)
-    sfft = sfft_matrix(cfg)
-    blocks = [[build_dd_channel(sample_paths(cfg, children[r * cfg.n_tx + t]), cfg, sfft)
-               for t in range(cfg.n_tx)] for r in range(cfg.n_rx)]
-    matrix = np.block([[ch.h_dd for ch in row] for row in blocks])
-    return MimoChannel(blocks=blocks, matrix=matrix)
+    return next(build_mimo_channels(cfg, [rng]))
+
+
+def build_mimo_channels(cfg: SystemConfig, rngs: Iterable[np.random.Generator],
+                        sfft: np.ndarray | None = None) -> Iterator[MimoChannel]:
+    """:func:`build_mimo_channel` of each generator in `rngs`, in order, in blocks.
+
+    The generators are taken a block at a time. A block draws every antenna
+    pair of each of its realizations and integrates all their path rows in
+    one `ambiguity_table` call; the realizations' channels are then
+    assembled one per `next`, all conjugated with `sfft` (built once if not
+    given). A block holds as many realizations as keep its table rows times
+    the pulse's nodes per T0 within one quadrature chunk of `pulse`, which
+    keeps the tables it holds near the size of one chunk, and at least one.
+    """
+    if sfft is None:
+        sfft = sfft_matrix(cfg)
+    pairs = cfg.n_rx * cfg.n_tx
+    # a realization's table rows times nodes per T0; sampled Dopplers lie
+    # within nu_max, so every draw shares the config's pulse
+    size = cfg.L * (2 * cfg.N - 1) * pairs * lattice_pulse(cfg, []).nodes_per_t0
+    per_block = max(1, _CHUNK_NODES // size)
+    rngs = iter(rngs)
+    while draws := [[sample_paths(cfg, child) for child in rng.spawn(pairs)]
+                    for rng in islice(rngs, per_block)]:
+        h_tf = coupling_matrices(cfg, [_triples(paths) for draw in draws for paths in draw])
+        for draw in draws:
+            channels = [_conjugated(paths, next(h_tf), sfft) for paths in draw]
+            blocks = [channels[r * cfg.n_tx:(r + 1) * cfg.n_tx] for r in range(cfg.n_rx)]
+            yield MimoChannel(blocks=blocks,
+                              matrix=np.block([[ch.h_dd for ch in row] for row in blocks]))
 
 
 def paths_digest(blocks) -> str:

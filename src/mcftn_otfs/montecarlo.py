@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__
-from .channel import build_mimo_channel, paths_digest
+from .channel import build_mimo_channels, paths_digest
 from .core import ConfigError, SystemConfig, check_snr_db, is_integer, rng_stream, sfft_matrix
 from .link import bits_per_symbol, demap_symbols, map_bits, mmse_weights, wilson_interval
 from .noise import draw_mimo_noise
@@ -184,7 +184,9 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     """Execute the sweep; deterministic for a fixed spec.
 
     Realizations are independent; each one draws its channel from the stream
-    (seed, "paths", r), whitens it once, runs each distinct factor of the
+    (seed, "paths", r) (the channels of a block of realizations integrate
+    in one quadrature call, see `build_mimo_channels`, with the same values
+    as alone), whitens it once, runs each distinct factor of the
     requested schemes once on that D, then walks the SNR grid, where only
     the power allocation is redone.
     For the BER metric each cell equalizes on that same D with white noise;
@@ -204,8 +206,8 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     frame_bits = bits_per_symbol(spec.constellation) * cfg.n_tx * cfg.mn * spec.n_frames
     digests = []
 
-    for r in range(spec.n_realizations):
-        mimo = build_mimo_channel(cfg, rng_stream(cfg.seed, "paths", r))
+    streams = (rng_stream(cfg.seed, "paths", r) for r in range(spec.n_realizations))
+    for r, mimo in enumerate(build_mimo_channels(cfg, streams, sfft)):
         digests.append(paths_digest(mimo.blocks))
         D = build_mimo_effective(gram, mimo.matrix, sfft, cfg.n_rx)
         factors = {f: f(cfg, gram, D) for f in dict.fromkeys(f for f, _ in rows)}

@@ -54,13 +54,16 @@ def _check_mimo_args(cfg: SystemConfig, D: np.ndarray, gram: GramMatrix) -> None
         raise ConfigError(f"effective channel shape {D.shape} does not match config")
 
 
-def _sweep(cfg: SystemConfig, D: np.ndarray, gram: GramMatrix, P: np.ndarray, o: list) -> float:
+def _sweep(cfg: SystemConfig, D: np.ndarray, gram: GramMatrix, P: np.ndarray, o: list,
+           cache_last: bool = True) -> float:
     """One pass over the streams in natural order. Stream t is re-solved
     against T = I + sum_{s != t} o_s, where o_s = c (D_s P_s)(D_s P_s)^H is
     cached when stream s is designed and None before that: it diagonalizes
     Q = D_t^H T^{-1} D_t and water-fills inside that eigenbasis with the
     stream's budget MN. Writes P's diagonal blocks and o in place and returns
     the streams' bits log2 det(I + c P_t^H Q P_t) summed in stream order.
+    Without `cache_last` the last stream's o, which only a later pass
+    reads, is not formed.
     """
     n = gram.size
     bits = 0.0
@@ -74,8 +77,9 @@ def _sweep(cfg: SystemConfig, D: np.ndarray, gram: GramMatrix, P: np.ndarray, o:
         p_t, bits_t = fill_modes(*modes(a_t.conj().T @ np.linalg.solve(T, a_t), gram.matrix),
                                  cfg.sigma_x2, cfg.N0)
         P[t * n:(t + 1) * n, t * n:(t + 1) * n] = p_t
-        b = a_t @ p_t
-        o[t] = cfg.snr * (b @ b.conj().T)
+        if cache_last or t < cfg.n_tx - 1:
+            b = a_t @ p_t
+            o[t] = cfg.snr * (b @ b.conj().T)
         bits += bits_t
     return bits
 
@@ -94,7 +98,8 @@ def sic_precode(cfg: SystemConfig, D: np.ndarray, gram: GramMatrix):
     """
     _check_mimo_args(cfg, D, gram)
     P = np.zeros((D.shape[1],) * 2, dtype=complex)
-    return P, normalized_capacity(_sweep(cfg, D, gram, P, [None] * cfg.n_tx), cfg)
+    bits = _sweep(cfg, D, gram, P, [None] * cfg.n_tx, cache_last=False)
+    return P, normalized_capacity(bits, cfg)
 
 
 def per_stream_rates(cfg: SystemConfig, D: np.ndarray, p_blocks) -> np.ndarray:

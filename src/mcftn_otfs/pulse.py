@@ -17,8 +17,12 @@ whitening and precoding.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
+from itertools import groupby
+from numbers import Number, Real
+from operator import itemgetter
 
 import numpy as np
 
@@ -83,8 +87,11 @@ class RrcPulse:
             raise ConfigError(f"theta must lie in [0, 1], got {self.theta}")
         if not (is_finite(self.T0) and self.T0 > 0.0):
             raise ConfigError(f"T0 must be finite and positive, got {self.T0!r}")
-        if not is_integer(self.nodes_per_t0) or self.nodes_per_t0 < 2:
-            raise ConfigError(f"nodes_per_t0 must be an integer >= 2, got {self.nodes_per_t0!r}")
+        # one chunk of an ambiguity table must hold at least one row of the grid
+        most = _CHUNK_NODES // (2 * SPAN)
+        if not is_integer(self.nodes_per_t0) or not 2 <= self.nodes_per_t0 <= most:
+            raise ConfigError(f"nodes_per_t0 must be an integer from 2 to {most}, "
+                              f"got {self.nodes_per_t0!r}")
 
     @property
     def support(self) -> float:
@@ -165,36 +172,65 @@ class RrcPulse:
         out = self._norm * self._raw_amplitude(t.reshape(-1)).reshape(t.shape)
         return out if out.ndim else float(out)
 
+    @cached_property
+    def _reach(self) -> float:
+        # how far past tau the window of directly evaluated nodes of g(t - tau)
+        # reaches: one T0 past |u| = max(1.5, 3 / (8 theta))
+        return self.T0 * (1.0 + (max(1.5, 0.375 / self.theta) if self.theta > 0.0 else 1.5))
+
     def _ambiguities(self, taus: np.ndarray, dopplers: np.ndarray, carriers: np.ndarray,
                      f_step: float) -> np.ndarray:
-        """A(dm f_step - dopplers[i], taus[i]) for the 2M-1 offsets dm = 1-M .. M-1,
-        given carriers[k, j] = exp(-2j pi dm_j f_step t_k) on the grid nodes t.
+        """A(dm f_step - dopplers[b, i], taus[b, i]) for the 2M-1 offsets dm = 1-M .. M-1,
+        for (tables, rows) arrays of delays and Dopplers, given
+        carriers[k, j] = exp(-2j pi dm_j f_step t_k) on the grid nodes t.
+
+        Each table is integrated as it would be alone: its rows enter the
+        GEMMs in chunks of _CHUNK_NODES grid nodes counted from its first row,
+        so the BLAS sees the same operands (a one-row chunk goes to GEMV)
+        whichever tables share the call. The per-row work outside the GEMMs
+        runs on groups of consecutive chunks, as many as keep a group's
+        direct-evaluation windows within half a chunk of nodes (about a dozen
+        arrays of them are live at once), and at least one; so no temporary
+        grows with the rows of a call.
+        """
+        n_tables, rows = taus.shape
+        size = max(1, _CHUNK_NODES // len(self._grid[0]))
+        # chunk c covers the flat rows bounds[c] .. bounds[c + 1]
+        bounds = [b * rows + c for b in range(n_tables) for c in range(0, rows, size)]
+        bounds.append(n_tables * rows)
+        window = int(2.0 * self._reach / self.T0 * self.nodes_per_t0) + 1    # nodes per row
+        most = _CHUNK_NODES // (2 * window)    # rows per group
+        taus, dopplers = taus.ravel(), dopplers.ravel()
+        out = np.empty((n_tables * rows, carriers.shape[1]), dtype=complex)
+        first = 0
+        while first < len(bounds) - 1:
+            last = first + 1
+            while last < len(bounds) - 1 and bounds[last + 1] - bounds[first] <= most:
+                last += 1
+            group = slice(bounds[first], bounds[last])
+            out[group] = self._rows(taus[group], dopplers[group], carriers, f_step,
+                                    [b - group.start for b in bounds[first:last + 1]])
+            first = last
+        return out.reshape(n_tables, rows, carriers.shape[1])
+
+    def _rows(self, taus: np.ndarray, dopplers: np.ndarray, carriers: np.ndarray,
+              f_step: float, bounds: list) -> np.ndarray:
+        """The rows of `_ambiguities` for one group, chunk c being rows bounds[c] .. bounds[c + 1].
 
         g(t - tau) follows from the grid rows by angle addition (its numerator
-        is one small GEMM per chunk of rows), except where that cancels (u =
+        is one small GEMM per chunk), except where that cancels (u =
         (t - tau)/T0 near 0 and |1 - 4 theta |u|| < 1/2): there, inside a
         window of each row, the pulse is evaluated directly. The grid panels
-        inside the overlap of g(t) and g(t - tau) enter one GEMM per chunk of
-        _CHUNK_NODES grid nodes, each row weighted by exp(2j pi doppler t); the
-        panel cut by the truncation edge of g(t - tau) gets its own nodes,
-        whose carriers run along dm by angle addition. A row without overlap
-        is an exact zero.
+        inside the overlap of g(t) and g(t - tau) enter one GEMM per chunk,
+        each row weighted by exp(2j pi doppler t), formed for that chunk's
+        rows only; the panel cut by the truncation edge of g(t - tau) gets its
+        own nodes, whose carriers run along dm by angle addition. A row
+        without overlap is an exact zero.
         """
         t, _, grid_rows = self._grid
         th, T0, S, n = self.theta, self.T0, self.support, self.nodes_per_t0
         n_off = carriers.shape[1]
         f_values = (np.arange(n_off) - (n_off - 1) // 2) * f_step - dopplers[:, None]
-        # the distinct Dopplers and each row's index among them (not np.unique:
-        # its first call imports numpy.ma, about 2 MiB of resident memory)
-        index = {}
-        which = np.array([index.setdefault(v, len(index)) for v in dopplers.tolist()], dtype=int)
-        nus = np.array(list(index), dtype=float)
-        # g(t) w exp(2j pi doppler t) per distinct Doppler, the phase taken as
-        # that of the node's panel start times that of its offset in the panel
-        turns = 2j * np.pi * nus[:, None]
-        weighted = (np.exp(turns * T0 * np.arange(-SPAN, SPAN))[:, :, None]
-                    * np.exp(turns * (t[:n] + S))[:, None, :]).reshape(len(nus), len(t))
-        weighted *= self._weighted
 
         right = taus >= 0.0    # g(t - tau) is cut at tau - S, else at tau + S
         edge = np.where(right, taus - S, taus + S)
@@ -204,19 +240,19 @@ class RrcPulse:
         # the grid panels inside the overlap: t > a + T0, else t < a
         cut = np.where(right, np.searchsorted(t, a + T0, side="right"),
                        np.searchsorted(t, a, side="left"))
-        # the direct nodes, by the exact test, inside a window of each row that
-        # reaches one T0 past |u| = max(1.5, 3 / (8 theta))
-        reach = T0 * (1.0 + (max(1.5, 0.375 / th) if th > 0.0 else 1.5))
-        lo = np.searchsorted(t, taus - reach)
-        width = np.max(np.searchsorted(t, taus + reach) - lo, initial=0)
+        # the direct nodes, by the exact test, inside a window of each row
+        lo = np.searchsorted(t, taus - self._reach)
+        width = np.max(np.searchsorted(t, taus + self._reach) - lo, initial=0)
         window = np.minimum(lo[:, None] + np.arange(width), len(t) - 1)
         s = t[window] - taus[:, None]
         u = s / T0
         i, j = np.nonzero((np.abs(u) <= 1.5) | (np.abs(1.0 - 4.0 * th * np.abs(u)) < 0.5))
+        direct, cols = s[i, j], window[i, j]
+        del s, u, window, j
         # one direct evaluation for those nodes and both factors on the edge panels
-        values = self._raw_amplitude(np.concatenate([s[i, j], t_edge, t_edge - taus[:, None]],
+        values = self._raw_amplitude(np.concatenate([direct, t_edge, t_edge - taus[:, None]],
                                                     axis=None))
-        direct, cols = values[:i.size], window[i, j]
+        direct = values[:i.size]
 
         # g(t - tau) = numerator / (scale s (1 - (k s)^2)), s = t - tau
         k = 4.0 * th / T0
@@ -226,10 +262,10 @@ class RrcPulse:
         coef = np.stack([np.cos(minus), -np.sin(minus), -k * taus * cos_plus,
                          -k * taus * sin_plus, k * cos_plus, k * sin_plus], axis=1) / scale
         out = np.empty((len(taus), n_off), dtype=complex)
-        rows = max(1, _CHUNK_NODES // len(t))
-        for r in range(0, len(taus), rows):
-            g = coef[r:r + rows] @ grid_rows
-            s = t - taus[r:r + rows, None]
+        for r, end in zip(bounds, bounds[1:]):
+            chunk = slice(r, end)
+            g = coef[chunk] @ grid_rows
+            s = t - taus[chunk, None]
             with np.errstate(divide="ignore", invalid="ignore"):
                 g /= s
                 s *= s
@@ -237,16 +273,16 @@ class RrcPulse:
                 s += 1.0
                 g /= s
             del s    # before the complex integrand, which sets the chunk's peak memory
-            chunk = slice(*np.searchsorted(i, [r, r + rows]))
-            g[i[chunk] - r, cols[chunk]] = direct[chunk]
-            for row, c, keep_after in zip(g, cut[r:r + rows], right[r:r + rows]):
+            nodes = slice(*np.searchsorted(i, [r, end]))
+            g[i[nodes] - r, cols[nodes]] = direct[nodes]
+            for row, c, keep_after in zip(g, cut[chunk], right[chunk]):
                 if keep_after:
                     row[:c] = 0.0
                 else:
                     row[c:] = 0.0
-            integrand = weighted[which[r:r + rows]]
+            integrand = self._phased(dopplers[chunk])
             integrand *= g
-            out[r:r + rows] = integrand @ carriers
+            out[chunk] = integrand @ carriers
         # the edge panels: exp(-2j pi f t_edge) along the offsets by angle
         # addition, one exp for the first offset and one for the step
         term = (self._norm ** 2 * w_edge * values[i.size:].reshape(2, -1, n).prod(axis=0)
@@ -255,8 +291,28 @@ class RrcPulse:
         for column in out.T:
             column += term.sum(axis=1)
             term *= step
-        # the carriers ran in t; A takes its phase in t - tau
-        return out * np.exp(2j * np.pi * taus[:, None] * f_values)
+        # the carriers ran in t; A takes its phase in t - tau. In place: from
+        # 256 KiB on, numpy elides `out * exp(...)` into the exp temporary, whose
+        # multiply loop can round a row's last bit differently
+        out *= np.exp(2j * np.pi * taus[:, None] * f_values)
+        return out
+
+    def _phased(self, dopplers: np.ndarray) -> np.ndarray:
+        """g(t) w exp(2j pi doppler t) on the grid, one row per Doppler.
+
+        The phase is that of the node's panel start times that of its offset
+        in the panel, taken once per distinct Doppler (found with a dict, not
+        np.unique: its first call imports numpy.ma, about 2 MiB of resident
+        memory) and gathered to the rows.
+        """
+        t, T0, n = self._grid[0], self.T0, self.nodes_per_t0
+        index = {}
+        which = [index.setdefault(v, len(index)) for v in dopplers.tolist()]
+        turns = 2j * np.pi * np.array(list(index), dtype=float)[:, None]
+        weighted = (np.exp(turns * T0 * np.arange(-SPAN, SPAN))[:, :, None]
+                    * np.exp(turns * (t[:n] + self.support))[:, None, :]).reshape(len(index), -1)
+        weighted *= self._weighted
+        return weighted[which]
 
     def ambiguity_batch(self, f_values: np.ndarray, tau: float) -> np.ndarray:
         """A(f, tau) for a batch of frequency offsets at one delay offset, exactly
@@ -264,7 +320,8 @@ class RrcPulse:
         per offset, which enters as that row's Doppler at the single offset dm = 0."""
         f_values = np.asarray(f_values, dtype=float).ravel()
         carrier = np.ones((len(self._grid[0]), 1))
-        return self._ambiguities(np.full(f_values.shape, float(tau)), -f_values, carrier, 0.0)[:, 0]
+        return self._ambiguities(np.full((1, f_values.size), float(tau)), -f_values[None],
+                                 carrier, 0.0)[0, :, 0]
 
 
 @dataclass
@@ -364,20 +421,27 @@ def ambiguity_table(pulse, cfg: SystemConfig, delays: np.ndarray, doppler: float
     """A(dm*beta*delta_f0 - doppler, tau - delay_shift) for all grid offsets.
 
     Returns a (len(delays), 2M-1) table indexed by [dn + N - 1, dm + M - 1]
-    when `delays` is the signed tau lattice. `doppler` is one value for every
-    row or one value per delay row. The carriers are cached per (pulse,
-    beta*delta_f0, M); each distinct Doppler costs one exp per grid node.
-    `coupling_matrix` fills the MN x MN matrix from one table of all its
-    paths' rows.
+    when `delays` is the signed tau lattice. A 2-D `delays` holds several
+    tables, one per row, and gives a (tables, rows, 2M-1) array; each table
+    is the same, bit for bit, as when it is computed alone. `doppler` is one
+    value for every row or one value per delay. The carriers are cached per
+    (pulse, beta*delta_f0, M); each distinct Doppler of a chunk of rows
+    costs one exp per grid node. `coupling_matrices` fills the MN x MN
+    matrices of several path sets from one call, a table per set.
     """
     f_step = cfg.beta * cfg.delta_f0
     delays = np.atleast_1d(np.asarray(delays, dtype=float)) - delay_shift
     dopplers = np.asarray(doppler, dtype=float)
+    if delays.ndim > 2:
+        raise ConfigError(f"delays must be one table or a 2-D stack of tables, "
+                          f"got shape {delays.shape}")
     if dopplers.ndim and dopplers.shape != delays.shape:
-        raise ConfigError(f"doppler must be one value or one per delay row ({delays.shape}), "
+        raise ConfigError(f"doppler must be one value or one per delay ({delays.shape}), "
                           f"got shape {dopplers.shape}")
-    return pulse._ambiguities(delays, np.broadcast_to(dopplers, delays.shape),
-                              _carriers(pulse, f_step, cfg.M), f_step)
+    stacked = np.atleast_2d(delays)
+    dopplers = np.broadcast_to(dopplers, delays.shape).reshape(stacked.shape)
+    tables = pulse._ambiguities(stacked, dopplers, _carriers(pulse, f_step, cfg.M), f_step)
+    return tables if delays.ndim == 2 else tables[0]
 
 
 @lru_cache(maxsize=16)
@@ -392,7 +456,8 @@ def lattice_pulse(cfg: SystemConfig, dopplers) -> RrcPulse:
     fmax = (M-1)*beta*delta_f0 + max(nu_max, max |doppler|) over the given
     path Dopplers; the rule takes ceil(2.5*fmax*T0) + 16 Gauss-Legendre
     nodes per T0 (the 16 resolve the pulse product itself, the slope the
-    carrier phase ramp). Its tables agree with 128-node ones to about 1e-14
+    carrier phase ramp), and ConfigError if that exceeds what RrcPulse
+    accepts. Its tables agree with 128-node ones to about 1e-14
     from 1xN up to 16x16 at alpha = beta = 1 and roll-offs 0.05 to 1; at
     that 16x16 grid a fixed 24 nodes is off by 0.2. Pulses are cached per
     (theta, T0, nodes), so the Gram and every channel of a config share one
@@ -404,15 +469,89 @@ def lattice_pulse(cfg: SystemConfig, dopplers) -> RrcPulse:
             "use a small positive roll-off for compressed grids"
         )
     fmax = (cfg.M - 1) * cfg.beta * cfg.delta_f0 + max([cfg.nu_max, *map(abs, dopplers)])
-    return _cached_pulse(cfg.theta, cfg.T0, int(np.ceil(2.5 * fmax * cfg.T0)) + 16)
+    nodes = int(np.ceil(2.5 * fmax * cfg.T0)) + 16
+    if nodes > _CHUNK_NODES // (2 * SPAN):
+        raise ConfigError(f"a largest frequency offset of {fmax:g} (carriers and Doppler) "
+                          f"needs {nodes} quadrature nodes per T0, more than the "
+                          f"{_CHUNK_NODES // (2 * SPAN)} a pulse holds")
+    return _cached_pulse(cfg.theta, cfg.T0, nodes)
+
+
+def _checked_paths(paths) -> list:
+    """`paths` as a list of (gain, delay, doppler) triples of finite numbers, else ConfigError."""
+    checked = []
+    for path in paths:
+        try:
+            gain, delay, doppler = path
+        except (TypeError, ValueError):
+            raise ConfigError(f"a path must be a (gain, delay, doppler) triple, "
+                              f"got {path!r}") from None
+        if not (isinstance(gain, Number) and all(isinstance(v, Real) for v in (delay, doppler))
+                and not any(isinstance(v, bool) for v in (gain, delay, doppler))):
+            raise ConfigError(f"path gain, delay and doppler must be numbers "
+                              f"(delay and doppler real), got {path!r}")
+        if not all(map(is_finite, (gain.real, gain.imag, delay, doppler))):
+            raise ConfigError(f"path gain, delay and doppler must be finite, got {path!r}")
+        checked.append((gain, delay, doppler))
+    return checked
+
+
+def coupling_matrices(cfg: SystemConfig, path_sets) -> Iterator[np.ndarray]:
+    """`coupling_matrix` of each path set in `path_sets`, in order.
+
+    Every set is checked first. Consecutive sets with as many paths and the
+    same lattice pulse (so all sets of a draw whose Dopplers lie within
+    nu_max) integrate in one `ambiguity_table` call, a table per set, so a
+    set's matrix is the same, bit for bit, whichever sets share its call.
+    Each matrix is then gathered and phased when it is asked for, one at a
+    time; only the (2N-1)(2M-1) table values per path are held.
+    """
+    sets = [_checked_paths(paths) for paths in path_sets]
+    keys = [(lattice_pulse(cfg, [doppler for _, _, doppler in paths]), len(paths))
+            for paths in sets]
+    for (pulse, _), run in groupby(zip(keys, sets), key=itemgetter(0)):
+        yield from _assemble(cfg, pulse, [paths for _, paths in run])
+
+
+def _assemble(cfg: SystemConfig, pulse: RrcPulse, sets: list) -> Iterator[np.ndarray]:
+    """The coupling matrices of checked path sets of one size on one pulse, from one call."""
+    M, N = cfg.M, cfg.N
+    count = len(sets[0])
+    if not count:
+        yield from (np.zeros((cfg.mn, cfg.mn), dtype=complex) for _ in sets)
+        return
+    f_step, t_step = cfg.beta * cfg.delta_f0, cfg.alpha * cfg.T0
+    gains, delays, dopplers = (np.array(v).reshape(len(sets), count)
+                               for v in zip(*(path for paths in sets for path in paths)))
+    taus = np.arange(1 - N, N) * t_step
+    tables = ambiguity_table(pulse, cfg, (taus - delays[:, :, None]).reshape(len(sets), -1),
+                             np.repeat(dopplers, 2 * N - 1, axis=1))
+    # the path-independent factor, one exp per (n - n', m')
+    lattice = np.exp(2j * np.pi * f_step * t_step * np.arange(1 - N, N)[:, None] * np.arange(M))
+    lattice = lattice[np.arange(N)[:, None] - np.arange(N) + N - 1][:, None]
+    for table, gain, delay, doppler in zip(tables, gains, delays, dopplers):
+        receive = gain[:, None] * np.exp(2j * np.pi * doppler[:, None]
+                                         * (np.arange(N) * t_step - delay[:, None]))
+        transmit = np.exp(-2j * np.pi * f_step * delay[:, None] * np.arange(M))
+        # the flat (dn, dm) index of every entry is as large as the matrix, so it
+        # is formed per set, not held while the block's matrices are handed out
+        n_idx, m_idx = np.divmod(np.arange(cfg.mn), M)
+        h = table.reshape(count, -1)[:, (n_idx[:, None] - n_idx + N - 1) * (2 * M - 1)
+                                     + (m_idx[:, None] - m_idx + M - 1)]
+        h = h.reshape(count, N, M, N, M)
+        h *= receive[:, :, None, None, None] * transmit[:, None, None, None, :]
+        h = h.sum(axis=0)
+        h *= lattice
+        yield h.reshape(cfg.mn, cfg.mn)
 
 
 def coupling_matrix(cfg: SystemConfig, paths) -> np.ndarray:
     """Matched-filter coupling of the compressed grid through a set of paths.
 
-    `paths` are (gain, delay, doppler) triples, each value finite (else
-    ConfigError); no paths give the zero matrix. Rows and columns are flat
-    indices n*M + m; entry (receive slot (m, n), transmit slot (m', n')) is
+    `paths` are (gain, delay, doppler) triples of finite numbers, delay and
+    doppler real (else ConfigError); no paths give the zero matrix. Rows
+    and columns are flat indices n*M + m; entry (receive slot (m, n),
+    transmit slot (m', n')) is
 
         sum_p gain * A(dm beta delta_f0 - doppler, dt - delay)
               * exp(2j pi [(doppler + m' beta delta_f0)(dt - delay)
@@ -429,34 +568,10 @@ def coupling_matrix(cfg: SystemConfig, paths) -> np.ndarray:
     gather, and cost scales with the quadrature rows rather than with the
     matrix size. Hermitian symmetry of the unit-path result is a property of
     the formula, not enforced here, so the validation in
-    GramMatrix.from_matrix is a real check on the quadrature.
+    GramMatrix.from_matrix is a real check on the quadrature. This is the
+    one-set case of :func:`coupling_matrices`.
     """
-    paths = list(paths)
-    for gain, delay, doppler in paths:
-        if not all(map(is_finite, (gain.real, gain.imag, delay, doppler))):
-            raise ConfigError(f"path gain, delay and doppler must be finite, "
-                              f"got {(gain, delay, doppler)!r}")
-    pulse = lattice_pulse(cfg, [doppler for _, _, doppler in paths])
-    if not paths:
-        return np.zeros((cfg.mn, cfg.mn), dtype=complex)
-    M, N = cfg.M, cfg.N
-    f_step, t_step = cfg.beta * cfg.delta_f0, cfg.alpha * cfg.T0
-    gains, delays, dopplers = (np.array(v) for v in zip(*paths))
-    taus = np.arange(1 - N, N) * t_step
-    tables = ambiguity_table(pulse, cfg, (taus - delays[:, None]).ravel(),
-                             np.repeat(dopplers, 2 * N - 1)).reshape(len(paths), -1)
-    n_idx, m_idx = np.divmod(np.arange(cfg.mn), M)
-    flat = (n_idx[:, None] - n_idx + N - 1) * (2 * M - 1) + (m_idx[:, None] - m_idx + M - 1)
-    receive = gains[:, None] * np.exp(2j * np.pi * dopplers[:, None]
-                                      * (np.arange(N) * t_step - delays[:, None]))
-    transmit = np.exp(-2j * np.pi * f_step * delays[:, None] * np.arange(M))
-    h = tables[:, flat].reshape(len(paths), N, M, N, M)
-    h *= receive[:, :, None, None, None] * transmit[:, None, None, None, :]
-    h = h.sum(axis=0)
-    # the path-independent factor, one exp per (n - n', m')
-    lattice = np.exp(2j * np.pi * f_step * t_step * np.arange(1 - N, N)[:, None] * np.arange(M))
-    h *= lattice[np.arange(N)[:, None] - np.arange(N) + N - 1][:, None]
-    return h.reshape(cfg.mn, cfg.mn)
+    return next(coupling_matrices(cfg, [paths]))
 
 
 def build_gram(cfg: SystemConfig) -> GramMatrix:

@@ -10,12 +10,14 @@ from mcftn_otfs import (
     build_dd_channel,
     build_gram,
     build_mimo_channel,
+    build_mimo_channels,
     build_tf_channel,
     paths_digest,
     rng_stream,
     sample_paths,
     sfft_matrix,
 )
+from mcftn_otfs import pulse
 from reference import dd_entry_quadruple_sum, tf_entry_direct
 
 IDENTITY_PATH = (DdPath(gain=1.0 + 0.0j, delay=0.0, doppler=0.0),)
@@ -221,6 +223,38 @@ def test_mimo_reproducible():
     np.testing.assert_array_equal(a.matrix, b.matrix)
     c = build_mimo_channel(cfg, rng_stream(5, "paths", 0))
     assert not np.allclose(a.matrix, c.matrix)
+
+
+def test_mimo_channels_in_blocks_equal_per_pair_builds(monkeypatch):
+    # 8x4 4x4: three realizations fill a block, so five span two blocks,
+    # each one quadrature call, drawn a block of generators at a time
+    cfg = SystemConfig(M=8, N=4, alpha=0.9, beta=0.9, theta=0.25, n_tx=4, n_rx=4)
+    calls, taken = [], []
+    table = pulse.ambiguity_table
+    monkeypatch.setattr(pulse, "ambiguity_table",
+                        lambda *args, **kwargs: calls.append(1) or table(*args, **kwargs))
+
+    def streams():
+        for r in range(5):
+            taken.append(r)
+            yield rng_stream(8, "paths", r)
+
+    blocked = build_mimo_channels(cfg, streams())
+    channels = [next(blocked)]
+    assert taken == [0, 1, 2] and len(calls) == 1
+    channels += list(blocked)
+    assert len(channels) == 5 and len(calls) == 2
+    monkeypatch.undo()
+    sfft = sfft_matrix(cfg)
+    for r, mimo in enumerate(channels):
+        np.testing.assert_array_equal(mimo.matrix,
+                                      build_mimo_channel(cfg, rng_stream(8, "paths", r)).matrix)
+        for k, child in enumerate(rng_stream(8, "paths", r).spawn(16)):
+            alone = build_dd_channel(sample_paths(cfg, child), cfg, sfft)
+            block = mimo.blocks[k // 4][k % 4]
+            assert block.paths == alone.paths
+            np.testing.assert_array_equal(block.h_tf, alone.h_tf)
+            np.testing.assert_array_equal(block.h_dd, alone.h_dd)
 
 
 # ---------------------------------------------------------------- digests ----

@@ -64,9 +64,10 @@ def test_unknown_config_key_exits_1(tmp_path, capsys):
     {"theta": "x"},
     {"alpha": 0.7, "allow_small_alpha": "no"},
     {"T0": 10 ** 400},
+    {"nu_max": 1e6},
 ], ids=["seed-float", "snr-scalar", "snr-text", "realizations-text", "frames-float",
         "tau-max-nan", "t0-nan", "nu-max-inf", "m-bool", "alpha-bool", "theta-text",
-        "small-alpha-text", "t0-huge-int"])
+        "small-alpha-text", "t0-huge-int", "nu-max-huge"])
 def test_malformed_config_value_exits_1(tmp_path, capsys, bad):
     conf = tmp_path / "bad.json"
     conf.write_text(json.dumps({"M": 2, "N": 2, "n_realizations": 1, **bad}))

@@ -15,6 +15,7 @@ from mcftn_otfs import (
     build_dd_channel,
     build_gram,
     build_mimo_channel,
+    build_mimo_channels,
     build_mimo_effective,
     demap_symbols,
     draw_dd_noise,
@@ -394,3 +395,35 @@ def test_realization_values_do_not_depend_on_the_count(cfg, metric, constellatio
     assert long.channel_digests[:k] == short.channel_digests
     for cell, values in short.values.items():
         np.testing.assert_array_equal(long.values[cell][:k], values)
+
+
+# ---------------------------------------------------------------- blocks ----
+
+# three 8x4 4x4 realizations fill a block of channel draws, so five span two
+BLOCKED = SweepSpec(config=SystemConfig(M=8, N=4, alpha=0.9, beta=0.9, theta=0.25,
+                                        n_tx=4, n_rx=4, seed=2),
+                    snr_points_db=(0.0, 10.0), n_realizations=5, schemes=("sic", "wf_relaxed"))
+
+
+def test_sweep_over_blocks_equals_per_realization_loop(monkeypatch):
+    blocked = run_sweep(BLOCKED)
+    monkeypatch.setattr(montecarlo, "build_mimo_channels",
+                        lambda cfg, rngs, sfft: (build_mimo_channel(cfg, rng) for rng in rngs))
+    alone = run_sweep(BLOCKED)
+    assert blocked.channel_digests == alone.channel_digests
+    assert blocked.values.keys() == alone.values.keys()
+    for cell, values in blocked.values.items():
+        np.testing.assert_array_equal(values, alone.values[cell])
+    assert blocked.points == alone.points
+
+
+def test_sweep_integrates_once_per_gram_and_block(monkeypatch):
+    from mcftn_otfs import pulse
+
+    calls = []
+    table = pulse.ambiguity_table
+    monkeypatch.setattr(pulse, "ambiguity_table",
+                        lambda *args, **kwargs: calls.append(1) or table(*args, **kwargs))
+    run_sweep(BLOCKED)
+    assert len(calls) == 1 + 2
+    assert montecarlo.build_mimo_channels is build_mimo_channels

@@ -257,3 +257,28 @@ def test_capacity_grows_with_antennas():
         cfg, gram, _, d = mimo_instance(99, n_ant=n_ant)
         caps.append(sic_precode(cfg, d, gram)[1])
     assert caps[1] > caps[0]
+
+
+def test_sic_skips_only_the_unread_last_product(monkeypatch):
+    # sic reads the interference of the streams before each one only, so the
+    # last stream's outer product is not formed; wf_structured's later sweeps
+    # read it, so it keeps it, and both give the bits of the full sweep
+    from mcftn_otfs import precode_mimo
+    from mcftn_otfs.precode_siso import normalized_capacity
+
+    cfg, gram, _, d = mimo_instance(97)
+    sweep, cached = precode_mimo._sweep, []
+
+    def recorded(*args, **kwargs):
+        bits = sweep(*args, **kwargs)
+        cached.append([o is not None for o in args[4]])
+        return bits
+
+    monkeypatch.setattr(precode_mimo, "_sweep", recorded)
+    p_sic, cap_sic = sic_precode(cfg, d, gram)
+    p_one, _ = wf_structured(cfg, d, gram, max_sweeps=1)
+    assert cached == [[True, False], [True, True]]
+    np.testing.assert_array_equal(p_sic, p_one)
+    p_full = np.zeros_like(p_sic)
+    assert cap_sic == normalized_capacity(sweep(cfg, d, gram, p_full, [None] * cfg.n_tx), cfg)
+    np.testing.assert_array_equal(p_sic, p_full)

@@ -1,5 +1,7 @@
 """Pulse shape, cross-ambiguity quadrature and Gram matrix tests."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy import integrate
@@ -15,8 +17,11 @@ from mcftn_otfs import (
     ambiguity_table,
     build_gram,
     build_tf_channel,
+    rng_stream,
+    sample_paths,
 )
-from mcftn_otfs.pulse import coupling_matrix, lattice_pulse
+from mcftn_otfs import pulse as pulse_module
+from mcftn_otfs.pulse import _CHUNK_NODES, coupling_matrices, coupling_matrix, lattice_pulse
 from reference import (
     ambiguity_spectral,
     ambiguity_time,
@@ -126,11 +131,13 @@ def test_pulse_validation():
     for bad in (0.0, -1.0, float("nan"), float("inf"), 10 ** 400):
         with pytest.raises(ConfigError, match="T0"):
             RrcPulse(theta=0.25, T0=bad)
-    # the node count sizes the pulse's quadrature grid: an integer of at least 2
-    for bad in (1, 0, 2.5, "64", True, None):
+    # the node count sizes the pulse's quadrature grid: an integer of at least
+    # 2, and at most the 512 of which one chunk of a table holds a 64 T0 row
+    for bad in (1, 0, 2.5, "64", True, None, 513):
         with pytest.raises(ConfigError, match="nodes_per_t0"):
             RrcPulse(theta=0.25, nodes_per_t0=bad)
     assert RrcPulse(theta=0.25, nodes_per_t0=np.int64(2)).nodes_per_t0 == 2
+    assert RrcPulse(theta=0.25, nodes_per_t0=512).nodes_per_t0 == _CHUNK_NODES // 64
 
 
 # ------------------------------------------------------------- ambiguity ----
@@ -541,3 +548,121 @@ def test_from_matrix_accepts_identity():
     assert gram.n_active == 5
     assert gram.condition_number == pytest.approx(1.0)
     np.testing.assert_allclose(gram.inv_sqrt, np.eye(5), atol=1e-12)
+
+
+# ------------------------------------------------------ batched assembly ----
+
+def draw_sets(cfg, n_draws, seed=5):
+    """The path sets of `n_draws` draws, every antenna pair, as triples."""
+    return [[(p.gain, p.delay, p.doppler) for p in sample_paths(cfg, child)]
+            for d in range(n_draws)
+            for child in rng_stream(seed, "paths", d).spawn(cfg.n_rx * cfg.n_tx)]
+
+
+def stacked_rows(cfg, sets):
+    """Delays and Dopplers of the sets' table rows, one table per set."""
+    taus = np.arange(1 - cfg.N, cfg.N) * cfg.alpha * cfg.T0
+    delays = np.array([np.concatenate([taus - delay for _, delay, _ in paths]) for paths in sets])
+    dopplers = np.array([np.repeat([doppler for *_, doppler in paths], len(taus))
+                         for paths in sets])
+    return delays, dopplers
+
+
+@pytest.mark.parametrize("M, N, n_rx, n_tx, n_draws", [
+    (8, 4, 1, 1, 48), (16, 16, 1, 1, 8), (16, 8, 4, 4, 1), (16, 8, 2, 2, 4),
+    (1, 16, 4, 4, 1), (16, 1, 1, 1, 64), (13, 7, 3, 2, 1)])
+def test_batched_assembly_equals_per_set_calls(M, N, n_rx, n_tx, n_draws):
+    cfg = SystemConfig(M=M, N=N, alpha=0.9, beta=0.9, theta=0.25, n_rx=n_rx, n_tx=n_tx)
+    sets = draw_sets(cfg, n_draws)
+    batched = coupling_matrices(cfg, sets)
+    for paths in sets:
+        np.testing.assert_array_equal(next(batched), coupling_matrix(cfg, paths))
+    assert next(batched, None) is None
+
+
+def test_batched_assembly_of_mixed_sets_equals_per_set_calls(monkeypatch):
+    # sets of other sizes, a Doppler past nu_max (a finer pulse) and no paths
+    # each break the run of sets that share a call
+    cfg = SystemConfig(M=4, N=3, alpha=0.9, beta=0.9, theta=0.25)
+    sets = [[(0.5 - 0.2j, 0.3, 0.05)], [(1.0, 0.0, 0.0), (0.2j, 1.1, -0.08)], [],
+            [(0.7, 0.4, 10 * cfg.nu_max)], [(0.1, 0.2, 0.01)], [(0.3 + 0.1j, 1.7, -0.02)]]
+    calls = []
+    table = pulse_module.ambiguity_table
+    monkeypatch.setattr(pulse_module, "ambiguity_table",
+                        lambda *args, **kwargs: calls.append(1) or table(*args, **kwargs))
+    assert lattice_pulse(cfg, [10 * cfg.nu_max]) != lattice_pulse(cfg, [])
+    batched = list(coupling_matrices(cfg, sets))
+    assert len(calls) == 4
+    monkeypatch.undo()
+    for h, paths in zip(batched, sets, strict=True):
+        np.testing.assert_array_equal(h, coupling_matrix(cfg, paths))
+
+
+def test_ambiguity_table_stacked_tables_equal_single_calls():
+    # 9 rows a table at 8 rows a chunk: alone, a table ends in a one-row chunk
+    cfg = SystemConfig(M=3, N=5, alpha=0.9, beta=0.9, theta=0.25)
+    pulse = RrcPulse(cfg.theta, cfg.T0, nodes_per_t0=64)
+    assert _CHUNK_NODES // (64 * 64) == 8
+    sets = [[(1.0, 0.0, 0.02)], [(1.0, 0.4, -0.05)], [(1.0, 1.3, 0.1)]]
+    delays, dopplers = stacked_rows(cfg, sets)
+    stacked = ambiguity_table(pulse, cfg, delays, dopplers)
+    assert stacked.shape == (3, 9, 5)
+    for table, delay, doppler in zip(stacked, delays, dopplers):
+        np.testing.assert_array_equal(table, ambiguity_table(pulse, cfg, delay, doppler))
+    with pytest.raises(ConfigError, match="delays"):
+        ambiguity_table(pulse, cfg, delays[None], dopplers[None])
+
+
+def test_ambiguity_table_rows_do_not_depend_on_the_rows_beside_them():
+    # the 720 rows of a 16x8 4x4 draw fill more than numpy's 256 KiB
+    # temporary elision size; the first 45 come out the same alone
+    cfg = SystemConfig(M=16, N=8, alpha=0.9, beta=0.9, theta=0.25, n_rx=4, n_tx=4)
+    delays, dopplers = (a.ravel() for a in stacked_rows(cfg, draw_sets(cfg, 1)))
+    pulse = lattice_pulse(cfg, [])
+    table = ambiguity_table(pulse, cfg, delays, dopplers)
+    assert table.shape == (720, 31) and table.nbytes > 256 * 1024
+    np.testing.assert_array_equal(table[:45],
+                                  ambiguity_table(pulse, cfg, delays[:45], dopplers[:45]))
+
+
+def test_block_quadrature_memory_does_not_grow_with_its_tables():
+    # a 16x16 block holds the draws whose rows times nodes per T0 fit one
+    # chunk; the call's temporaries stay those of one table
+    cfg = SystemConfig(M=16, N=16, alpha=0.9, beta=0.9, theta=0.25)
+    pulse = lattice_pulse(cfg, [])
+    n_block = _CHUNK_NODES // (cfg.L * (2 * cfg.N - 1) * pulse.nodes_per_t0)
+    assert n_block == 7
+    delays, dopplers = stacked_rows(cfg, draw_sets(cfg, n_block))
+
+    def peak(k):
+        ambiguity_table(pulse, cfg, delays[:k], dopplers[:k])
+        tracemalloc.start()
+        try:
+            tables = ambiguity_table(pulse, cfg, delays[:k], dopplers[:k])
+            return tracemalloc.get_traced_memory()[1] - tables.nbytes
+        finally:
+            tracemalloc.stop()
+
+    one, block = peak(1), peak(n_block)
+    assert block <= 1.1 * one
+    assert block < 3 * 2 ** 20
+
+
+def test_huge_frequency_offset_is_a_config_error():
+    # a Doppler of 1e6 would ask for a 2.5-million-node rule per T0
+    cfg = SystemConfig(M=2, N=2, theta=0.25)
+    with pytest.raises(ConfigError, match="quadrature nodes"):
+        coupling_matrix(cfg, [(1.0, 0.1, 1e6)])
+    with pytest.raises(ConfigError, match="quadrature nodes"):
+        build_gram(cfg.replace(nu_max=1e6))
+
+
+@pytest.mark.parametrize("path", [
+    ("1", 0.1, 0.01), (1.0, 0.1), (1.0, 0.1, 0.01, 0.0), 1.0, None, (1.0, 0.1j, 0.0),
+    (1.0, 0.1, "0"), (True, 0.1, 0.0), (1.0, [0.1], 0.0)],
+    ids=["text-gain", "pair", "four", "scalar", "none", "complex-delay", "text-doppler",
+         "bool-gain", "list-delay"])
+def test_malformed_path_rejected(path):
+    cfg = SystemConfig(M=2, N=2, theta=0.25)
+    with pytest.raises(ConfigError, match="path"):
+        coupling_matrix(cfg, [(1.0, 0.0, 0.0), path])
