@@ -31,9 +31,7 @@ from .channel import (
 )
 from .noise import NoiseModel, draw_dd_noise, draw_mimo_noise, make_noise_model
 from .precode_siso import (
-    SisoPrecoder,
     build_effective_channel,
-    siso_capacity,
     solve_siso,
     waterfill,
 )

@@ -26,8 +26,8 @@ from .channel import build_mimo_channels, paths_digest
 from .core import ConfigError, SystemConfig, check_snr_db, is_integer, rng_stream, sfft_matrix
 from .link import bits_per_symbol, demap_symbols, map_bits, mmse_weights, wilson_interval
 from .noise import draw_mimo_noise
-from .precode_mimo import build_mimo_effective, relaxed_fill, sic_precode, wf_structured
-from .precode_siso import modes, unit_fill, unprecoded_fill
+from .precode_mimo import build_mimo_effective, sic_precode, wf_structured
+from .precode_siso import SISO_DESIGNS, modes, relaxed_fill
 from .pulse import build_gram
 
 METRICS = ("capacity", "ber")
@@ -36,8 +36,9 @@ METRICS = ("capacity", "ber")
 # Each scheme is a pair (factor, design). factor(cfg, gram, D) does the SNR-
 # independent work on the realization's whitened channel D once and is shared
 # by every scheme naming it; design(cfg_snr, *factor) -> (P, normalized
-# capacity) serves both metrics. The siso_* schemes are the one-antenna case
-# of the stacked factor: siso_pa is wf_relaxed on a single stream.
+# capacity) serves both metrics. The siso_* rows are SISO_DESIGNS on the
+# stacked factor, of which they are the one-antenna case: siso_pa is
+# wf_relaxed on a single stream.
 
 def _mimo_factor(cfg, gram, D):
     return D, gram
@@ -48,9 +49,7 @@ def _stacked_factor(cfg, gram, D):
 
 
 SCHEME_TABLE = {
-    "siso_pa": (_stacked_factor, relaxed_fill),
-    "siso_nopa": (_stacked_factor, unit_fill),
-    "siso_unprecoded": (_stacked_factor, unprecoded_fill),
+    **{name: (_stacked_factor, design) for name, design in SISO_DESIGNS.items()},
     "sic": (_mimo_factor, sic_precode),
     "wf_relaxed": (_stacked_factor, relaxed_fill),
     "wf_structured": (_mimo_factor, wf_structured),

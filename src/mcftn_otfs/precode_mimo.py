@@ -26,7 +26,7 @@ import numpy as np
 
 from .core import ConfigError, SystemConfig, is_integer
 from .pulse import GramMatrix
-from .precode_siso import LN2, fill_modes, modes, normalized_capacity
+from .precode_siso import LN2, fill_modes, modes, normalized_capacity, relaxed_fill
 
 STRUCTURED_TOL = 1e-9   # relative gain in bits below which wf_structured stops
 
@@ -144,12 +144,6 @@ def wf_baseline(cfg: SystemConfig, D: np.ndarray, gram: GramMatrix):
     """
     _check_mimo_args(cfg, D, gram)
     return relaxed_fill(cfg, *modes(D.conj().T @ D, gram.matrix, cfg.n_tx))
-
-
-def relaxed_fill(cfg: SystemConfig, U: np.ndarray, lam_d: np.ndarray, phi: np.ndarray):
-    """The SNR-dependent half of :func:`wf_baseline` on an already factored D^H D."""
-    P, bits = fill_modes(U, lam_d, phi, cfg.sigma_x2, cfg.N0)
-    return P, normalized_capacity(bits, cfg)
 
 
 def wf_structured(cfg: SystemConfig, D: np.ndarray, gram: GramMatrix, max_sweeps: int = 30):

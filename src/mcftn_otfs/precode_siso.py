@@ -12,12 +12,14 @@ kernel comes in two halves: `modes` diagonalizes once, `fill_modes`
 water-fills, forms P and counts the bits for one SNR. The water-filling is
 exact in finitely many steps: sorted by their thresholds, the active modes
 form a prefix whose water level has a closed form.
+
+`SISO_DESIGNS` maps each siso_* scheme to its design on the factored
+(U, lam, phi); the sweep and `solve_siso` both dispatch through it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -127,25 +129,25 @@ def fill_modes(U: np.ndarray, lam: np.ndarray, phi: np.ndarray, sigma_x2: float,
     return U * np.sqrt(lam_p), mode_bits(lam_p, lam, sigma_x2, N0)
 
 
-def unit_modes(U: np.ndarray, lam: np.ndarray, sigma_x2: float, N0: float, precoded=True):
-    """Unit power on every mode, in the eigenbasis (P = U) or unprecoded (P = I).
-    Both meet the budget exactly, tr(G P P^H) = tr(G) = MN per antenna, and carry
-    the same bits, since log det(I + c D^H D) only sees the eigenvalues.
-    Returns (P, bits) like :func:`fill_modes`."""
-    P = U if precoded else np.eye(lam.size, dtype=complex)
-    return P, mode_bits(np.ones_like(lam), lam, sigma_x2, N0)
+def relaxed_fill(cfg: SystemConfig, U: np.ndarray, lam: np.ndarray, phi: np.ndarray):
+    """The siso_pa design, water-filled P = U Lam_P^{1/2}: returns (P, normalized
+    capacity). On a stacked D^H D it is the SNR-dependent half of
+    :func:`~mcftn_otfs.precode_mimo.wf_baseline`."""
+    P, bits = fill_modes(U, lam, phi, cfg.sigma_x2, cfg.N0)
+    return P, normalized_capacity(bits, cfg)
 
 
 def unit_fill(cfg: SystemConfig, U: np.ndarray, lam: np.ndarray, phi: np.ndarray):
-    """The siso_nopa design, P = U: returns (P, normalized capacity)."""
-    P, bits = unit_modes(U, lam, cfg.sigma_x2, cfg.N0)
-    return P, normalized_capacity(bits, cfg)
+    """The siso_nopa design, unit power on every mode, P = U: returns (P,
+    normalized capacity). It meets the budget exactly, tr(G P P^H) = tr(G) = MN
+    per antenna, and carries the same bits as P = I, since
+    log det(I + c D^H D) only sees the eigenvalues."""
+    return U, normalized_capacity(mode_bits(np.ones_like(lam), lam, cfg.sigma_x2, cfg.N0), cfg)
 
 
 def unprecoded_fill(cfg: SystemConfig, U: np.ndarray, lam: np.ndarray, phi: np.ndarray):
     """The siso_unprecoded design, P = I: returns (P, normalized capacity)."""
-    P, bits = unit_modes(U, lam, cfg.sigma_x2, cfg.N0, precoded=False)
-    return P, normalized_capacity(bits, cfg)
+    return np.eye(lam.size, dtype=complex), unit_fill(cfg, U, lam, phi)[1]
 
 
 def normalized_capacity(bits: float, cfg: SystemConfig) -> float:
@@ -153,39 +155,22 @@ def normalized_capacity(bits: float, cfg: SystemConfig) -> float:
     return bits / (cfg.alpha * cfg.beta * cfg.mn * cfg.E0)
 
 
-@dataclass
-class SisoPrecoder:
-    """Solved single-antenna precoder: the whitened channel, its eigenvalues,
-    P itself and the bits it carries at the solve's SNR."""
-
-    D: np.ndarray
-    lam_d: np.ndarray         # eigenvalues of D^H D, descending
-    P: np.ndarray
-    bits: float               # log2 det(I + (sigma_x2/N0) P^H D^H D P)
+# the single-antenna schemes: name -> design(cfg, U, lam, phi) -> (P, capacity)
+SISO_DESIGNS = {
+    "siso_pa": relaxed_fill,
+    "siso_nopa": unit_fill,
+    "siso_unprecoded": unprecoded_fill,
+}
 
 
 def solve_siso(cfg: SystemConfig, gram: GramMatrix, h_dd: np.ndarray,
-               sfft: np.ndarray, mode: str = "pa") -> SisoPrecoder:
-    """Build D, diagonalize it, allocate power and count the bits at cfg's SNR.
+               sfft: np.ndarray, scheme: str = "siso_pa"):
+    """Build D, diagonalize D^H D and run the `scheme` design at cfg's SNR.
 
-    mode "pa": water-filled allocation (`fill_modes`). modes "nopa" (P = U,
-    which removes self-interference but leaves capacity on the table) and
-    "unprecoded" (P = I) are `unit_modes`. This is the one-antenna case of
-    the stacked design: the sweep reaches the same U, allocation and
-    capacity through `modes` and the same fills on the stacked channel.
+    This is the sweep's `scheme` on one channel: the same whitening, `modes`
+    and design, so it returns the same (P, normalized capacity).
     """
-    if mode not in ("pa", "nopa", "unprecoded"):
-        raise ConfigError(f"unknown precoder mode {mode!r}")
+    if scheme not in SISO_DESIGNS:
+        raise ConfigError(f"unknown SISO scheme {scheme!r}; valid: {', '.join(SISO_DESIGNS)}")
     D = build_effective_channel(gram, h_dd, sfft)
-    U, lam_d, phi = modes(D.conj().T @ D, gram.matrix)
-    if mode == "pa":
-        P, bits = fill_modes(U, lam_d, phi, cfg.sigma_x2, cfg.N0)
-    else:
-        P, bits = unit_modes(U, lam_d, cfg.sigma_x2, cfg.N0, mode == "nopa")
-    return SisoPrecoder(D=D, lam_d=lam_d, P=P, bits=bits)
-
-
-def siso_capacity(pre: SisoPrecoder, cfg: SystemConfig) -> float:
-    """Capacity of the solved precoder normalized per unit of occupied
-    time-frequency-energy, bits / (alpha beta M N E0)."""
-    return normalized_capacity(pre.bits, cfg)
+    return SISO_DESIGNS[scheme](cfg, *modes(D.conj().T @ D, gram.matrix))

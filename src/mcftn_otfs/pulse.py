@@ -38,6 +38,8 @@ from .core import (
 SPAN = 32    # truncation half-width of every pulse, in units of T0
 # nodes per ambiguity_table chunk: keeps each temporary near 0.5 MiB at any grid
 _CHUNK_NODES = 2 ** 15
+# most quadrature nodes per T0: one chunk then holds a whole row of the 2*SPAN*T0 grid
+MAX_NODES_PER_T0 = _CHUNK_NODES // (2 * SPAN)
 
 
 @lru_cache(maxsize=16)
@@ -87,10 +89,8 @@ class RrcPulse:
             raise ConfigError(f"theta must lie in [0, 1], got {self.theta}")
         if not (is_finite(self.T0) and self.T0 > 0.0):
             raise ConfigError(f"T0 must be finite and positive, got {self.T0!r}")
-        # one chunk of an ambiguity table must hold at least one row of the grid
-        most = _CHUNK_NODES // (2 * SPAN)
-        if not is_integer(self.nodes_per_t0) or not 2 <= self.nodes_per_t0 <= most:
-            raise ConfigError(f"nodes_per_t0 must be an integer from 2 to {most}, "
+        if not is_integer(self.nodes_per_t0) or not 2 <= self.nodes_per_t0 <= MAX_NODES_PER_T0:
+            raise ConfigError(f"nodes_per_t0 must be an integer from 2 to {MAX_NODES_PER_T0}, "
                               f"got {self.nodes_per_t0!r}")
 
     @property
@@ -340,8 +340,8 @@ class GramMatrix:
     eigenvectors: np.ndarray         # columns match eigenvalue order
     active: np.ndarray               # bool mask over modes
     floor: float                     # absolute deactivation threshold
-    sqrt: np.ndarray = field(repr=False, default=None)
-    inv_sqrt: np.ndarray = field(repr=False, default=None)
+    sqrt: np.ndarray = field(repr=False)
+    inv_sqrt: np.ndarray = field(repr=False)
 
     FLOOR_REL = 1e-10
     PSD_TOL = 1e-8
@@ -416,9 +416,9 @@ def _carriers(pulse: RrcPulse, f_step: float, M: int) -> np.ndarray:
     return carriers
 
 
-def ambiguity_table(pulse, cfg: SystemConfig, delays: np.ndarray, doppler: float | np.ndarray = 0.0,
-                    delay_shift: float = 0.0) -> np.ndarray:
-    """A(dm*beta*delta_f0 - doppler, tau - delay_shift) for all grid offsets.
+def ambiguity_table(pulse, cfg: SystemConfig, delays: np.ndarray,
+                    doppler: float | np.ndarray = 0.0) -> np.ndarray:
+    """A(dm*beta*delta_f0 - doppler, tau) for all grid offsets.
 
     Returns a (len(delays), 2M-1) table indexed by [dn + N - 1, dm + M - 1]
     when `delays` is the signed tau lattice. A 2-D `delays` holds several
@@ -430,7 +430,7 @@ def ambiguity_table(pulse, cfg: SystemConfig, delays: np.ndarray, doppler: float
     matrices of several path sets from one call, a table per set.
     """
     f_step = cfg.beta * cfg.delta_f0
-    delays = np.atleast_1d(np.asarray(delays, dtype=float)) - delay_shift
+    delays = np.atleast_1d(np.asarray(delays, dtype=float))
     dopplers = np.asarray(doppler, dtype=float)
     if delays.ndim > 2:
         raise ConfigError(f"delays must be one table or a 2-D stack of tables, "
@@ -470,10 +470,10 @@ def lattice_pulse(cfg: SystemConfig, dopplers) -> RrcPulse:
         )
     fmax = (cfg.M - 1) * cfg.beta * cfg.delta_f0 + max([cfg.nu_max, *map(abs, dopplers)])
     nodes = int(np.ceil(2.5 * fmax * cfg.T0)) + 16
-    if nodes > _CHUNK_NODES // (2 * SPAN):
+    if nodes > MAX_NODES_PER_T0:
         raise ConfigError(f"a largest frequency offset of {fmax:g} (carriers and Doppler) "
                           f"needs {nodes} quadrature nodes per T0, more than the "
-                          f"{_CHUNK_NODES // (2 * SPAN)} a pulse holds")
+                          f"{MAX_NODES_PER_T0} a pulse holds")
     return _cached_pulse(cfg.theta, cfg.T0, nodes)
 
 

@@ -338,9 +338,9 @@ def test_criterion_10_mmse_ber_sanity():
     a = sfft_matrix(cfg)
     ch = build_dd_channel((DdPath(gain=1.0 + 0.0j, delay=0.0, doppler=0.0),),
                           cfg)
-    pre = solve_siso(cfg, gram, ch.h_dd, a, mode="pa")
+    P, _ = solve_siso(cfg, gram, ch.h_dd, a, "siso_pa")
     model = make_noise_model(cfg.N0, gram, a)
-    b = ch.h_dd @ pre.P
+    b = ch.h_dd @ P
     w = mmse_weights(b, model.covariance, cfg.sigma_x2)
     rng = rng_stream(cfg.seed, "awgn-check", 0)
     n_frames = 31_250

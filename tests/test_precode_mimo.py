@@ -14,7 +14,6 @@ from mcftn_otfs import (
     rng_stream,
     sfft_matrix,
     sic_precode,
-    siso_capacity,
     solve_siso,
     wf_baseline,
     wf_structured,
@@ -68,13 +67,14 @@ def test_mimo_effective_shape_check():
 def test_sic_single_antenna_equals_siso():
     cfg, gram, mimo, d = mimo_instance(72, n_ant=1)
     p, cap = sic_precode(cfg, d, gram)
-    pre = solve_siso(cfg, gram, mimo.matrix, sfft_matrix(cfg), mode="pa")
+    p_siso, cap_siso = solve_siso(cfg, gram, mimo.matrix, sfft_matrix(cfg))
     # same optimum through a different code path: compare the precoder's
     # outer product (eigenvector phases are arbitrary), which fixes the
     # eigenbasis and the powers, and the bits it carries
-    np.testing.assert_allclose(p @ p.conj().T, pre.P @ pre.P.conj().T, atol=1e-9)
-    assert per_stream_rates(cfg, d, [p])[0] == pytest.approx(pre.bits, rel=1e-10)
-    assert cap == pytest.approx(siso_capacity(pre, cfg), rel=1e-10)
+    np.testing.assert_allclose(p @ p.conj().T, p_siso @ p_siso.conj().T, atol=1e-9)
+    bits = cap_siso * (cfg.alpha * cfg.beta * cfg.mn * cfg.E0)
+    assert per_stream_rates(cfg, d, [p])[0] == pytest.approx(bits, rel=1e-10)
+    assert cap == pytest.approx(cap_siso, rel=1e-10)
 
 
 def test_sic_block_budgets_met_exactly():
@@ -104,10 +104,10 @@ def test_sic_decoupled_blocks_reduce_to_independent_siso():
     d_block = np.block([[d1, zero], [zero, d2]])
     cfg2 = cfg.replace(n_tx=2, n_rx=2)
     p, _ = sic_precode(cfg2, d_block, gram)
-    pre1 = solve_siso(cfg, gram, mimo.matrix, a, mode="pa")
-    pre2 = solve_siso(cfg, gram, mimo2.matrix, a, mode="pa")
+    bits = [solve_siso(cfg, gram, h, a)[1] * (cfg.alpha * cfg.beta * cfg.mn * cfg.E0)
+            for h in (mimo.matrix, mimo2.matrix)]
     rates = per_stream_rates(cfg2, d_block, diagonal_blocks(p, 2))
-    np.testing.assert_allclose(rates, [pre1.bits, pre2.bits], rtol=1e-9)
+    np.testing.assert_allclose(rates, bits, rtol=1e-9)
 
 
 def test_sic_validation():
@@ -181,9 +181,9 @@ def test_per_stream_rates_of_designed_precoder():
 def test_wf_baseline_single_antenna_equals_siso():
     cfg, gram, mimo, d = mimo_instance(83, n_ant=1)
     p, cap = wf_baseline(cfg, d, gram)
-    pre = solve_siso(cfg, gram, mimo.matrix, sfft_matrix(cfg), mode="pa")
-    assert cap == pytest.approx(siso_capacity(pre, cfg), rel=1e-10)
-    np.testing.assert_allclose(p @ p.conj().T, pre.P @ pre.P.conj().T, atol=1e-9)
+    p_siso, cap_siso = solve_siso(cfg, gram, mimo.matrix, sfft_matrix(cfg))
+    assert cap == pytest.approx(cap_siso, rel=1e-10)
+    np.testing.assert_allclose(p @ p.conj().T, p_siso @ p_siso.conj().T, atol=1e-9)
 
 
 @pytest.mark.parametrize("trial", range(5))

@@ -15,11 +15,14 @@ from mcftn_otfs import (
     rng_stream,
     sample_paths,
     sfft_matrix,
-    siso_capacity,
     solve_siso,
     waterfill,
 )
+from mcftn_otfs.precode_siso import SISO_DESIGNS, fill_modes, modes
 from reference import waterfill_enum, waterfill_pg
+
+
+SISO_SCHEMES = tuple(SISO_DESIGNS)
 
 
 def random_instance(seed, M=2, N=2, alpha=0.8, beta=0.9, **kw):
@@ -28,6 +31,16 @@ def random_instance(seed, M=2, N=2, alpha=0.8, beta=0.9, **kw):
     paths = sample_paths(cfg, rng_stream(seed, "paths", 0))
     ch = build_dd_channel(paths, cfg)
     return cfg, gram, ch
+
+
+def effective_modes(cfg, gram, h_dd):
+    """D and the (U, lam, phi) that `solve_siso` designs on."""
+    d = build_effective_channel(gram, h_dd, sfft_matrix(cfg))
+    return d, modes(d.conj().T @ d, gram.matrix)
+
+
+def short_id(scheme):
+    return scheme.removeprefix("siso_")
 
 
 # ---------------------------------------------------- effective channel ----
@@ -66,12 +79,12 @@ def test_effective_channel_is_one_antenna_stacked_whitening():
 
 def test_eigenvalues_match_independent_svd():
     cfg, gram, ch = random_instance(21)
-    pre = solve_siso(cfg, gram, ch.h_dd, sfft_matrix(cfg))
+    _, (_, lam, _) = effective_modes(cfg, gram, ch.h_dd)
     # scipy's matrix square root and SVD, no shared code with the package
     g_inv_half = sla.inv(sla.sqrtm(gram.matrix))
     d_ref = g_inv_half @ sfft_matrix(cfg).conj().T @ ch.h_dd
     s_ref = np.sort(sla.svd(d_ref, compute_uv=False))[::-1] ** 2
-    np.testing.assert_allclose(pre.lam_d, s_ref, atol=1e-9)
+    np.testing.assert_allclose(lam, s_ref, atol=1e-9)
 
 
 # ---------------------------------------------------------- water-filling ----
@@ -181,25 +194,27 @@ def test_waterfill_beats_random_feasible_points(trial):
 
 # ---------------------------------------------------------------- precoder ----
 
-def test_solve_siso_rejects_unknown_mode():
+@pytest.mark.parametrize("scheme", ["zf", "pa", "sic"])
+def test_solve_siso_rejects_unknown_mode(scheme):
     cfg, gram, ch = random_instance(31)
-    with pytest.raises(ConfigError):
-        solve_siso(cfg, gram, ch.h_dd, sfft_matrix(cfg), mode="zf")
+    with pytest.raises(ConfigError, match="siso_pa, siso_nopa, siso_unprecoded"):
+        solve_siso(cfg, gram, ch.h_dd, sfft_matrix(cfg), scheme)
 
 
-@pytest.mark.parametrize("mode", ["pa", "nopa", "unprecoded"])
-def test_energy_budget_met_exactly(mode):
+@pytest.mark.parametrize("scheme", SISO_SCHEMES, ids=short_id)
+def test_energy_budget_met_exactly(scheme):
     cfg, gram, ch = random_instance(32, N0=0.5)
-    pre = solve_siso(cfg, gram, ch.h_dd, sfft_matrix(cfg), mode=mode)
-    spent = float(np.trace(gram.matrix @ pre.P @ pre.P.conj().T).real)
+    P, _ = solve_siso(cfg, gram, ch.h_dd, sfft_matrix(cfg), scheme)
+    spent = float(np.trace(gram.matrix @ P @ P.conj().T).real)
     assert spent == pytest.approx(float(cfg.mn), rel=1e-8)
 
 
-@pytest.mark.parametrize("mode", ["pa", "nopa"])
-def test_precoded_channel_is_diagonal(mode):
+@pytest.mark.parametrize("scheme", ["siso_pa", "siso_nopa"], ids=short_id)
+def test_precoded_channel_is_diagonal(scheme):
     cfg, gram, ch = random_instance(33, N0=0.5)
-    pre = solve_siso(cfg, gram, ch.h_dd, sfft_matrix(cfg), mode=mode)
-    eff = pre.P.conj().T @ pre.D.conj().T @ pre.D @ pre.P
+    P, _ = solve_siso(cfg, gram, ch.h_dd, sfft_matrix(cfg), scheme)
+    d, _ = effective_modes(cfg, gram, ch.h_dd)
+    eff = P.conj().T @ d.conj().T @ d @ P
     off = eff - np.diag(np.diag(eff))
     assert np.max(np.abs(off)) < 1e-10 * max(1.0, np.max(np.abs(eff)))
 
@@ -208,21 +223,18 @@ def test_precoded_channel_is_diagonal(mode):
 def test_pa_beats_nopa_beats_nothing(trial):
     cfg, gram, ch = random_instance(40 + trial, N0=0.3)
     a = sfft_matrix(cfg)
-    cap = {
-        mode: solve_siso(cfg, gram, ch.h_dd, a, mode=mode).bits
-        for mode in ("pa", "nopa", "unprecoded")
-    }
-    assert cap["pa"] >= cap["nopa"] - 1e-12
+    cap = {scheme: solve_siso(cfg, gram, ch.h_dd, a, scheme)[1] for scheme in SISO_SCHEMES}
+    assert cap["siso_pa"] >= cap["siso_nopa"] - 1e-12
     # without allocation the eigenbasis rotation is capacity-neutral
-    assert cap["nopa"] == pytest.approx(cap["unprecoded"], abs=1e-12)
-    assert cap["pa"] > 0.0
+    assert cap["siso_nopa"] == pytest.approx(cap["siso_unprecoded"], abs=1e-12)
+    assert cap["siso_pa"] > 0.0
 
 
 def test_capacity_monotone_in_snr():
     cfg, gram, ch = random_instance(55)
     a = sfft_matrix(cfg)
     caps = [
-        solve_siso(cfg.with_snr_db(db), gram, ch.h_dd, a).bits
+        solve_siso(cfg.with_snr_db(db), gram, ch.h_dd, a)[1]
         for db in (0.0, 5.0, 10.0, 20.0)
     ]
     assert all(c2 > c1 for c1, c2 in zip(caps, caps[1:]))
@@ -233,36 +245,37 @@ def test_identity_channel_capacity_closed_form():
     # the MN modes back out
     cfg = SystemConfig(M=2, N=2, N0=0.1)
     gram = GramMatrix.from_matrix(np.eye(4, dtype=complex))
-    pre = solve_siso(cfg, gram, np.eye(4, dtype=complex), sfft_matrix(cfg))
-    np.testing.assert_allclose(pre.lam_d, 1.0, atol=1e-12)
+    P, cap = solve_siso(cfg, gram, np.eye(4, dtype=complex), sfft_matrix(cfg))
+    _, (_, lam, _) = effective_modes(cfg, gram, np.eye(4, dtype=complex))
+    np.testing.assert_allclose(lam, 1.0, atol=1e-12)
     # unit power on every mode: P is unitary
-    np.testing.assert_allclose(pre.P.conj().T @ pre.P, np.eye(4), atol=1e-12)
-    assert pre.bits == pytest.approx(4.0 * np.log2(11.0), rel=1e-12)
-    assert siso_capacity(pre, cfg) == pytest.approx(np.log2(11.0), rel=1e-12)
+    np.testing.assert_allclose(P.conj().T @ P, np.eye(4), atol=1e-12)
+    bits = cap * (cfg.alpha * cfg.beta * cfg.mn * cfg.E0)
+    assert bits == pytest.approx(4.0 * np.log2(11.0), rel=1e-12)
+    assert cap == pytest.approx(np.log2(11.0), rel=1e-12)
 
 
 def test_null_channel_capacity_zero():
     cfg = SystemConfig(M=2, N=2)
     gram = GramMatrix.from_matrix(np.eye(4, dtype=complex))
-    pre = solve_siso(cfg, gram, np.zeros((4, 4), dtype=complex), sfft_matrix(cfg))
-    assert pre.bits == 0.0
-    np.testing.assert_array_equal(pre.P, 0.0)     # no mode can carry power
+    P, cap = solve_siso(cfg, gram, np.zeros((4, 4), dtype=complex), sfft_matrix(cfg))
+    assert cap == 0.0
+    np.testing.assert_array_equal(P, 0.0)     # no mode can carry power
 
 
 def test_zero_noise_capacity_infinite():
     cfg, gram, ch = random_instance(60)
-    pre = solve_siso(cfg.replace(N0=0.0), gram, ch.h_dd, sfft_matrix(cfg))
-    assert pre.bits == np.inf
+    _, cap = solve_siso(cfg.replace(N0=0.0), gram, ch.h_dd, sfft_matrix(cfg))
+    assert cap == np.inf
 
 
 def test_normalization_uses_occupancy():
     cfg, gram, ch = random_instance(61, N0=0.5)
-    pre = solve_siso(cfg, gram, ch.h_dd, sfft_matrix(cfg))
-    bits = pre.bits
-    assert siso_capacity(pre, cfg) == pytest.approx(
-        bits / (cfg.alpha * cfg.beta * cfg.mn * cfg.E0), rel=1e-14
-    )
+    _, cap = solve_siso(cfg, gram, ch.h_dd, sfft_matrix(cfg))
+    _, mode_set = effective_modes(cfg, gram, ch.h_dd)
+    _, bits = fill_modes(*mode_set, cfg.sigma_x2, cfg.N0)
+    assert cap == pytest.approx(bits / (cfg.alpha * cfg.beta * cfg.mn * cfg.E0), rel=1e-14)
     doubled = cfg.replace(E0=2.0)
-    assert siso_capacity(pre, doubled) == pytest.approx(
-        siso_capacity(pre, cfg) / 2.0, rel=1e-14
+    assert solve_siso(doubled, gram, ch.h_dd, sfft_matrix(cfg))[1] == pytest.approx(
+        cap / 2.0, rel=1e-14
     )

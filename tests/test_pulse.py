@@ -247,8 +247,8 @@ def test_ambiguity_quadrature_converged():
             assert pulse.nodes_per_t0 < reference.nodes_per_t0
             assert lattice_pulse(cfg, [-doppler]) is pulse   # cached per node count
             np.testing.assert_allclose(
-                ambiguity_table(pulse, cfg, taus, doppler, cfg.tau_max),
-                ambiguity_table(reference, cfg, taus, doppler, cfg.tau_max),
+                ambiguity_table(pulse, cfg, taus - cfg.tau_max, doppler),
+                ambiguity_table(reference, cfg, taus - cfg.tau_max, doppler),
                 rtol=0.0, atol=1e-12, err_msg=f"{M}x{N}, doppler {doppler}")
 
 
@@ -271,7 +271,7 @@ def test_ambiguity_table_edges_match_oracle(case):
     theta, M, N, alpha, doppler, delay_shift, entries = EDGE_CASES[case]
     cfg = SystemConfig(M=M, N=N, alpha=alpha, beta=alpha, theta=theta)
     taus = np.arange(-(N - 1), N) * cfg.alpha * cfg.T0
-    table = ambiguity_table(lattice_pulse(cfg, [doppler]), cfg, taus, doppler, delay_shift)
+    table = ambiguity_table(lattice_pulse(cfg, [doppler]), cfg, taus - delay_shift, doppler)
     for i, j in entries:
         f = (j - (M - 1)) * cfg.beta * cfg.delta_f0 - doppler
         ref = ambiguity_time(f, float(taus[i] - delay_shift), theta)
@@ -299,7 +299,7 @@ def test_ambiguity_table_at_largest_doppler_matches_oracle(sign):
     cfg = SystemConfig(M=8, N=4, alpha=0.9, beta=0.9, theta=0.25)
     doppler = sign * cfg.nu_max
     taus = np.arange(-(cfg.N - 1), cfg.N) * cfg.alpha * cfg.T0
-    table = ambiguity_table(lattice_pulse(cfg, [doppler]), cfg, taus, doppler, cfg.tau_max)
+    table = ambiguity_table(lattice_pulse(cfg, [doppler]), cfg, taus - cfg.tau_max, doppler)
     ref = ambiguity_time(cfg.beta * cfg.delta_f0 - doppler, taus[4] - cfg.tau_max, cfg.theta)
     assert table[4, 8] == pytest.approx(ref, abs=1e-10)
 
@@ -414,7 +414,7 @@ def test_ambiguity_table_layout():
     cfg = SystemConfig(M=3, N=2, alpha=0.9, beta=0.9, theta=0.25)
     pulse = RrcPulse(cfg.theta, cfg.T0)
     taus = np.arange(-1, 2) * cfg.alpha * cfg.T0
-    table = ambiguity_table(pulse, cfg, taus, doppler=0.05, delay_shift=0.3)
+    table = ambiguity_table(pulse, cfg, taus - 0.3, doppler=0.05)
     assert table.shape == (3, 5)
     for i, tau in enumerate(taus):
         for j, dm in enumerate(range(-2, 3)):
@@ -433,7 +433,7 @@ def test_ambiguity_table_matches_per_row_batches(delay_shift):
     pulse = RrcPulse(cfg.theta, cfg.T0)
     taus = np.arange(-(cfg.N - 1), cfg.N) * cfg.alpha * cfg.T0
     f_values = np.arange(-(cfg.M - 1), cfg.M) * cfg.beta * cfg.delta_f0 - 0.07
-    table = ambiguity_table(pulse, cfg, taus, doppler=0.07, delay_shift=delay_shift)
+    table = ambiguity_table(pulse, cfg, taus - delay_shift, doppler=0.07)
     for i, tau in enumerate(taus):
         np.testing.assert_allclose(table[i], pulse.ambiguity_batch(f_values, tau - delay_shift),
                                    rtol=0.0, atol=1e-13)
@@ -456,7 +456,7 @@ def test_ambiguity_table_per_row_doppler_matches_per_path_calls():
     table[order] = ambiguity_table(pulse, cfg, delays[order], dopplers[order])
     for p, (delay, doppler) in enumerate(paths):
         np.testing.assert_allclose(table[p * len(taus):(p + 1) * len(taus)],
-                                   ambiguity_table(pulse, cfg, taus, doppler, delay),
+                                   ambiguity_table(pulse, cfg, taus - delay, doppler),
                                    rtol=0.0, atol=1e-15, err_msg=f"path {p}")
 
 
@@ -479,7 +479,7 @@ def coupling_per_entry(cfg, paths):
     taus = np.arange(1 - cfg.N, cfg.N) * t_step
     h = np.zeros((cfg.mn, cfg.mn), dtype=complex)
     for gain, delay, doppler in paths:
-        table = ambiguity_table(pulse, cfg, taus, doppler, delay)
+        table = ambiguity_table(pulse, cfg, taus - delay, doppler)
         exponent = (doppler + m * f_step) * (dn * t_step - delay) + doppler * n * t_step
         h += gain * table[dn + cfg.N - 1, dm + cfg.M - 1] * np.exp(2j * np.pi * exponent)
     return h
