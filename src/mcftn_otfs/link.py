@@ -7,9 +7,9 @@ estimate is
 
 followed by hard per-symbol decisions. The sweep in `montecarlo` receives on
 the whitened channel the designs solved, y = D P x + sqrt(N0) w, so there
-B = D P and R_z = N0 I. It runs that chain on blocks of frames, counts bit
-errors against the transmitted bool bits and summarizes them with the Wilson
-95% confidence interval given here.
+B = D P on its live columns and R_z = N0 I. It runs that chain in real
+arithmetic on blocks of frames, counts bit errors against the bool bits and
+summarizes them with the Wilson 95% confidence interval given here.
 """
 
 from __future__ import annotations

@@ -11,7 +11,9 @@ Both metrics work on one receive domain: the whitened channel D that the
 designs solve on. The BER cell receives y = D P x + sqrt(N0) w with white w,
 which gives the same LMMSE estimate as the colored delay-Doppler link
 y = H_dd P x + z (the whitening is invertible on the active Gram modes, and
-dead modes carry neither signal nor noise into the estimate).
+dead modes carry neither signal nor noise into the estimate). The cell
+equalizes only the modes a design loads, in real arithmetic with the noise
+scale folded into the equalizer, one product per block of frames.
 """
 
 from __future__ import annotations
@@ -24,8 +26,8 @@ import numpy as np
 from . import __version__
 from .channel import build_mimo_channels, paths_digest
 from .core import ConfigError, SystemConfig, check_snr_db, is_integer, rng_stream, sfft_matrix
-from .link import bits_per_symbol, demap_symbols, map_bits, mmse_weights, wilson_interval
-from .noise import draw_mimo_noise
+from .link import bits_per_symbol, mmse_weights, wilson_interval
+from .noise import draw_standard_noise
 from .precode_mimo import build_mimo_effective, sic_precode, wf_structured
 from .precode_siso import SISO_DESIGNS, modes, relaxed_fill
 from .pulse import build_gram
@@ -142,40 +144,70 @@ class SweepResult:
 
 
 # Frames per block of the BER cell. Only the bits (bools) and the noise span
-# the whole cell; a block's symbols, receive vectors, estimates and decisions
-# do not. 512 to 2048 frames per block run equally fast, smaller blocks pay
-# more per-call overhead, and the counts do not depend on it.
+# the whole cell; a block's right-hand side (1 MiB for 2x2 QPSK on 8x4) and
+# estimates do not. On the mimo_2x2_ber sweep (one BLAS thread), 512 to 2048
+# frames ran equally fast, 128 and 256 about 10% slower and 4096 about 5%
+# slower; the counts do not depend on it.
 _BLOCK_FRAMES = 512
+
+
+def _real_form(a, k, groups, parts):
+    """Real form of the complex matrix a: rows are (row of a, first k of Re, Im),
+    columns (group of a's columns, first `parts` of Re, Im, column in group)."""
+    m = np.array([[a.real, -a.imag], [a.imag, a.real]])[:k, :parts]
+    m = m.reshape(k, parts, a.shape[0], groups, a.shape[1] // groups)
+    return m.transpose(2, 0, 3, 1, 4).reshape(k * a.shape[0], parts * a.shape[1])
 
 
 def _bit_errors(spec: SweepSpec, cfg: SystemConfig, D, precoders, r: int, si: int) -> list:
     """Bit errors of each precoder over the n_frames frames of one cell.
 
     Each frame is received on the whitened channel the designs solved,
-    y = D P x + sqrt(N0) w with white w. The data bits and noise come from
-    (seed, "bits"/"noise", r, si) and are shared by every precoder. The bits
-    are the values of one (n_bits, n_frames) integer draw, taken a row at a
-    time into bools so no integer copy of the cell is held; the frames then
-    run through mapping, receive, equalization and counting in blocks of
-    _BLOCK_FRAMES.
+    y = D P x + sqrt(N0 / 2) (z_re + 1j z_im) with z standard normal. The
+    data bits and z come from (seed, "bits"/"noise", r, si) and are shared by
+    every precoder: the bits are the values of one (n_bits, n_frames) integer
+    draw, taken a row at a time into bools so no integer copy of the cell is
+    held, and z is `draw_standard_noise`.
+
+    A zero column of B = D P (a mode the design leaves unloaded) gives a
+    zero row of the LMMSE weights W, an estimate of exactly 0 and so bit 0:
+    its errors are its 1-bits. On the live columns the estimate
+    W B x + sqrt(N0 / 2) W z is one real matrix over the bit rows of x and
+    the rows of z, whose rows (per live mode its real part, and its
+    imaginary part for QPSK) line up with the bits they decide. With the
+    precoders' matrices stacked, each block of _BLOCK_FRAMES frames costs
+    one product.
     """
-    n_bits = bits_per_symbol(spec.constellation) * cfg.n_tx * cfg.mn
+    k = bits_per_symbol(spec.constellation)
+    n_bits = k * cfg.n_tx * cfg.mn
     rng = rng_stream(cfg.seed, "bits", r, si)
     bits = np.empty((n_bits, spec.n_frames), dtype=bool)
     for row in bits:
         row[...] = rng.integers(0, 2, size=spec.n_frames)
-    z = draw_mimo_noise(cfg.N0, rng_stream(cfg.seed, "noise", r, si), cfg.n_rx,
-                        (cfg.mn, spec.n_frames))
+    z = draw_standard_noise(cfg.N0, rng_stream(cfg.seed, "noise", r, si), cfg.n_rx,
+                            (cfg.mn, spec.n_frames)).reshape(-1, spec.n_frames)
     rz = cfg.N0 * np.eye(D.shape[0])
-    links = [(b, mmse_weights(b, rz, cfg.sigma_x2)) for b in (D @ P for P in precoders)]
-    errors = [0] * len(links)
+    mats, rows, errors = [], [], []
+    for b in (D @ P for P in precoders):
+        live = np.any(b != 0.0, axis=0)
+        w = mmse_weights(b[:, live], rz, cfg.sigma_x2)
+        mats.append(np.hstack([_real_form(w @ b, k, b.shape[1], k),
+                               _real_form(np.sqrt(cfg.N0 / 2.0) * w, k, cfg.n_rx, 2)]))
+        decided = np.repeat(live, k)
+        rows.append(np.flatnonzero(decided))
+        errors.append(np.count_nonzero(bits[~decided]))
+    mat, sel, ends = np.vstack(mats), np.concatenate(rows), np.cumsum([len(i) for i in rows])
+    amp = np.sqrt(cfg.sigma_x2 / k)
+    rhs = np.empty((n_bits + z.shape[0], min(_BLOCK_FRAMES, spec.n_frames)))
     for start in range(0, spec.n_frames, _BLOCK_FRAMES):
         block = slice(start, start + _BLOCK_FRAMES)
-        x = map_bits(bits[:, block], spec.constellation, cfg.sigma_x2)
-        for i, (b, w) in enumerate(links):
-            y = b @ x
-            y += z[:, block]
-            errors[i] += np.count_nonzero(bits[:, block] != demap_symbols(w @ y, spec.constellation))
+        x = rhs[:, :bits[:, block].shape[1]]
+        np.multiply(bits[:, block], -2.0 * amp, out=x[:n_bits])    # exactly +-amp
+        x[:n_bits] += amp
+        x[n_bits:] = z[:, block]
+        wrong = (mat @ x < 0.0) != bits[sel, block]
+        for i, part in enumerate(np.split(wrong, ends[:-1])):
+            errors[i] += np.count_nonzero(part)
     return errors
 
 

@@ -8,8 +8,9 @@ time-frequency covariance is N0 * G; in the delay-Doppler domain a draw is
 with covariance N0 * A G A^H (`make_noise_model`, `draw_dd_noise`). The
 whitening G^{-1/2} A^H that every design applies to the channel turns that
 draw back into sqrt(N0) w on the active Gram modes, so the sweep receives in
-the whitened domain and draws white noise directly (`draw_mimo_noise`).
-Receive antennas see independent draws.
+the whitened domain and draws white noise directly: `draw_standard_noise`
+gives the raw normals in stream order and `draw_mimo_noise` the scaled
+complex draw. Receive antennas see independent draws.
 """
 
 from __future__ import annotations
@@ -58,24 +59,26 @@ def draw_dd_noise(model: NoiseModel, rng: np.random.Generator, n: int | None = N
     return np.sqrt(model.N0) * (model.coloring @ w)
 
 
-def draw_mimo_noise(N0: float, rng: np.random.Generator, n_rx: int, shape) -> np.ndarray:
-    """Stacked white noise sqrt(N0) w for n_rx antennas of the given shape each.
+def draw_standard_noise(N0: float, rng: np.random.Generator, n_rx: int, shape) -> np.ndarray:
+    """The standard normals behind n_rx antennas of white noise, (n_rx, 2) + shape.
 
-    Antenna 0's block is drawn first, then antenna 1's, and so on, each as
-    its real parts before its imaginary parts, so the stream consumption
-    order is part of the reproducibility contract. The draws go through one
-    real scratch buffer into a preallocated complex array and are scaled in
-    place by 1/sqrt(2) and then sqrt(N0): the same values as
-    (re + 1j im) / sqrt(2) * sqrt(N0), without the complex temporaries.
+    Antenna 0's real parts are drawn first, then its imaginary parts, then
+    antenna 1's, and so on: the stream consumption order is part of the
+    reproducibility contract. The noise is sqrt(N0 / 2) (re + 1j im); N0 is
+    checked here although only the caller scales by it.
     """
     _check_n0(N0)
     if not is_integer(n_rx) or n_rx < 1:
         raise ConfigError(f"n_rx must be a positive integer, got {n_rx!r}")
-    buf = np.empty(shape)
-    z = np.empty((n_rx,) + buf.shape, dtype=complex)
-    for block in z:
-        for part in (block.real, block.imag):
-            rng.standard_normal(out=buf)
-            np.multiply(buf, 1.0 / np.sqrt(2.0), out=part)
+    return rng.standard_normal((n_rx, 2, *shape))
+
+
+def draw_mimo_noise(N0: float, rng: np.random.Generator, n_rx: int, shape) -> np.ndarray:
+    """Stacked white noise sqrt(N0) w for n_rx antennas of the given shape each:
+    `draw_standard_noise` as (re + 1j im) / sqrt(2) * sqrt(N0), scaled in place."""
+    raw = draw_standard_noise(N0, rng, n_rx, shape)
+    z = np.empty(raw.shape[:1] + raw.shape[2:], dtype=complex)
+    np.multiply(raw[:, 0], 1.0 / np.sqrt(2.0), out=z.real)
+    np.multiply(raw[:, 1], 1.0 / np.sqrt(2.0), out=z.imag)
     z *= np.sqrt(N0)
-    return z.reshape((n_rx * buf.shape[0],) + buf.shape[1:])
+    return z.reshape((-1,) + z.shape[2:])

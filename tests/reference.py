@@ -251,6 +251,10 @@ def _project_weighted(y: np.ndarray, phi: np.ndarray, budget: float) -> np.ndarr
     lo, hi = 0.0, float(np.max(y / phi)) + 1.0
     for _ in range(200):
         mu = 0.5 * (lo + hi)
+        if mu in (lo, hi):
+            # the interval is down to adjacent floats: a test at an endpoint
+            # repeats the one that set it, so no later step changes hi
+            break
         if phi @ np.maximum(y - mu * phi, 0.0) > budget:
             lo = mu
         else:

@@ -19,6 +19,7 @@ from mcftn_otfs import (
     build_mimo_effective,
     demap_symbols,
     draw_dd_noise,
+    draw_mimo_noise,
     make_noise_model,
     map_bits,
     mmse_weights,
@@ -275,14 +276,15 @@ def _colored_dd_errors(spec, r, si):
     x = map_bits(bits, spec.constellation, cfg.sigma_x2)
     rng = rng_stream(cfg.seed, "noise", r, si)
     z = np.concatenate([draw_dd_noise(model, rng, spec.n_frames) for _ in range(cfg.n_rx)])
-    errors = {}
+    errors, dead = {}, 0
     for s in spec.schemes:
         factor, design = SCHEME_TABLE[s]
         P, _ = design(cfg_s, *factor(cfg, gram, D))
+        dead += np.count_nonzero(np.all(P == 0.0, axis=0))
         b = mimo.matrix @ P
         w = mmse_weights(b, rz, cfg.sigma_x2)
         errors[s] = np.count_nonzero(bits != demap_symbols(w @ (b @ x + z), spec.constellation))
-    return errors
+    return errors, dead
 
 
 MIMO_SCHEMES = ("sic", "wf_relaxed", "wf_structured")
@@ -292,6 +294,8 @@ MIMO_SCHEMES = ("sic", "wf_relaxed", "wf_structured")
     pytest.param(2, "qpsk", MIMO_SCHEMES, None, id="2-qpsk-schemes0"),
     pytest.param(1, "bpsk", ("siso_pa", "siso_nopa", "siso_unprecoded"), None,
                  id="1-bpsk-schemes1"),
+    # several antennas with real symbols: the cell computes only real parts
+    pytest.param(2, "bpsk", MIMO_SCHEMES, None, id="2-bpsk"),
     # 40 frames in blocks of 16: two full blocks and a partial one
     pytest.param(2, "qpsk", MIMO_SCHEMES, 16, id="2-qpsk-blocks-of-16"),
 ])
@@ -299,7 +303,9 @@ def test_ber_sweep_matches_colored_dd_receiver(n_ant, constellation, schemes, bl
                                                monkeypatch):
     # the sweep equalizes on the whitened channel D with white noise; the
     # LMMSE estimate is invariant under the invertible whitening, so every
-    # count equals the colored delay-Doppler receiver's
+    # count equals the colored delay-Doppler receiver's. Some designs leave
+    # modes unloaded (zero columns of P), which the cell counts without
+    # equalizing them.
     if block is not None:
         monkeypatch.setattr(montecarlo, "_BLOCK_FRAMES", block)
     cfg = SystemConfig(M=4, N=2, alpha=0.9, beta=0.9, theta=0.25, seed=3,
@@ -307,13 +313,48 @@ def test_ber_sweep_matches_colored_dd_receiver(n_ant, constellation, schemes, bl
     spec = SweepSpec(config=cfg, snr_points_db=(0.0, 10.0, 20.0), n_realizations=2,
                      schemes=schemes, metric="ber", n_frames=40, constellation=constellation)
     res = run_sweep(spec)
-    total = 0
+    total = dead = 0
     for r in range(spec.n_realizations):
         for si, snr in enumerate(spec.snr_points_db):
-            for s, errors in _colored_dd_errors(spec, r, si).items():
+            cell, cell_dead = _colored_dd_errors(spec, r, si)
+            for s, errors in cell.items():
                 assert res.values[(s, snr)][r] == errors, (s, snr, r)
                 total += errors
+            dead += cell_dead
     assert total > 0
+    assert dead > 0
+
+
+@pytest.mark.parametrize("constellation", ["bpsk", "qpsk"])
+def test_ber_cell_with_one_live_mode_matches_direct_formula(constellation):
+    # at -30 dB wf_relaxed loads a single mode of the 2x2 4x2 grid; the cell
+    # equalizes that mode alone and counts the 1-bits of the others, which
+    # must equal hard decisions on W (B x + z) over every mode, with
+    # B = D P, W its LMMSE weights and z = sqrt(N0) w the stacked white draw
+    cfg = SystemConfig(M=4, N=2, alpha=0.9, beta=0.9, theta=0.25, seed=3, n_tx=2, n_rx=2)
+    spec = SweepSpec(config=cfg, snr_points_db=(-30.0,), n_realizations=2,
+                     schemes=("wf_relaxed", "sic"), metric="ber", n_frames=40,
+                     constellation=constellation)
+    res = run_sweep(spec)
+    cfg_s = cfg.with_snr_db(-30.0)
+    gram, sfft = build_gram(cfg), sfft_matrix(cfg)
+    n_bits = bits_per_symbol(constellation) * cfg.n_tx * cfg.mn
+    for r in range(spec.n_realizations):
+        mimo = build_mimo_channel(cfg, rng_stream(cfg.seed, "paths", r))
+        D = build_mimo_effective(gram, mimo.matrix, sfft, cfg.n_rx)
+        bits = rng_stream(cfg.seed, "bits", r, 0).integers(0, 2, size=(n_bits, spec.n_frames))
+        x = map_bits(bits, constellation, cfg.sigma_x2)
+        z = draw_mimo_noise(cfg_s.N0, rng_stream(cfg.seed, "noise", r, 0), cfg.n_rx,
+                            (cfg.mn, spec.n_frames))
+        for s in spec.schemes:
+            factor, design = SCHEME_TABLE[s]
+            P, _ = design(cfg_s, *factor(cfg, gram, D))
+            b = D @ P
+            if s == "wf_relaxed":
+                assert np.count_nonzero(np.any(b != 0.0, axis=0)) == 1
+            w = mmse_weights(b, cfg_s.N0 * np.eye(b.shape[0]), cfg.sigma_x2)
+            errors = np.count_nonzero(bits != demap_symbols(w @ (b @ x + z), constellation))
+            assert res.values[(s, -30.0)][r] == errors, (s, r)
 
 
 def test_ber_counts_do_not_depend_on_the_block_size(monkeypatch):

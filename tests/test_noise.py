@@ -14,6 +14,7 @@ from mcftn_otfs import (
     rng_stream,
     sfft_matrix,
 )
+from mcftn_otfs.noise import draw_standard_noise
 
 
 @pytest.fixture(scope="module")
@@ -44,6 +45,8 @@ def test_negative_n0_rejected(compressed_model):
             make_noise_model(n0, gram, sfft_matrix(cfg))
         with pytest.raises(ConfigError, match="N0"):
             draw_mimo_noise(n0, rng_stream(0, "noise", 0), 2, (4,))
+        with pytest.raises(ConfigError, match="N0"):
+            draw_standard_noise(n0, rng_stream(0, "noise", 0), 2, (4,))
 
 
 def test_zero_n0_draws_zeros(compressed_model):
@@ -103,6 +106,8 @@ def test_mimo_noise_stacking():
     for n_rx in (0, -1, 1.0, True):
         with pytest.raises(ConfigError, match="n_rx"):
             draw_mimo_noise(0.5, rng_stream(4, "noise", 0), n_rx, (4,))
+        with pytest.raises(ConfigError, match="n_rx"):
+            draw_standard_noise(0.5, rng_stream(4, "noise", 0), n_rx, (4,))
     # every antenna block is bit for bit (re + 1j im) / sqrt(2) * sqrt(N0) of
     # the same stream, whatever the antenna count, shape and N0
     for n_rx in (1, 2, 3, 4):
@@ -121,3 +126,16 @@ def test_mimo_noise_stacking():
     assert draws.shape == (8, 40000)
     cov = draws @ draws.conj().T / draws.shape[1]
     np.testing.assert_allclose(cov, 0.5 * np.eye(8), atol=0.02)
+
+
+def test_mimo_noise_is_the_scaled_standard_draw():
+    # the BER cell folds sqrt(N0 / 2) into its equalizer and works on the
+    # standard draw; draw_mimo_noise is that draw, scaled, bit for bit
+    for n_rx in (1, 2, 3):
+        for shape in ((5,), (3, 4)):
+            for N0 in (0.0, 0.5, 1e15):
+                raw = draw_standard_noise(N0, rng_stream(8, "noise", n_rx), n_rx, shape)
+                assert raw.shape == (n_rx, 2) + shape
+                z = draw_mimo_noise(N0, rng_stream(8, "noise", n_rx), n_rx, shape)
+                want = (raw[:, 0] + 1j * raw[:, 1]) / np.sqrt(2.0) * np.sqrt(N0)
+                assert z.tobytes() == want.reshape(z.shape).tobytes()
