@@ -108,34 +108,25 @@ def test_mimo_noise_stacking():
             draw_mimo_noise(0.5, rng_stream(4, "noise", 0), n_rx, (4,))
         with pytest.raises(ConfigError, match="n_rx"):
             draw_standard_noise(0.5, rng_stream(4, "noise", 0), n_rx, (4,))
-    # every antenna block is bit for bit (re + 1j im) / sqrt(2) * sqrt(N0) of
-    # the same stream, whatever the antenna count, shape and N0
+    # draw_standard_noise takes each antenna's real parts, then its imaginary
+    # parts, from the stream, and draw_mimo_noise is bit for bit that draw as
+    # (re + 1j im) / sqrt(2) * sqrt(N0) (the BER cell folds the scale into its
+    # equalizer instead), whatever the antenna count, shape and N0
     for n_rx in (1, 2, 3, 4):
         for shape in ((5,), (3, 4)):
-            for N0 in (0.0, 0.5):
+            for N0 in (0.0, 0.5, 1e15):
+                raw = draw_standard_noise(N0, rng_stream(6, "noise", n_rx), n_rx, shape)
+                assert raw.shape == (n_rx, 2) + shape
+                rng = rng_stream(6, "noise", n_rx)
+                for part in raw.reshape((2 * n_rx,) + shape):
+                    assert part.tobytes() == rng.standard_normal(shape).tobytes()
                 z = draw_mimo_noise(N0, rng_stream(6, "noise", n_rx), n_rx, shape)
                 assert z.shape == (n_rx * shape[0],) + shape[1:]
-                rng = rng_stream(6, "noise", n_rx)
-                for a in range(n_rx):
-                    re = rng.standard_normal(shape)
-                    im = rng.standard_normal(shape)
-                    want = (re + 1j * im) / np.sqrt(2.0) * np.sqrt(N0)
-                    assert z[a * shape[0]:(a + 1) * shape[0]].tobytes() == want.tobytes()
+                want = (raw[:, 0] + 1j * raw[:, 1]) / np.sqrt(2.0) * np.sqrt(N0)
+                assert z.tobytes() == want.reshape(z.shape).tobytes()
     # frames stack along the second axis; the antennas are white and independent
     draws = draw_mimo_noise(0.5, rng_stream(5, "noise", 0), 2, (4, 40000))
     assert draws.shape == (8, 40000)
     cov = draws @ draws.conj().T / draws.shape[1]
     np.testing.assert_allclose(cov, 0.5 * np.eye(8), atol=0.02)
 
-
-def test_mimo_noise_is_the_scaled_standard_draw():
-    # the BER cell folds sqrt(N0 / 2) into its equalizer and works on the
-    # standard draw; draw_mimo_noise is that draw, scaled, bit for bit
-    for n_rx in (1, 2, 3):
-        for shape in ((5,), (3, 4)):
-            for N0 in (0.0, 0.5, 1e15):
-                raw = draw_standard_noise(N0, rng_stream(8, "noise", n_rx), n_rx, shape)
-                assert raw.shape == (n_rx, 2) + shape
-                z = draw_mimo_noise(N0, rng_stream(8, "noise", n_rx), n_rx, shape)
-                want = (raw[:, 0] + 1j * raw[:, 1]) / np.sqrt(2.0) * np.sqrt(N0)
-                assert z.tobytes() == want.reshape(z.shape).tobytes()
