@@ -18,6 +18,7 @@ import hashlib
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from itertools import islice
+from typing import NamedTuple
 
 import numpy as np
 
@@ -25,9 +26,9 @@ from .core import SystemConfig, sfft_matrix
 from .pulse import _CHUNK_NODES, coupling_matrices, coupling_matrix, lattice_pulse
 
 
-@dataclass(frozen=True)
-class DdPath:
-    """One propagation path in the delay-Doppler domain."""
+class DdPath(NamedTuple):
+    """One propagation path in the delay-Doppler domain, the (gain, delay,
+    doppler) triple that `pulse.coupling_matrix` takes."""
 
     gain: complex
     delay: float
@@ -50,13 +51,9 @@ def sample_paths(cfg: SystemConfig, rng: np.random.Generator) -> tuple[DdPath, .
     return tuple(DdPath(complex(g), float(t), float(v)) for g, t, v in zip(gains, delays, dopplers))
 
 
-def _triples(paths: Sequence[DdPath]) -> list:
-    return [(p.gain, p.delay, p.doppler) for p in paths]
-
-
 def build_tf_channel(paths: Sequence[DdPath], cfg: SystemConfig) -> np.ndarray:
     """Time-frequency channel matrix over the whole block, rows and columns n*M + m."""
-    return coupling_matrix(cfg, _triples(paths))
+    return coupling_matrix(cfg, paths)
 
 
 @dataclass
@@ -73,19 +70,20 @@ def build_dd_channel(paths: Sequence[DdPath], cfg: SystemConfig,
     """Delay-Doppler channel H_dd = A H_tf A^H for the given paths."""
     if sfft is None:
         sfft = sfft_matrix(cfg)
-    return _conjugated(paths, build_tf_channel(paths, cfg), sfft)
+    h_tf = build_tf_channel(paths, cfg)
+    return DdChannel(paths=tuple(paths), h_tf=h_tf, h_dd=_conjugated(h_tf, sfft))
 
 
-def _conjugated(paths: Sequence[DdPath], h_tf: np.ndarray, sfft: np.ndarray) -> DdChannel:
-    return DdChannel(paths=tuple(paths), h_tf=h_tf, h_dd=sfft @ h_tf @ sfft.conj().T)
+def _conjugated(h_tf: np.ndarray, sfft: np.ndarray) -> np.ndarray:
+    return sfft @ h_tf @ sfft.conj().T
 
 
 @dataclass
 class MimoChannel:
-    """Independent per-antenna-pair channels and their stacked block matrix."""
+    """Independent per-antenna-pair path sets and their stacked delay-Doppler matrix."""
 
-    blocks: list            # blocks[rx][tx] is a DdChannel
-    matrix: np.ndarray      # (n_rx*MN, n_tx*MN) delay-Doppler block matrix
+    paths: list             # paths[rx][tx] is the pair's tuple of DdPath
+    matrix: np.ndarray      # (n_rx*MN, n_tx*MN); block (rx, tx) is that pair's H_dd
 
 
 def build_mimo_channel(cfg: SystemConfig, rng: np.random.Generator) -> MimoChannel:
@@ -106,10 +104,11 @@ def build_mimo_channels(cfg: SystemConfig, rngs: Iterable[np.random.Generator],
     The generators are taken a block at a time. A block draws every antenna
     pair of each of its realizations and integrates all their path rows in
     one `ambiguity_table` call; the realizations' channels are then
-    assembled one per `next`, all conjugated with `sfft` (built once if not
-    given). A block holds as many realizations as keep its table rows times
-    the pulse's nodes per T0 within one quadrature chunk of `pulse`, which
-    keeps the tables it holds near the size of one chunk, and at least one.
+    assembled one per `next`, each pair conjugated with `sfft` (built once
+    if not given) straight into its block of the stacked matrix. A block
+    holds as many realizations as keep its table rows times the pulse's
+    nodes per T0 within one quadrature chunk of `pulse`, which keeps the
+    tables it holds near the size of one chunk, and at least one.
     """
     if sfft is None:
         sfft = sfft_matrix(cfg)
@@ -121,26 +120,29 @@ def build_mimo_channels(cfg: SystemConfig, rngs: Iterable[np.random.Generator],
     rngs = iter(rngs)
     while draws := [[sample_paths(cfg, child) for child in rng.spawn(pairs)]
                     for rng in islice(rngs, per_block)]:
-        h_tf = coupling_matrices(cfg, [_triples(paths) for draw in draws for paths in draw])
+        h_tf = coupling_matrices(cfg, [paths for draw in draws for paths in draw])
+        n = cfg.mn
         for draw in draws:
-            channels = [_conjugated(paths, next(h_tf), sfft) for paths in draw]
-            blocks = [channels[r * cfg.n_tx:(r + 1) * cfg.n_tx] for r in range(cfg.n_rx)]
-            yield MimoChannel(blocks=blocks,
-                              matrix=np.block([[ch.h_dd for ch in row] for row in blocks]))
+            matrix = np.empty((cfg.n_rx * n, cfg.n_tx * n), dtype=complex)
+            for k in range(pairs):
+                r, t = divmod(k, cfg.n_tx)
+                matrix[r * n:(r + 1) * n, t * n:(t + 1) * n] = _conjugated(next(h_tf), sfft)
+            yield MimoChannel(paths=[draw[r * cfg.n_tx:(r + 1) * cfg.n_tx]
+                                     for r in range(cfg.n_rx)], matrix=matrix)
 
 
-def paths_digest(blocks) -> str:
+def paths_digest(paths) -> str:
     """Stable hex digest of a realization's paths.
 
-    Accepts a flat path sequence or nested [rx][tx] lists; used to assert
-    that paired sweeps really saw identical channel draws.
+    Accepts a flat path sequence or the nested [rx][tx] lists of
+    `MimoChannel.paths`; used to assert that paired sweeps really saw
+    identical channel draws.
     """
     h = hashlib.sha256()
-    if blocks and isinstance(blocks[0], DdPath):
-        blocks = [[blocks]]
-    for row in blocks:
-        for paths in row:
-            seq = paths.paths if isinstance(paths, DdChannel) else paths
+    if paths and isinstance(paths[0], DdPath):
+        paths = [[paths]]
+    for row in paths:
+        for seq in row:
             arr = np.array(
                 [[p.gain.real, p.gain.imag, p.delay, p.doppler] for p in seq],
                 dtype=np.float64,

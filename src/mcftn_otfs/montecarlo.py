@@ -239,7 +239,7 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
 
     streams = (rng_stream(cfg.seed, "paths", r) for r in range(spec.n_realizations))
     for r, mimo in enumerate(build_mimo_channels(cfg, streams, sfft)):
-        digests.append(paths_digest(mimo.blocks))
+        digests.append(paths_digest(mimo.paths))
         D = build_mimo_effective(gram, mimo.matrix, sfft, cfg.n_rx)
         factors = {f: f(cfg, gram, D) for f in dict.fromkeys(f for f, _ in rows)}
 

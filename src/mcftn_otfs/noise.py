@@ -39,7 +39,10 @@ def _check_n0(N0: float) -> None:
 
 def make_noise_model(N0: float, gram: GramMatrix, sfft: np.ndarray) -> NoiseModel:
     _check_n0(N0)
-    coloring = sfft @ gram.sqrt
+    # G^{1/2} from the eigenpairs, eigenvalues clipped at zero so that it
+    # squares back to the Gram on every mode, the deactivated ones included
+    evecs = gram.eigenvectors
+    coloring = sfft @ ((evecs * np.sqrt(np.maximum(gram.eigenvalues, 0.0))) @ evecs.conj().T)
     covariance = N0 * (sfft @ gram.matrix @ sfft.conj().T)
     return NoiseModel(N0=N0, coloring=coloring, covariance=covariance)
 

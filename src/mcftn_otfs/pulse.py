@@ -11,8 +11,8 @@ each path's Doppler and delay. `coupling_matrix` assembles them for a set of
 (gain, delay, doppler) paths; the pulse Gram is the coupling of the unit
 path (1, 0, 0). The Gram is Hermitian PSD with unit diagonal; its
 eigendecomposition (with a relative floor that deactivates numerically dead
-modes) provides the square root and inverse square root used for noise
-whitening and precoding.
+modes) provides the inverse square root used for whitening and precoding,
+and the eigenpairs from which `noise` forms the square root.
 """
 
 from __future__ import annotations
@@ -326,21 +326,17 @@ class RrcPulse:
 
 @dataclass
 class GramMatrix:
-    """Pulse Gram with its eigendecomposition and matrix square roots.
+    """Pulse Gram with its eigendecomposition and inverse square root.
 
     Eigenvalues are stored in descending order. Modes whose eigenvalue falls
-    below `floor` (a relative threshold times the largest eigenvalue) are
-    deactivated: they are kept in `sqrt` (clipped at zero, so sqrt @ sqrt
-    still reproduces the Gram) but excluded from `inv_sqrt`, which projects
-    onto the active subspace.
+    below FLOOR_REL times the largest eigenvalue are deactivated: they are
+    excluded from `inv_sqrt`, which projects onto the active subspace.
     """
 
     matrix: np.ndarray
     eigenvalues: np.ndarray          # descending, real
     eigenvectors: np.ndarray         # columns match eigenvalue order
     active: np.ndarray               # bool mask over modes
-    floor: float                     # absolute deactivation threshold
-    sqrt: np.ndarray = field(repr=False)
     inv_sqrt: np.ndarray = field(repr=False)
 
     FLOOR_REL = 1e-10
@@ -379,8 +375,6 @@ class GramMatrix:
         if not np.any(active):
             raise DegenerateConfigurationError("all gram eigenvalues below the floor")
 
-        clipped = np.maximum(evals, 0.0)
-        sqrt = (evecs * np.sqrt(clipped)) @ evecs.conj().T
         inv_diag = np.where(active, 1.0 / np.sqrt(np.maximum(evals, floor)), 0.0)
         inv_sqrt = (evecs * inv_diag) @ evecs.conj().T
         return cls(
@@ -388,8 +382,6 @@ class GramMatrix:
             eigenvalues=evals,
             eigenvectors=evecs,
             active=active,
-            floor=floor,
-            sqrt=sqrt,
             inv_sqrt=inv_sqrt,
         )
 
@@ -536,11 +528,15 @@ def _assemble(cfg: SystemConfig, pulse: RrcPulse, sets: list) -> Iterator[np.nda
         # the flat (dn, dm) index of every entry is as large as the matrix, so it
         # is formed per set, not held while the block's matrices are handed out
         n_idx, m_idx = np.divmod(np.arange(cfg.mn), M)
-        h = table.reshape(count, -1)[:, (n_idx[:, None] - n_idx + N - 1) * (2 * M - 1)
-                                     + (m_idx[:, None] - m_idx + M - 1)]
-        h = h.reshape(count, N, M, N, M)
-        h *= receive[:, :, None, None, None] * transmit[:, None, None, None, :]
-        h = h.sum(axis=0)
+        index = (n_idx[:, None] - n_idx + N - 1) * (2 * M - 1) + (m_idx[:, None] - m_idx + M - 1)
+        h = None
+        for row, rx, tx in zip(table.reshape(count, -1), receive, transmit):
+            term = row[index].reshape(N, M, N, M)
+            term *= rx[:, None, None, None] * tx
+            if h is None:
+                h = term
+            else:
+                h += term
         h *= lattice
         yield h.reshape(cfg.mn, cfg.mn)
 

@@ -199,7 +199,7 @@ def test_mimo_single_antenna_matches_siso():
     cfg = SystemConfig(M=3, N=2, alpha=0.9, beta=0.9, theta=0.25)
     mimo = build_mimo_channel(cfg, rng_stream(4, "paths", 0))
     assert mimo.matrix.shape == (6, 6)
-    np.testing.assert_array_equal(mimo.matrix, mimo.blocks[0][0].h_dd)
+    np.testing.assert_array_equal(mimo.matrix, build_dd_channel(mimo.paths[0][0], cfg).h_dd)
 
 
 def test_mimo_block_layout_and_independence():
@@ -211,8 +211,8 @@ def test_mimo_block_layout_and_independence():
     for r in range(2):
         for t in range(2):
             block = mimo.matrix[r * 4:(r + 1) * 4, t * 4:(t + 1) * 4]
-            np.testing.assert_array_equal(block, mimo.blocks[r][t].h_dd)
-            digests.add(paths_digest(mimo.blocks[r][t].paths))
+            np.testing.assert_array_equal(block, build_dd_channel(mimo.paths[r][t], cfg).h_dd)
+            digests.add(paths_digest(mimo.paths[r][t]))
     assert len(digests) == 4
 
 
@@ -251,10 +251,10 @@ def test_mimo_channels_in_blocks_equal_per_pair_builds(monkeypatch):
                                       build_mimo_channel(cfg, rng_stream(8, "paths", r)).matrix)
         for k, child in enumerate(rng_stream(8, "paths", r).spawn(16)):
             alone = build_dd_channel(sample_paths(cfg, child), cfg, sfft)
-            block = mimo.blocks[k // 4][k % 4]
-            assert block.paths == alone.paths
-            np.testing.assert_array_equal(block.h_tf, alone.h_tf)
-            np.testing.assert_array_equal(block.h_dd, alone.h_dd)
+            rx, tx = divmod(k, 4)
+            assert mimo.paths[rx][tx] == alone.paths
+            block = mimo.matrix[rx * cfg.mn:(rx + 1) * cfg.mn, tx * cfg.mn:(tx + 1) * cfg.mn]
+            np.testing.assert_array_equal(block, alone.h_dd)
 
 
 # ---------------------------------------------------------------- digests ----
@@ -268,4 +268,4 @@ def test_paths_digest_sensitivity():
     assert paths_digest(bumped) != d0
     # nested form hashes the same leaves
     mimo = build_mimo_channel(cfg, rng_stream(6, "paths", 0))
-    assert paths_digest(mimo.blocks) == paths_digest(mimo.blocks[0][0].paths)
+    assert paths_digest(mimo.paths) == paths_digest(mimo.paths[0][0])

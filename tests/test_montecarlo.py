@@ -99,7 +99,7 @@ def _direct_capacity(scheme, cfg, r=0):
         cap = wf_baseline(cfg, d, gram)[1]
     else:
         cap = wf_structured(cfg, d, gram)[1]
-    return cap, paths_digest(mimo.blocks)
+    return cap, paths_digest(mimo.paths)
 
 
 @pytest.mark.parametrize("scheme", SCHEMES)

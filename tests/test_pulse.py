@@ -17,8 +17,10 @@ from mcftn_otfs import (
     ambiguity_table,
     build_gram,
     build_tf_channel,
+    make_noise_model,
     rng_stream,
     sample_paths,
+    sfft_matrix,
 )
 from mcftn_otfs import pulse as pulse_module
 from mcftn_otfs.pulse import _CHUNK_NODES, coupling_matrices, coupling_matrix, lattice_pulse
@@ -341,10 +343,16 @@ def test_gram_hermitian_unit_diagonal(small_gram):
 
 
 def test_gram_psd_and_sqrt(small_gram):
-    _, gram = small_gram
+    cfg, gram = small_gram
     assert gram.eigenvalues[-1] > -1e-8 * gram.eigenvalues[0]
-    np.testing.assert_allclose(gram.sqrt @ gram.sqrt, gram.matrix, atol=1e-9)
-    np.testing.assert_allclose(gram.sqrt, gram.sqrt.conj().T, atol=1e-10)
+    # the noise coloring A G^{1/2} squares back to A G A^H, and A^H times it,
+    # the square root, is Hermitian
+    a = sfft_matrix(cfg)
+    coloring = make_noise_model(1.0, gram, a).coloring
+    np.testing.assert_allclose(coloring @ coloring.conj().T, a @ gram.matrix @ a.conj().T,
+                               atol=1e-9)
+    root = a.conj().T @ coloring
+    np.testing.assert_allclose(root, root.conj().T, atol=1e-10)
     # full-rank case: inv_sqrt whitens exactly
     assert gram.n_active == 4
     np.testing.assert_allclose(
@@ -501,6 +509,52 @@ def test_coupling_matrix_matches_per_entry_formula(M, N):
     assert np.max(np.abs(gram - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
+def gather_and_sum(cfg, pulse, sets):
+    """The earlier assembly that `_assemble` replaced: every path's phased
+    gather stacked into one (paths, N, M, N, M) array, then summed over the
+    paths."""
+    M, N = cfg.M, cfg.N
+    count = len(sets[0])
+    if not count:
+        return [np.zeros((cfg.mn, cfg.mn), dtype=complex) for _ in sets]
+    f_step, t_step = cfg.beta * cfg.delta_f0, cfg.alpha * cfg.T0
+    gains, delays, dopplers = (np.array(v).reshape(len(sets), count)
+                               for v in zip(*(path for paths in sets for path in paths)))
+    taus = np.arange(1 - N, N) * t_step
+    tables = ambiguity_table(pulse, cfg, (taus - delays[:, :, None]).reshape(len(sets), -1),
+                             np.repeat(dopplers, 2 * N - 1, axis=1))
+    lattice = np.exp(2j * np.pi * f_step * t_step * np.arange(1 - N, N)[:, None] * np.arange(M))
+    lattice = lattice[np.arange(N)[:, None] - np.arange(N) + N - 1][:, None]
+    out = []
+    for table, gain, delay, doppler in zip(tables, gains, delays, dopplers):
+        receive = gain[:, None] * np.exp(2j * np.pi * doppler[:, None]
+                                         * (np.arange(N) * t_step - delay[:, None]))
+        transmit = np.exp(-2j * np.pi * f_step * delay[:, None] * np.arange(M))
+        n_idx, m_idx = np.divmod(np.arange(cfg.mn), M)
+        h = table.reshape(count, -1)[:, (n_idx[:, None] - n_idx + N - 1) * (2 * M - 1)
+                                     + (m_idx[:, None] - m_idx + M - 1)]
+        h = h.reshape(count, N, M, N, M)
+        h *= receive[:, :, None, None, None] * transmit[:, None, None, None, :]
+        h = h.sum(axis=0)
+        h *= lattice
+        out.append(h.reshape(cfg.mn, cfg.mn))
+    return out
+
+
+@pytest.mark.parametrize("M, N", [(1, 4), (8, 4), (16, 16)])
+@pytest.mark.parametrize("count", [0, 1, 2, 3])
+def test_assemble_equals_gather_and_sum(M, N, count):
+    # one accumulator added to in path order is the stacked sum, bit for bit,
+    # up to three paths (from four on, a stacked sum may add pairwise)
+    cfg = SystemConfig(M=M, N=N, alpha=0.9, beta=0.9, theta=0.25, L=3)
+    sets = [sample_paths(cfg, rng_stream(9, "paths", r))[:count] for r in range(2)]
+    pulse = lattice_pulse(cfg, [])
+    got = list(pulse_module._assemble(cfg, pulse, sets))
+    assert len(got) == len(sets)
+    for h, ref in zip(got, gather_and_sum(cfg, pulse, sets)):
+        np.testing.assert_array_equal(h, ref)
+
+
 # ------------------------------------------------------- gram validation ----
 
 def test_from_matrix_rejects_non_square():
@@ -533,7 +587,9 @@ def test_from_matrix_deactivates_dead_modes():
     gram = GramMatrix.from_matrix(g)
     assert gram.n_active == 2
     assert gram.condition_number == pytest.approx(2.0, rel=1e-9)
-    np.testing.assert_allclose(gram.sqrt @ gram.sqrt, gram.matrix, atol=1e-10)
+    # the noise coloring keeps the dead mode: it squares back to the Gram
+    coloring = make_noise_model(1.0, gram, np.eye(3)).coloring
+    np.testing.assert_allclose(coloring @ coloring.conj().T, gram.matrix, atol=1e-10)
     # inv_sqrt annihilates the dead mode
     dead = gram.eigenvectors[:, 2]
     np.testing.assert_allclose(gram.inv_sqrt @ dead, 0.0, atol=1e-12)

@@ -89,3 +89,28 @@ def test_every_private_method_and_cached_property_is_read():
                 if (cached or _private(node.name)) and node.name not in referenced:
                     dead.append(f"{name}: {cls.name}.{node.name}")
     assert not dead, f"private methods or cached properties nothing in src/ reads: {dead}"
+
+
+def test_every_lru_cache_has_a_finite_maxsize():
+    # a cache keyed by configs or pulses must not grow with every distinct key:
+    # each lru_cache names a positive integer maxsize, and functools.cache
+    # (unbounded) is not used
+    def name(node):
+        return node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+
+    unbounded = []
+    for module, tree in _modules().items():
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for d in node.decorator_list:
+                target = d.func if isinstance(d, ast.Call) else d
+                if name(target) not in ("lru_cache", "cache"):
+                    continue
+                size = None
+                if isinstance(d, ast.Call) and name(target) == "lru_cache":
+                    given = d.args[:1] + [k.value for k in d.keywords if k.arg == "maxsize"]
+                    size = given[0].value if given and isinstance(given[0], ast.Constant) else None
+                if not (isinstance(size, int) and size > 0):
+                    unbounded.append(f"{module}: {node.name}")
+    assert not unbounded, f"caches without a finite maxsize: {unbounded}"
