@@ -167,7 +167,8 @@ def _bit_errors(spec: SweepSpec, cfg: SystemConfig, D, precoders, r: int, si: in
     data bits and z come from (seed, "bits"/"noise", r, si) and are shared by
     every precoder: the bits are the values of one (n_bits, n_frames) integer
     draw, taken a row at a time into bools so no integer copy of the cell is
-    held, and z is `draw_standard_noise`.
+    held (uint32 rows: the same values as int64 with half the temporary),
+    and z is `draw_standard_noise`.
 
     A zero column of B = D P (a mode the design leaves unloaded) gives a
     zero row of the LMMSE weights W, an estimate of exactly 0 and so bit 0:
@@ -183,7 +184,7 @@ def _bit_errors(spec: SweepSpec, cfg: SystemConfig, D, precoders, r: int, si: in
     rng = rng_stream(cfg.seed, "bits", r, si)
     bits = np.empty((n_bits, spec.n_frames), dtype=bool)
     for row in bits:
-        row[...] = rng.integers(0, 2, size=spec.n_frames)
+        row[...] = rng.integers(0, 2, size=spec.n_frames, dtype=np.uint32)
     z = draw_standard_noise(cfg.N0, rng_stream(cfg.seed, "noise", r, si), cfg.n_rx,
                             (cfg.mn, spec.n_frames)).reshape(-1, spec.n_frames)
     rz = cfg.N0 * np.eye(D.shape[0])

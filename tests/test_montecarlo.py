@@ -325,36 +325,62 @@ def test_ber_sweep_matches_colored_dd_receiver(n_ant, constellation, schemes, bl
     assert dead > 0
 
 
+def _white_errors(spec, r, si):
+    """Bit errors and live modes of each scheme at cell (r, si) from hard
+    decisions on W (B x + z) over every mode, with B = D P, W its LMMSE
+    weights and z = sqrt(N0) w the stacked white draw. The bits are one
+    (n_bits, n_frames) int64 draw of the cell's stream."""
+    cfg = spec.config
+    cfg_s = cfg.with_snr_db(spec.snr_points_db[si])
+    gram, sfft = build_gram(cfg), sfft_matrix(cfg)
+    n_bits = bits_per_symbol(spec.constellation) * cfg.n_tx * cfg.mn
+    mimo = build_mimo_channel(cfg, rng_stream(cfg.seed, "paths", r))
+    D = build_mimo_effective(gram, mimo.matrix, sfft, cfg.n_rx)
+    bits = rng_stream(cfg.seed, "bits", r, si).integers(0, 2, size=(n_bits, spec.n_frames))
+    x = map_bits(bits, spec.constellation, cfg.sigma_x2)
+    z = draw_mimo_noise(cfg_s.N0, rng_stream(cfg.seed, "noise", r, si), cfg.n_rx,
+                        (cfg.mn, spec.n_frames))
+    cell = {}
+    for s in spec.schemes:
+        factor, design = SCHEME_TABLE[s]
+        P, _ = design(cfg_s, *factor(cfg, gram, D))
+        b = D @ P
+        w = mmse_weights(b, cfg_s.N0 * np.eye(b.shape[0]), cfg.sigma_x2)
+        errors = np.count_nonzero(bits != demap_symbols(w @ (b @ x + z), spec.constellation))
+        cell[s] = errors, np.count_nonzero(np.any(b != 0.0, axis=0))
+    return cell
+
+
 @pytest.mark.parametrize("constellation", ["bpsk", "qpsk"])
 def test_ber_cell_with_one_live_mode_matches_direct_formula(constellation):
     # at -30 dB wf_relaxed loads a single mode of the 2x2 4x2 grid; the cell
     # equalizes that mode alone and counts the 1-bits of the others, which
-    # must equal hard decisions on W (B x + z) over every mode, with
-    # B = D P, W its LMMSE weights and z = sqrt(N0) w the stacked white draw
+    # must equal hard decisions over every mode
     cfg = SystemConfig(M=4, N=2, alpha=0.9, beta=0.9, theta=0.25, seed=3, n_tx=2, n_rx=2)
     spec = SweepSpec(config=cfg, snr_points_db=(-30.0,), n_realizations=2,
                      schemes=("wf_relaxed", "sic"), metric="ber", n_frames=40,
                      constellation=constellation)
     res = run_sweep(spec)
-    cfg_s = cfg.with_snr_db(-30.0)
-    gram, sfft = build_gram(cfg), sfft_matrix(cfg)
-    n_bits = bits_per_symbol(constellation) * cfg.n_tx * cfg.mn
     for r in range(spec.n_realizations):
-        mimo = build_mimo_channel(cfg, rng_stream(cfg.seed, "paths", r))
-        D = build_mimo_effective(gram, mimo.matrix, sfft, cfg.n_rx)
-        bits = rng_stream(cfg.seed, "bits", r, 0).integers(0, 2, size=(n_bits, spec.n_frames))
-        x = map_bits(bits, constellation, cfg.sigma_x2)
-        z = draw_mimo_noise(cfg_s.N0, rng_stream(cfg.seed, "noise", r, 0), cfg.n_rx,
-                            (cfg.mn, spec.n_frames))
-        for s in spec.schemes:
-            factor, design = SCHEME_TABLE[s]
-            P, _ = design(cfg_s, *factor(cfg, gram, D))
-            b = D @ P
-            if s == "wf_relaxed":
-                assert np.count_nonzero(np.any(b != 0.0, axis=0)) == 1
-            w = mmse_weights(b, cfg_s.N0 * np.eye(b.shape[0]), cfg.sigma_x2)
-            errors = np.count_nonzero(bits != demap_symbols(w @ (b @ x + z), constellation))
+        cell = _white_errors(spec, r, 0)
+        assert cell["wf_relaxed"][1] == 1
+        for s, (errors, _) in cell.items():
             assert res.values[(s, -30.0)][r] == errors, (s, r)
+
+
+@pytest.mark.parametrize("n_frames", [1, 7, 333, 16000])
+def test_ber_counts_match_one_block_bit_draw(n_frames):
+    # the cell draws its bits a row at a time; at frame counts that are odd,
+    # below one block and across many blocks those rows must be the values
+    # of one (n_bits, n_frames) draw, so the counts equal hard decisions on it
+    cfg = SystemConfig(M=4, N=2, alpha=0.9, beta=0.9, theta=0.25, seed=3, n_tx=2, n_rx=2)
+    spec = SweepSpec(config=cfg, snr_points_db=(0.0,), n_realizations=1,
+                     schemes=("wf_relaxed", "sic"), metric="ber", n_frames=n_frames,
+                     constellation="qpsk")
+    res = run_sweep(spec)
+    for s, (errors, _) in _white_errors(spec, 0, 0).items():
+        assert res.values[(s, 0.0)][0] == errors, s
+    assert n_frames < 7 or sum(int(v[0]) for v in res.values.values()) > 0
 
 
 def test_ber_counts_do_not_depend_on_the_block_size(monkeypatch):
