@@ -16,8 +16,8 @@ how the tests audit the loop.
 Two baselines: a paper-style relaxed water-filling over the eigenbasis of
 D^H D with a single pooled budget (unstructured P), and a block-diagonal
 alternating variant that repeats the sweep: its first sweep is the SIC
-design and its later sweeps keep ascending. All three designs take
-(cfg, D, gram) and return (P, normalized capacity).
+design, and it keeps later sweeps only while they gain bits. All three
+designs take (cfg, D, gram) and return (P, normalized capacity).
 """
 
 from __future__ import annotations
@@ -60,13 +60,11 @@ def _sweep(cfg: SystemConfig, D: np.ndarray, gram: GramMatrix, P: np.ndarray, o:
     against T = I + sum_{s != t} o_s, where o_s = c (D_s P_s)(D_s P_s)^H is
     cached when stream s is designed and None before that: it diagonalizes
     Q = D_t^H T^{-1} D_t and water-fills inside that eigenbasis with the
-    stream's budget MN. Writes P's diagonal blocks and o in place and returns
-    the streams' bits log2 det(I + c P_t^H Q P_t) summed in stream order.
-    Without `cache_last` the last stream's o, which only a later pass
-    reads, is not formed.
+    stream's budget MN. Writes P's diagonal blocks and o in place. Without
+    `cache_last` the last stream's o, which only a later pass reads, is not
+    formed.
     """
     n = gram.size
-    bits = 0.0
     for t in range(cfg.n_tx):
         # ascending s: the streams re-solved in this pass, then the later ones
         T = np.eye(D.shape[0], dtype=complex)
@@ -74,14 +72,12 @@ def _sweep(cfg: SystemConfig, D: np.ndarray, gram: GramMatrix, P: np.ndarray, o:
             if s != t and o[s] is not None:
                 T += o[s]
         a_t = D[:, t * n:(t + 1) * n]
-        p_t, bits_t = fill_modes(*modes(a_t.conj().T @ np.linalg.solve(T, a_t), gram.matrix),
-                                 cfg.sigma_x2, cfg.N0)
+        p_t, _ = fill_modes(*modes(a_t.conj().T @ np.linalg.solve(T, a_t), gram.matrix),
+                            cfg.sigma_x2, cfg.N0)
         P[t * n:(t + 1) * n, t * n:(t + 1) * n] = p_t
         if cache_last or t < cfg.n_tx - 1:
             b = a_t @ p_t
             o[t] = cfg.snr * (b @ b.conj().T)
-        bits += bits_t
-    return bits
 
 
 def sic_precode(cfg: SystemConfig, D: np.ndarray, gram: GramMatrix):
@@ -93,13 +89,15 @@ def sic_precode(cfg: SystemConfig, D: np.ndarray, gram: GramMatrix):
     >= I throughout, so the linear solves are well posed and no explicit
     inverse is ever formed. This pass is also the first sweep of
     :func:`wf_structured`. Returns (P, normalized capacity): the
-    block-diagonal precoder and the per-stream bits summed in stream order;
-    :func:`per_stream_rates` of P's diagonal blocks recovers those bits.
+    block-diagonal precoder and its bits log2 det(I + c D P P^H D^H), taken
+    directly rather than as the sum of the per-stream bits they telescope to
+    (:func:`per_stream_rates`), which lose digits with the solves against T
+    at high SNR.
     """
     _check_mimo_args(cfg, D, gram)
     P = np.zeros((D.shape[1],) * 2, dtype=complex)
-    bits = _sweep(cfg, D, gram, P, [None] * cfg.n_tx, cache_last=False)
-    return P, normalized_capacity(bits, cfg)
+    _sweep(cfg, D, gram, P, [None] * cfg.n_tx, cache_last=False)
+    return P, normalized_capacity(_logdet_bits(cfg, D, P), cfg)
 
 
 def per_stream_rates(cfg: SystemConfig, D: np.ndarray, p_blocks) -> np.ndarray:
@@ -121,17 +119,22 @@ def per_stream_rates(cfg: SystemConfig, D: np.ndarray, p_blocks) -> np.ndarray:
     rates = np.empty(len(p_blocks))
     for t, p_t in enumerate(p_blocks):
         b = D[:, t * n:(t + 1) * n] @ p_t
-        x = np.linalg.solve(T, b)
-        inner = np.eye(b.shape[1], dtype=complex) + c * (b.conj().T @ x)
-        rates[t] = np.linalg.slogdet(inner)[1] / LN2
+        rates[t] = _log2det(c, b.conj().T @ np.linalg.solve(T, b))
         T = T + c * (b @ b.conj().T)
     return rates
 
 
+def _log2det(c: float, k: np.ndarray) -> float:
+    """log2 det(I + c K) for a Hermitian PSD K, as log1p of its eigenvalues:
+    unlike a determinant of I + c K it keeps its relative accuracy where
+    c K is far below I."""
+    return float(np.sum(np.log1p(c * np.maximum(np.linalg.eigvalsh(k), 0.0)))) / LN2
+
+
 def _logdet_bits(cfg: SystemConfig, D: np.ndarray, P: np.ndarray) -> float:
+    """log2 det(I + c B^H B), B = D P, on the smaller Gram side of B."""
     b = D @ P
-    m = np.eye(D.shape[0], dtype=complex) + cfg.snr * (b @ b.conj().T)
-    return np.linalg.slogdet(m)[1] / LN2
+    return _log2det(cfg.snr, b.conj().T @ b if b.shape[1] <= b.shape[0] else b @ b.conj().T)
 
 
 def wf_baseline(cfg: SystemConfig, D: np.ndarray, gram: GramMatrix):
@@ -150,22 +153,28 @@ def wf_structured(cfg: SystemConfig, D: np.ndarray, gram: GramMatrix, max_sweeps
     """Block-diagonal water-filling by repeated :func:`_sweep` passes.
 
     The first sweep is :func:`sic_precode`; each later sweep re-solves every
-    stream against the interference of all the others and ascends
-    monotonically (the telescoping identity makes each re-solve a coordinate
-    maximization). It stops after `max_sweeps` sweeps in all, or once a
-    sweep gains at most STRUCTURED_TOL relative bits (the SIC sweep is
-    measured against 0 bits). Returns (P, normalized capacity).
+    stream against the interference of all the others. By the telescoping
+    identity a re-solve would be a coordinate maximization, but it
+    water-fills with the Gram weights inside the stream's own eigenbasis,
+    which is optimal only where the Gram commutes with the stream's form,
+    so a sweep can also lose bits. It stops after `max_sweeps` sweeps in
+    all, once a sweep gains at most STRUCTURED_TOL relative bits (the SIC
+    sweep is measured against 0 bits), or once a sweep loses bits, and then
+    keeps the sweep before it: it never reports less than
+    :func:`sic_precode`. Returns (P, normalized capacity).
     """
     if not is_integer(max_sweeps) or max_sweeps < 1:
         raise ConfigError(f"max_sweeps must be a positive integer, got {max_sweeps!r}")
     _check_mimo_args(cfg, D, gram)
     P = np.zeros((D.shape[1],) * 2, dtype=complex)
     o = [None] * cfg.n_tx
-    prev_bits = 0.0
+    best, best_bits = P, 0.0
     for _ in range(max_sweeps):
         _sweep(cfg, D, gram, P, o)
         bits = _logdet_bits(cfg, D, P)
-        if bits - prev_bits <= STRUCTURED_TOL * max(1.0, abs(bits)):
+        if bits < best_bits:
+            return best, normalized_capacity(best_bits, cfg)
+        if bits - best_bits <= STRUCTURED_TOL * max(1.0, abs(bits)):
             break
-        prev_bits = bits
+        best, best_bits = P.copy(), bits
     return P, normalized_capacity(bits, cfg)

@@ -113,11 +113,11 @@ def modes(normal: np.ndarray, G: np.ndarray, n_blocks: int = 1):
 
 
 def mode_bits(lam_p: np.ndarray, lam: np.ndarray, sigma_x2: float, N0: float) -> float:
-    """sum log2(1 + (sigma_x2/N0) lam_P lam) in bits; inf at N0 = 0 if any
-    mode carries power."""
+    """sum log2(1 + (sigma_x2/N0) lam_P lam) in bits, through log1p, so it keeps
+    its relative accuracy at any SNR; inf at N0 = 0 if any mode carries power."""
     if N0 == 0.0:
         return math.inf if np.any(lam_p * lam > 0.0) else 0.0
-    return float(np.sum(np.log2(1.0 + (sigma_x2 / N0) * lam_p * lam)))
+    return float(np.sum(np.log1p((sigma_x2 / N0) * lam_p * lam))) / LN2
 
 
 def fill_modes(U: np.ndarray, lam: np.ndarray, phi: np.ndarray, sigma_x2: float, N0: float):

@@ -131,6 +131,21 @@ def test_sweep_at_the_ends_of_the_snr_range(scheme):
             assert cell[r] == cap
 
 
+@pytest.mark.parametrize("snr_db", [-150.0, -100.0, 0.0, 150.0])
+def test_designs_keep_their_orderings_per_realization(snr_db):
+    # water-filling carries at least the bits of unit power on the same modes
+    # and budget, and the structured design at least those of its first
+    # sweep, SIC: on every realization, at the ends of the SNR range too,
+    # where the capacities are 1e-14 or above 100
+    cfg = SystemConfig(M=4, N=2, alpha=0.9, beta=0.9, theta=0.25)
+    siso = run_sweep(SweepSpec(config=cfg, snr_points_db=(snr_db,), n_realizations=12,
+                               schemes=("siso_pa", "siso_nopa"))).values
+    assert np.all(siso[("siso_pa", snr_db)] >= siso[("siso_nopa", snr_db)])
+    mimo = run_sweep(SweepSpec(config=cfg.replace(n_tx=2, n_rx=2), snr_points_db=(snr_db,),
+                               n_realizations=12, schemes=("sic", "wf_structured"))).values
+    assert np.all(mimo[("wf_structured", snr_db)] >= mimo[("sic", snr_db)])
+
+
 def test_single_antenna_sweep_is_one_design():
     # with one antenna every design solves the SISO problem: siso_pa and
     # wf_relaxed share the factor and the solve, SIC has a single stream and

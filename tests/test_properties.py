@@ -1,14 +1,28 @@
 """Property tests over the valid input space: the Gram, water-filling, the
-per-stream rate split and the symbol mapping, on inputs drawn by hypothesis
-(derandomized, so every run draws the same examples)."""
+per-stream rate split, every design's capacity and the symbol mapping, on
+inputs drawn by hypothesis (derandomized, so every run draws the same
+examples)."""
 
 import math
 
+import mpmath
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from mcftn_otfs import SystemConfig, demap_symbols, map_bits, per_stream_rates, waterfill
+from mcftn_otfs import (
+    SystemConfig,
+    build_gram,
+    build_mimo_channel,
+    build_mimo_effective,
+    demap_symbols,
+    map_bits,
+    per_stream_rates,
+    rng_stream,
+    sfft_matrix,
+    waterfill,
+)
 from mcftn_otfs.link import CONSTELLATIONS, bits_per_symbol
+from mcftn_otfs.montecarlo import SCHEME_TABLE
 from mcftn_otfs.precode_siso import LN2
 from mcftn_otfs.pulse import coupling_matrix
 
@@ -83,6 +97,36 @@ def test_per_stream_rates_telescope_to_logdet(n_tx, n_rx, n, snr_db, seed):
     b = d @ p
     direct = np.linalg.slogdet(np.eye(n_rx * n) + cfg.snr * (b @ b.conj().T))[1] / LN2
     assert abs(float(np.sum(per_stream_rates(cfg, d, blocks))) - direct) <= 1e-9
+
+
+def _exact_bits(b, c):
+    """log2 det(I + c B^H B) at 50 digits from the float64 entries of B."""
+    with mpmath.workdps(50):
+        B = mpmath.matrix(b.tolist())
+        det = mpmath.det(mpmath.eye(B.cols) + mpmath.mpf(c) * (B.H * B))
+        return mpmath.log(mpmath.re(det), 2)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=20)
+@given(st.floats(-150.0, 150.0), st.integers(0, 2 ** 32 - 1))
+@example(-150.0, 0)
+@example(150.0, 0)
+def test_every_capacity_matches_a_50_digit_logdet(snr_db, seed):
+    # every design's capacity is log2 det(I + c B^H B), B = D P, of its own
+    # precoder, normalized: to 1e-12 relative anywhere in the SNR range, where
+    # at -150 dB a determinant of I + c B^H B would keep only a few digits
+    for n_ant, schemes in ((1, ("siso_pa", "siso_nopa", "siso_unprecoded")),
+                           (2, ("sic", "wf_relaxed", "wf_structured"))):
+        cfg = SystemConfig(M=4, N=2, alpha=0.9, beta=0.9, theta=0.25, n_tx=n_ant, n_rx=n_ant)
+        cfg_s = cfg.with_snr_db(snr_db)
+        gram = build_gram(cfg)
+        mimo = build_mimo_channel(cfg, rng_stream(seed, "paths", 0))
+        d = build_mimo_effective(gram, mimo.matrix, sfft_matrix(cfg), n_ant)
+        for scheme in schemes:
+            factor, design = SCHEME_TABLE[scheme]
+            p, cap = design(cfg_s, *factor(cfg, gram, d))
+            exact = _exact_bits(d @ p, cfg_s.snr) / (cfg.alpha * cfg.beta * cfg.mn * cfg.E0)
+            assert abs(cap - exact) <= 1e-12 * exact, (scheme, float(abs(cap - exact) / exact))
 
 
 @PROPERTY
