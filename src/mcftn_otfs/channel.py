@@ -121,14 +121,13 @@ def build_mimo_channels(cfg: SystemConfig, rngs: Iterable[np.random.Generator],
     while draws := [[sample_paths(cfg, child) for child in rng.spawn(pairs)]
                     for rng in islice(rngs, per_block)]:
         h_tf = coupling_matrices(cfg, [paths for draw in draws for paths in draw])
-        n = cfg.mn
         for draw in draws:
-            matrix = np.empty((cfg.n_rx * n, cfg.n_tx * n), dtype=complex)
+            # matrix[rx, :, tx] is the block of antenna pair (rx, tx)
+            matrix = np.empty((cfg.n_rx, cfg.mn, cfg.n_tx, cfg.mn), dtype=complex)
             for k in range(pairs):
-                r, t = divmod(k, cfg.n_tx)
-                matrix[r * n:(r + 1) * n, t * n:(t + 1) * n] = _conjugated(next(h_tf), sfft)
-            yield MimoChannel(paths=[draw[r * cfg.n_tx:(r + 1) * cfg.n_tx]
-                                     for r in range(cfg.n_rx)], matrix=matrix)
+                matrix[k // cfg.n_tx, :, k % cfg.n_tx] = _conjugated(next(h_tf), sfft)
+            yield MimoChannel(paths=[draw[i:i + cfg.n_tx] for i in range(0, pairs, cfg.n_tx)],
+                              matrix=matrix.reshape(cfg.n_rx * cfg.mn, -1))
 
 
 def paths_digest(paths) -> str:
@@ -143,9 +142,6 @@ def paths_digest(paths) -> str:
         paths = [[paths]]
     for row in paths:
         for seq in row:
-            arr = np.array(
-                [[p.gain.real, p.gain.imag, p.delay, p.doppler] for p in seq],
-                dtype=np.float64,
-            )
-            h.update(arr.tobytes())
+            h.update(np.array([[p.gain.real, p.gain.imag, p.delay, p.doppler] for p in seq],
+                              dtype=np.float64).tobytes())
     return h.hexdigest()

@@ -39,8 +39,7 @@ def _check_n0(N0: float) -> None:
 
 def make_noise_model(N0: float, gram: GramMatrix, sfft: np.ndarray) -> NoiseModel:
     _check_n0(N0)
-    # G^{1/2} from the eigenpairs, eigenvalues clipped at zero so that it
-    # squares back to the Gram on every mode, the deactivated ones included
+    # G^{1/2} with the eigenvalues clipped at zero: it squares back to G on every mode
     evecs = gram.eigenvectors
     coloring = sfft @ ((evecs * np.sqrt(np.maximum(gram.eigenvalues, 0.0))) @ evecs.conj().T)
     covariance = N0 * (sfft @ gram.matrix @ sfft.conj().T)

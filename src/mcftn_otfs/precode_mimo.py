@@ -88,11 +88,9 @@ def sic_precode(cfg: SystemConfig, D: np.ndarray, gram: GramMatrix):
     stream; with one antenna the single stream is the SISO problem. T stays
     >= I throughout, so the linear solves are well posed and no explicit
     inverse is ever formed. This pass is also the first sweep of
-    :func:`wf_structured`. Returns (P, normalized capacity): the
-    block-diagonal precoder and its bits log2 det(I + c D P P^H D^H), taken
-    directly rather than as the sum of the per-stream bits they telescope to
-    (:func:`per_stream_rates`), which lose digits with the solves against T
-    at high SNR.
+    :func:`wf_structured`. Returns (P, normalized capacity) with the bits
+    log2 det(I + c D P P^H D^H) taken directly: the per-stream bits they
+    telescope to (:func:`per_stream_rates`) lose digits in T's solves at high SNR.
     """
     _check_mimo_args(cfg, D, gram)
     P = np.zeros((D.shape[1],) * 2, dtype=complex)
@@ -125,9 +123,8 @@ def per_stream_rates(cfg: SystemConfig, D: np.ndarray, p_blocks) -> np.ndarray:
 
 
 def _log2det(c: float, k: np.ndarray) -> float:
-    """log2 det(I + c K) for a Hermitian PSD K, as log1p of its eigenvalues:
-    unlike a determinant of I + c K it keeps its relative accuracy where
-    c K is far below I."""
+    """log2 det(I + c K) for a Hermitian PSD K as log1p of its eigenvalues, which,
+    unlike a determinant of I + c K, keeps its relative accuracy for c K << I."""
     return float(np.sum(np.log1p(c * np.maximum(np.linalg.eigvalsh(k), 0.0)))) / LN2
 
 
@@ -153,15 +150,14 @@ def wf_structured(cfg: SystemConfig, D: np.ndarray, gram: GramMatrix, max_sweeps
     """Block-diagonal water-filling by repeated :func:`_sweep` passes.
 
     The first sweep is :func:`sic_precode`; each later sweep re-solves every
-    stream against the interference of all the others. By the telescoping
-    identity a re-solve would be a coordinate maximization, but it
-    water-fills with the Gram weights inside the stream's own eigenbasis,
-    which is optimal only where the Gram commutes with the stream's form,
-    so a sweep can also lose bits. It stops after `max_sweeps` sweeps in
+    stream against the interference of all the others. A re-solve
+    water-fills with the Gram weights in the stream's own eigenbasis, a
+    coordinate maximization only where the Gram commutes with the stream's
+    form, so a sweep can lose bits. It stops after `max_sweeps` sweeps in
     all, once a sweep gains at most STRUCTURED_TOL relative bits (the SIC
-    sweep is measured against 0 bits), or once a sweep loses bits, and then
-    keeps the sweep before it: it never reports less than
-    :func:`sic_precode`. Returns (P, normalized capacity).
+    sweep is measured against 0 bits), or once one loses bits, and then
+    keeps the sweep before it: it never reports less than SIC. Returns (P,
+    normalized capacity).
     """
     if not is_integer(max_sweeps) or max_sweeps < 1:
         raise ConfigError(f"max_sweeps must be a positive integer, got {max_sweeps!r}")

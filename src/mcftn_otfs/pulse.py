@@ -377,13 +377,8 @@ class GramMatrix:
 
         inv_diag = np.where(active, 1.0 / np.sqrt(np.maximum(evals, floor)), 0.0)
         inv_sqrt = (evecs * inv_diag) @ evecs.conj().T
-        return cls(
-            matrix=herm,
-            eigenvalues=evals,
-            eigenvectors=evecs,
-            active=active,
-            inv_sqrt=inv_sqrt,
-        )
+        return cls(matrix=herm, eigenvalues=evals, eigenvectors=evecs, active=active,
+                   inv_sqrt=inv_sqrt)
 
     @property
     def size(self) -> int:
@@ -529,14 +524,12 @@ def _assemble(cfg: SystemConfig, pulse: RrcPulse, sets: list) -> Iterator[np.nda
         # is formed per set, not held while the block's matrices are handed out
         n_idx, m_idx = np.divmod(np.arange(cfg.mn), M)
         index = (n_idx[:, None] - n_idx + N - 1) * (2 * M - 1) + (m_idx[:, None] - m_idx + M - 1)
+        # each path's phased gather, formed in place and added to the first in path order
         h = None
         for row, rx, tx in zip(table.reshape(count, -1), receive, transmit):
             term = row[index].reshape(N, M, N, M)
             term *= rx[:, None, None, None] * tx
-            if h is None:
-                h = term
-            else:
-                h += term
+            h = term if h is None else np.add(h, term, out=h)
         h *= lattice
         yield h.reshape(cfg.mn, cfg.mn)
 
