@@ -5,8 +5,8 @@ examples)."""
 
 import math
 
-import mpmath
 import numpy as np
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from mcftn_otfs import (
@@ -101,6 +101,7 @@ def test_per_stream_rates_telescope_to_logdet(n_tx, n_rx, n, snr_db, seed):
 
 def _exact_bits(b, c):
     """log2 det(I + c B^H B) at 50 digits from the float64 entries of B."""
+    mpmath = pytest.importorskip("mpmath")
     with mpmath.workdps(50):
         B = mpmath.matrix(b.tolist())
         det = mpmath.det(mpmath.eye(B.cols) + mpmath.mpf(c) * (B.H * B))
