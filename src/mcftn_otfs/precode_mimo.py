@@ -2,16 +2,16 @@
 
 The stacked whitened channel D = (I (x) G^{-1/2} A^H) H couples all transmit
 streams. One stream sweep serves both block-diagonal designs: stream t sees
-the interference of the other designed streams through
+the other designed streams through their columns b = [D_s P_s]_{s != t},
+water-fills inside the eigenbasis of its own quadratic form
 
-    T = I + sum_{s != t} (sigma_x^2/N0) (D_s P_s)(D_s P_s)^H,
+    Q_t = D_t^H (I + (sigma_x^2/N0) b b^H)^{-1} D_t,
 
-diagonalizes its own quadratic form Q_t = D_t^H T^{-1} D_t and water-fills
-inside that eigenbasis. The low-complexity SIC design is one sweep from
-empty streams, so stream t sees only the streams before it. The achieved
-sum rate telescopes, sum_t log2 det(I + c P_t^H Q_t P_t) =
-log2 det(I + c D P P^H D^H) for any block-column split of P, which is also
-how the tests audit the loop.
+taken from the thin SVD of b (:func:`_stream_form`) so that its small
+eigenvalues keep their relative accuracy at any SNR. SIC, the
+low-complexity design, is one sweep from empty streams: stream t sees only
+the streams before it, and the stream bits telescope to
+log2 det(I + c D P P^H D^H), as they do for any block-column split of P.
 
 Two baselines: a paper-style relaxed water-filling over the eigenbasis of
 D^H D with a single pooled budget (unstructured P), and a block-diagonal
@@ -54,30 +54,36 @@ def _check_mimo_args(cfg: SystemConfig, D: np.ndarray, gram: GramMatrix) -> None
         raise ConfigError(f"effective channel shape {D.shape} does not match config")
 
 
-def _sweep(cfg: SystemConfig, D: np.ndarray, gram: GramMatrix, P: np.ndarray, o: list,
-           cache_last: bool = True) -> float:
-    """One pass over the streams in natural order. Stream t is re-solved
-    against T = I + sum_{s != t} o_s, where o_s = c (D_s P_s)(D_s P_s)^H is
-    cached when stream s is designed and None before that: it diagonalizes
-    Q = D_t^H T^{-1} D_t and water-fills inside that eigenbasis with the
-    stream's budget MN. Writes P's diagonal blocks and o in place. Without
-    `cache_last` the last stream's o, which only a later pass reads, is not
-    formed.
-    """
+def _stream_form(a: np.ndarray, b: np.ndarray, c: float) -> np.ndarray:
+    """a^H (I + c b b^H)^{-1} a from the thin SVD b = U S V^H: a's part outside
+    b's span plus its part inside scaled by 1/sqrt(1 + c s^2), two PSD terms.
+    Nothing is inverted or solved, and zero singular values are exact."""
+    u, s, _ = np.linalg.svd(b, full_matrices=False)
+    x = u.conj().T @ a
+    perp = a - u @ x
+    y = x / np.sqrt(1.0 + c * s * s)[:, None]
+    return perp.conj().T @ perp + y.conj().T @ y
+
+
+def _sweep(cfg: SystemConfig, D: np.ndarray, gram: GramMatrix, P: np.ndarray) -> float:
+    """One pass over the streams in natural order. Stream t water-fills with
+    the budget MN in the eigenbasis of its form against the nonzero columns
+    of the other streams' D_s P_s (streams not designed yet are zero). Writes
+    P's diagonal blocks in place; returns the summed stream bits, which are
+    P's log det on a sweep from empty streams."""
     n = gram.size
-    for t in range(cfg.n_tx):
-        # ascending s: the streams re-solved in this pass, then the later ones
-        T = np.eye(D.shape[0], dtype=complex)
-        for s in range(cfg.n_tx):
-            if s != t and o[s] is not None:
-                T += o[s]
-        a_t = D[:, t * n:(t + 1) * n]
-        p_t, _ = fill_modes(*modes(a_t.conj().T @ np.linalg.solve(T, a_t), gram.matrix),
-                            cfg.sigma_x2, cfg.N0)
-        P[t * n:(t + 1) * n, t * n:(t + 1) * n] = p_t
-        if cache_last or t < cfg.n_tx - 1:
-            b = a_t @ p_t
-            o[t] = cfg.snr * (b @ b.conj().T)
+    blocks = [slice(t * n, (t + 1) * n) for t in range(cfg.n_tx)]
+    B = np.concatenate([D[:, k] @ P[k, k] for k in blocks], axis=1)
+    bits = 0.0
+    for t, k in enumerate(blocks):
+        live = B.any(axis=0)
+        live[k] = False
+        p_t, bits_t = fill_modes(*modes(_stream_form(D[:, k], B[:, live], cfg.snr), gram.matrix),
+                                 cfg.sigma_x2, cfg.N0)
+        P[k, k] = p_t
+        B[:, k] = D[:, k] @ p_t
+        bits += bits_t
+    return bits
 
 
 def sic_precode(cfg: SystemConfig, D: np.ndarray, gram: GramMatrix):
@@ -85,25 +91,23 @@ def sic_precode(cfg: SystemConfig, D: np.ndarray, gram: GramMatrix):
     the streams before it only.
 
     Each stream gets the budget MN (grid size), the SISO constraint per
-    stream; with one antenna the single stream is the SISO problem. T stays
-    >= I throughout, so the linear solves are well posed and no explicit
-    inverse is ever formed. This pass is also the first sweep of
-    :func:`wf_structured`. Returns (P, normalized capacity) with the bits
-    log2 det(I + c D P P^H D^H) taken directly: the per-stream bits they
-    telescope to (:func:`per_stream_rates`) lose digits in T's solves at high SNR.
+    stream; with one antenna the single stream is the SISO problem. This pass
+    is also the first sweep of :func:`wf_structured`. Returns (P, normalized
+    capacity) with the summed stream bits: log2 det(I + c D P P^H D^H) to
+    relative accuracy at any SNR, split as in :func:`per_stream_rates`.
     """
     _check_mimo_args(cfg, D, gram)
     P = np.zeros((D.shape[1],) * 2, dtype=complex)
-    _sweep(cfg, D, gram, P, [None] * cfg.n_tx, cache_last=False)
-    return P, normalized_capacity(_logdet_bits(cfg, D, P), cfg)
+    return P, normalized_capacity(_sweep(cfg, D, gram, P), cfg)
 
 
 def per_stream_rates(cfg: SystemConfig, D: np.ndarray, p_blocks) -> np.ndarray:
     """log2 det(I + c P_t^H Q_t P_t) per stream for an arbitrary block precoder.
 
-    Stream t sees the streams before it, as in the SIC sweep, so summing the
-    returned rates must reproduce log2 det(I + c D P P^H D^H) exactly. The
-    blocks must be square and tile D's columns.
+    Stream t sees the streams before it, as in the SIC sweep, through
+    :func:`_stream_form`, so summing the returned rates reproduces
+    log2 det(I + c D P P^H D^H) to relative accuracy. The blocks must be
+    square and tile D's columns.
     """
     if cfg.N0 <= 0.0:
         raise ConfigError("per-stream rates need N0 > 0")
@@ -113,13 +117,9 @@ def per_stream_rates(cfg: SystemConfig, D: np.ndarray, p_blocks) -> np.ndarray:
         raise ConfigError(f"blocks of shapes {[p.shape for p in p_blocks]} do not tile "
                           f"the {D.shape[1]} columns of D with square blocks")
     c = cfg.snr
-    T = np.eye(D.shape[0], dtype=complex)
-    rates = np.empty(len(p_blocks))
-    for t, p_t in enumerate(p_blocks):
-        b = D[:, t * n:(t + 1) * n] @ p_t
-        rates[t] = _log2det(c, b.conj().T @ np.linalg.solve(T, b))
-        T = T + c * (b @ b.conj().T)
-    return rates
+    B = np.concatenate([D[:, t * n:(t + 1) * n] @ p_t for t, p_t in enumerate(p_blocks)], axis=1)
+    return np.array([_log2det(c, _stream_form(B[:, k:k + n], B[:, :k], c))
+                     for k in range(0, D.shape[1], n)])
 
 
 def _log2det(c: float, k: np.ndarray) -> float:
@@ -163,11 +163,11 @@ def wf_structured(cfg: SystemConfig, D: np.ndarray, gram: GramMatrix, max_sweeps
         raise ConfigError(f"max_sweeps must be a positive integer, got {max_sweeps!r}")
     _check_mimo_args(cfg, D, gram)
     P = np.zeros((D.shape[1],) * 2, dtype=complex)
-    o = [None] * cfg.n_tx
     best, best_bits = P, 0.0
-    for _ in range(max_sweeps):
-        _sweep(cfg, D, gram, P, o)
-        bits = _logdet_bits(cfg, D, P)
+    for sweep in range(max_sweeps):
+        bits = _sweep(cfg, D, gram, P)
+        if sweep:   # later streams saw the old designs, so count P's own log det
+            bits = _logdet_bits(cfg, D, P)
         if bits < best_bits:
             return best, normalized_capacity(best_bits, cfg)
         if bits - best_bits <= STRUCTURED_TOL * max(1.0, abs(bits)):

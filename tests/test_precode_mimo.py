@@ -259,27 +259,35 @@ def test_capacity_grows_with_antennas():
     assert caps[1] > caps[0]
 
 
-def test_sic_skips_only_the_unread_last_product(monkeypatch):
-    # sic reads the interference of the streams before each one only, so the
-    # last stream's outer product is not formed; wf_structured's later sweeps
-    # read it, so it keeps it, and both give the precoder of the full sweep,
-    # whose bits sic reports
+def test_sic_is_the_first_structured_sweep_and_its_bits_are_its_log_det():
+    # sic is wf_structured's first sweep bit for bit, and the stream bits it
+    # sums are log2 det(I + c D P P^H D^H) of its own precoder
     from mcftn_otfs import precode_mimo
     from mcftn_otfs.precode_siso import normalized_capacity
 
     cfg, gram, _, d = mimo_instance(97)
-    sweep, cached = precode_mimo._sweep, []
+    for snr_db in (-150.0, 0.0, 150.0):
+        cfg_s = cfg.with_snr_db(snr_db)
+        p_sic, cap_sic = sic_precode(cfg_s, d, gram)
+        p_one, cap_one = wf_structured(cfg_s, d, gram, max_sweeps=1)
+        np.testing.assert_array_equal(p_one, p_sic)
+        assert cap_one == cap_sic
+        cap_logdet = normalized_capacity(precode_mimo._logdet_bits(cfg_s, d, p_sic), cfg_s)
+        assert abs(cap_sic - cap_logdet) <= 1e-12 * cap_logdet, snr_db
 
-    def recorded(*args, **kwargs):
-        sweep(*args, **kwargs)
-        cached.append([o is not None for o in args[4]])
 
-    monkeypatch.setattr(precode_mimo, "_sweep", recorded)
-    p_sic, cap_sic = sic_precode(cfg, d, gram)
-    p_one, _ = wf_structured(cfg, d, gram, max_sweeps=1)
-    assert cached == [[True, False], [True, True]]
-    np.testing.assert_array_equal(p_sic, p_one)
-    p_full = np.zeros_like(p_sic)
-    sweep(cfg, d, gram, p_full, [None] * cfg.n_tx)
-    np.testing.assert_array_equal(p_sic, p_full)
-    assert cap_sic == normalized_capacity(precode_mimo._logdet_bits(cfg, d, p_full), cfg)
+@pytest.mark.parametrize("snr_db", [-150.0, 150.0])
+def test_stream_designs_do_not_amplify_a_rounding_of_d(snr_db):
+    # a 1e-14 relative change of D, the size of its own rounding, moves the
+    # sic and wf_structured capacities by at most 1e-9 relative at the ends
+    # of the SNR range, where c B B^H spans 30 orders of magnitude
+    rng = np.random.default_rng(21)
+    for seed in range(4):
+        cfg, gram, _, d = mimo_instance(seed, M=8, N=4)
+        cfg = cfg.with_snr_db(snr_db)
+        d_moved = d * (1.0 + 1e-14 * (rng.uniform(-1.0, 1.0, d.shape)
+                                      + 1j * rng.uniform(-1.0, 1.0, d.shape)))
+        for design in (sic_precode, wf_structured):
+            cap, cap_moved = design(cfg, d, gram)[1], design(cfg, d_moved, gram)[1]
+            assert abs(cap_moved - cap) <= 1e-9 * cap, (design.__name__, seed,
+                                                         abs(cap_moved - cap) / cap)

@@ -108,6 +108,25 @@ def _exact_bits(b, c):
         return mpmath.log(mpmath.re(det), 2)
 
 
+@settings(derandomize=True, deadline=None, database=None, max_examples=40)
+@given(st.integers(1, 3), st.integers(1, 3), st.integers(1, 4), st.floats(-150.0, 150.0),
+       st.integers(0, 2 ** 32 - 1))
+@example(2, 2, 4, -150.0, 0)
+@example(3, 1, 4, 150.0, 0)
+@example(2, 2, 4, 150.0, 0)
+def test_per_stream_rates_sum_to_a_50_digit_logdet(n_tx, n_rx, n, snr_db, seed):
+    # the rate split keeps the log det's relative accuracy over the whole SNR
+    # range, also where a later stream lies in the span of the earlier ones
+    cfg = SystemConfig(M=n, N=1, n_tx=n_tx, n_rx=n_rx).with_snr_db(snr_db)
+    rng = np.random.default_rng(seed)
+    d = _complex_normal(rng, (n_rx * n, n_tx * n))
+    blocks = [_complex_normal(rng, (n, n)) for _ in range(n_tx)]
+    b = np.concatenate([d[:, t * n:(t + 1) * n] @ p for t, p in enumerate(blocks)], axis=1)
+    exact = float(_exact_bits(b, cfg.snr))
+    rates = float(np.sum(per_stream_rates(cfg, d, blocks)))
+    assert abs(rates - exact) <= 1e-12 * exact, float(abs(rates - exact) / exact)
+
+
 @settings(derandomize=True, deadline=None, database=None, max_examples=20)
 @given(st.floats(-150.0, 150.0), st.integers(0, 2 ** 32 - 1))
 @example(-150.0, 0)

@@ -1,6 +1,7 @@
 """Static checks on the package source with the standard-library `ast`:
-no unused imports, no dead module-level private names, and no private
-method or cached property of a class that nothing reads."""
+no unused imports, no dead module-level private names, no private
+method or cached property of a class that nothing reads, and no linear
+solve in the stream designs."""
 
 import ast
 from pathlib import Path
@@ -114,3 +115,14 @@ def test_every_lru_cache_has_a_finite_maxsize():
                 if not (isinstance(size, int) and size > 0):
                     unbounded.append(f"{module}: {node.name}")
     assert not unbounded, f"caches without a finite maxsize: {unbounded}"
+
+
+def test_stream_designs_call_no_linear_solver():
+    # the stream forms come from an SVD of the interference; a solve against,
+    # or an inverse of, I + c B B^H loses the digits they keep at high SNR
+    def name(node):
+        return node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+
+    calls = [ast.unparse(node.func) for node in ast.walk(_modules()["precode_mimo.py"])
+             if isinstance(node, ast.Call) and name(node.func) in ("solve", "inv", "pinv")]
+    assert not calls, f"linear solves in precode_mimo.py: {calls}"
