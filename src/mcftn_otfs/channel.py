@@ -74,8 +74,8 @@ def build_dd_channel(paths: Sequence[DdPath], cfg: SystemConfig,
     return DdChannel(paths=tuple(paths), h_tf=h_tf, h_dd=_conjugated(h_tf, sfft))
 
 
-def _conjugated(h_tf: np.ndarray, sfft: np.ndarray) -> np.ndarray:
-    return sfft @ h_tf @ sfft.conj().T
+def _conjugated(h_tf: np.ndarray, sfft: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    return np.matmul(sfft @ h_tf, sfft.conj().T, out=out)
 
 
 @dataclass
@@ -103,12 +103,12 @@ def build_mimo_channels(cfg: SystemConfig, rngs: Iterable[np.random.Generator],
 
     The generators are taken a block at a time. A block draws every antenna
     pair of each of its realizations and integrates all their path rows in
-    one `ambiguity_table` call; the realizations' channels are then
-    assembled one per `next`, each pair conjugated with `sfft` (built once
-    if not given) straight into its block of the stacked matrix. A block
-    holds as many realizations as keep its table rows times the pulse's
-    nodes per T0 within one quadrature chunk of `pulse`, which keeps the
-    tables it holds near the size of one chunk, and at least one.
+    one `ambiguity_table` call; the channels are then assembled one per
+    `next`, each pair conjugated with `sfft` (built once if not given)
+    straight into its block of the stacked matrix, and none is kept once
+    handed out. A block holds as many realizations as keep its table rows
+    times the pulse's nodes per T0 within one quadrature chunk of `pulse`,
+    which keeps the tables it holds near one chunk, and at least one.
     """
     if sfft is None:
         sfft = sfft_matrix(cfg)
@@ -122,12 +122,16 @@ def build_mimo_channels(cfg: SystemConfig, rngs: Iterable[np.random.Generator],
                     for rng in islice(rngs, per_block)]:
         h_tf = coupling_matrices(cfg, [paths for draw in draws for paths in draw])
         for draw in draws:
-            # matrix[rx, :, tx] is the block of antenna pair (rx, tx)
-            matrix = np.empty((cfg.n_rx, cfg.mn, cfg.n_tx, cfg.mn), dtype=complex)
-            for k in range(pairs):
-                matrix[k // cfg.n_tx, :, k % cfg.n_tx] = _conjugated(next(h_tf), sfft)
             yield MimoChannel(paths=[draw[i:i + cfg.n_tx] for i in range(0, pairs, cfg.n_tx)],
-                              matrix=matrix.reshape(cfg.n_rx * cfg.mn, -1))
+                              matrix=_stacked(cfg, h_tf, sfft))
+
+
+def _stacked(cfg: SystemConfig, h_tf: Iterator[np.ndarray], sfft: np.ndarray) -> np.ndarray:
+    """The next n_rx * n_tx matrices of `h_tf` conjugated into matrix[rx, :, tx], made here."""
+    matrix = np.empty((cfg.n_rx, cfg.mn, cfg.n_tx, cfg.mn), dtype=complex)
+    for k in range(cfg.n_rx * cfg.n_tx):
+        _conjugated(next(h_tf), sfft, out=matrix[k // cfg.n_tx, :, k % cfg.n_tx])
+    return matrix.reshape(cfg.n_rx * cfg.mn, -1)
 
 
 def paths_digest(paths) -> str:

@@ -239,9 +239,12 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     digests = []
 
     streams = (rng_stream(cfg.seed, "paths", r) for r in range(spec.n_realizations))
-    for r, mimo in enumerate(build_mimo_channels(cfg, streams, sfft)):
+    channels = build_mimo_channels(cfg, streams, sfft)
+    for r in range(spec.n_realizations):
+        mimo = next(channels)   # enumerate's cached tuple would keep it into the next draw
         digests.append(paths_digest(mimo.paths))
         D = build_mimo_effective(gram, mimo.matrix, sfft, cfg.n_rx)
+        del mimo
         factors = {f: f(cfg, gram, D) for f in dict.fromkeys(f for f, _ in rows)}
 
         for si, (snr, cfg_s) in enumerate(zip(spec.snr_points_db, snr_cfgs)):

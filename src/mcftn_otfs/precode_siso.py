@@ -104,7 +104,11 @@ def modes(normal: np.ndarray, G: np.ndarray, n_blocks: int = 1):
     by phi[c] = u_c^H (I_{n_blocks} (x) G) u_c, one G-sized block at a time
     without forming the Kronecker product. Returns (U, lam, phi).
     """
-    evals, evecs = np.linalg.eigh(0.5 * (normal + normal.conj().T))
+    herm = np.conj(normal, dtype=np.result_type(normal, 0.5)).T   # the one temporary
+    herm += normal      # the same sum as normal + normal^H
+    del normal          # a temporary argument is freed before eigh
+    herm *= 0.5
+    evals, evecs = np.linalg.eigh(herm)
     lam = np.maximum(evals[::-1], 0.0)
     U = evecs[:, ::-1]
     ur = U.reshape(n_blocks, G.shape[0], U.shape[1])

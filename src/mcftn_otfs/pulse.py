@@ -490,8 +490,8 @@ def coupling_matrices(cfg: SystemConfig, path_sets) -> Iterator[np.ndarray]:
     same lattice pulse (so all sets of a draw whose Dopplers lie within
     nu_max) integrate in one `ambiguity_table` call, a table per set, so a
     set's matrix is the same, bit for bit, whichever sets share its call.
-    Each matrix is then gathered and phased when it is asked for, one at a
-    time; only the (2N-1)(2M-1) table values per path are held.
+    Each matrix is gathered and phased when it is asked for, one at a time;
+    the (2N-1)(2M-1) table values per path are held, no matrix handed out.
     """
     sets = [_checked_paths(paths) for paths in path_sets]
     keys = [(lattice_pulse(cfg, [doppler for _, _, doppler in paths]), len(paths))
@@ -520,18 +520,22 @@ def _assemble(cfg: SystemConfig, pulse: RrcPulse, sets: list) -> Iterator[np.nda
         receive = gain[:, None] * np.exp(2j * np.pi * doppler[:, None]
                                          * (np.arange(N) * t_step - delay[:, None]))
         transmit = np.exp(-2j * np.pi * f_step * delay[:, None] * np.arange(M))
-        # the flat (dn, dm) index of every entry is as large as the matrix, so it
-        # is formed per set, not held while the block's matrices are handed out
-        n_idx, m_idx = np.divmod(np.arange(cfg.mn), M)
-        index = (n_idx[:, None] - n_idx + N - 1) * (2 * M - 1) + (m_idx[:, None] - m_idx + M - 1)
-        # each path's phased gather, formed in place and added to the first in path order
-        h = None
-        for row, rx, tx in zip(table.reshape(count, -1), receive, transmit):
-            term = row[index].reshape(N, M, N, M)
-            term *= rx[:, None, None, None] * tx
-            h = term if h is None else np.add(h, term, out=h)
-        h *= lattice
-        yield h.reshape(cfg.mn, cfg.mn)
+        yield _phased_sum(cfg, table.reshape(count, -1), receive, transmit, lattice)
+
+
+def _phased_sum(cfg: SystemConfig, rows, receive, transmit, lattice) -> np.ndarray:
+    """One set's matrix, each path's phased gather added in place to the first in path
+    order. It, a path term and the flat (dn, dm) index, all as large, live only here."""
+    M, N = cfg.M, cfg.N
+    n_idx, m_idx = np.divmod(np.arange(cfg.mn), M)
+    index = (n_idx[:, None] - n_idx + N - 1) * (2 * M - 1) + (m_idx[:, None] - m_idx + M - 1)
+    h = None
+    for row, rx, tx in zip(rows, receive, transmit):
+        term = row[index].reshape(N, M, N, M)
+        term *= rx[:, None, None, None] * tx
+        h = term if h is None else np.add(h, term, out=h)
+    h *= lattice
+    return h.reshape(cfg.mn, cfg.mn)
 
 
 def coupling_matrix(cfg: SystemConfig, paths) -> np.ndarray:

@@ -1,5 +1,7 @@
 """Doubly dispersive channel construction tests."""
 
+import weakref
+
 import numpy as np
 import pytest
 
@@ -255,6 +257,17 @@ def test_mimo_channels_in_blocks_equal_per_pair_builds(monkeypatch):
             assert mimo.paths[rx][tx] == alone.paths
             block = mimo.matrix[rx * cfg.mn:(rx + 1) * cfg.mn, tx * cfg.mn:(tx + 1) * cfg.mn]
             np.testing.assert_array_equal(block, alone.h_dd)
+
+
+@pytest.mark.parametrize("n_ant", [1, 2])
+def test_mimo_channels_keep_no_matrix_they_handed_out(n_ant):
+    cfg = SystemConfig(M=4, N=2, alpha=0.9, beta=0.9, theta=0.25, n_tx=n_ant, n_rx=n_ant)
+    channels = build_mimo_channels(cfg, [rng_stream(3, "paths", r) for r in range(3)])
+    for _ in range(3):
+        matrix = next(channels).matrix
+        owner = weakref.ref(matrix if matrix.base is None else matrix.base)
+        del matrix
+        assert owner() is None
 
 
 # ---------------------------------------------------------------- digests ----

@@ -1,6 +1,7 @@
 """Sweep orchestration tests: pairing, determinism, aggregation."""
 
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -507,3 +508,25 @@ def test_sweep_integrates_once_per_gram_and_block(monkeypatch):
     run_sweep(BLOCKED)
     assert len(calls) == 1 + 2
     assert montecarlo.build_mimo_channels is build_mimo_channels
+
+
+@pytest.mark.parametrize("metric", montecarlo.METRICS)
+def test_sweep_drops_each_channel_before_the_next_draw(monkeypatch, metric):
+    spec = SweepSpec(config=BASE.replace(n_tx=2, n_rx=2), snr_points_db=(0.0, 10.0),
+                     n_realizations=3, schemes=("sic", "wf_relaxed"), metric=metric,
+                     n_frames=20)
+    dead = []
+
+    def watched(*args):
+        channels, owners = build_mimo_channels(*args), []
+        while True:
+            dead.append(all(owner() is None for owner in owners))
+            box = [next(channels, None)]
+            if box[0] is None:
+                return
+            owners.append(weakref.ref(box[0].matrix.base))
+            yield box.pop()     # handed over with no reference kept here
+
+    monkeypatch.setattr(montecarlo, "build_mimo_channels", watched)
+    run_sweep(spec)
+    assert dead == [True] * spec.n_realizations

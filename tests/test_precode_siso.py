@@ -87,6 +87,19 @@ def test_eigenvalues_match_independent_svd():
     np.testing.assert_allclose(lam, s_ref, atol=1e-9)
 
 
+@pytest.mark.parametrize("dtype", [complex, float, int])
+def test_modes_leaves_its_argument_alone(dtype):
+    # a non-Hermitian normal shows an in-place symmetrization; the eigenvalues
+    # are those of the symmetrized copy, 0.5 (normal + normal^H), bit for bit
+    re, im = np.random.default_rng(9).standard_normal((2, 6, 6))
+    normal = {complex: re + 1j * im, float: re, int: np.round(10 * re).astype(int)}[dtype]
+    before = normal.copy()
+    _, lam, _ = modes(normal, np.eye(3), 2)
+    np.testing.assert_array_equal(normal, before)
+    evals = np.linalg.eigh(0.5 * (before + before.conj().T))[0]
+    np.testing.assert_array_equal(lam, np.maximum(evals[::-1], 0.0))
+
+
 # ---------------------------------------------------------- water-filling ----
 
 def test_waterfill_single_mode_takes_whole_budget():

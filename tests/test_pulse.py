@@ -1,6 +1,7 @@
 """Pulse shape, cross-ambiguity quadrature and Gram matrix tests."""
 
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -634,6 +635,18 @@ def test_batched_assembly_equals_per_set_calls(M, N, n_rx, n_tx, n_draws):
     for paths in sets:
         np.testing.assert_array_equal(next(batched), coupling_matrix(cfg, paths))
     assert next(batched, None) is None
+
+
+def test_assembly_keeps_no_matrix_it_handed_out():
+    # between two matrices the generator is suspended; once the caller drops a
+    # matrix, no reference in the generator keeps its memory (or a path term) alive
+    cfg = SystemConfig(M=4, N=3, alpha=0.9, beta=0.9, theta=0.25)
+    matrices = coupling_matrices(cfg, draw_sets(cfg, 3))
+    for _ in range(3):
+        h = next(matrices)
+        owner = weakref.ref(h if h.base is None else h.base)
+        del h
+        assert owner() is None
 
 
 def test_batched_assembly_of_mixed_sets_equals_per_set_calls(monkeypatch):
