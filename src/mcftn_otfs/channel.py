@@ -6,8 +6,8 @@ ambiguity value at the offset (dm*beta*delta_f0 - doppler,
 dn*alpha*T0 - delay) times two phase factors, the same lattice formula whose
 unit path is the pulse Gram. Conjugating with the SFFT gives the
 delay-Doppler matrix the equalizer works in. Matrices are never sampled
-directly: they are rebuilt deterministically from the paths. A block of
-realizations, every antenna pair of each, integrates in one quadrature call
+directly: they are rebuilt deterministically from the paths. The antenna
+pairs of consecutive realizations integrate in shared quadrature calls
 (`build_mimo_channels`), and each realization's matrices are the same bit
 for bit as when it is built alone.
 """
@@ -17,13 +17,13 @@ from __future__ import annotations
 import hashlib
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
-from itertools import islice
+from itertools import chain, tee
 from typing import NamedTuple
 
 import numpy as np
 
 from .core import SystemConfig, sfft_matrix
-from .pulse import _CHUNK_NODES, coupling_matrices, coupling_matrix, lattice_pulse
+from .pulse import coupling_matrices, coupling_matrix
 
 
 class DdPath(NamedTuple):
@@ -65,13 +65,10 @@ class DdChannel:
     h_dd: np.ndarray   # delay-Doppler domain, MN x MN
 
 
-def build_dd_channel(paths: Sequence[DdPath], cfg: SystemConfig,
-                     sfft: np.ndarray | None = None) -> DdChannel:
+def build_dd_channel(paths: Sequence[DdPath], cfg: SystemConfig) -> DdChannel:
     """Delay-Doppler channel H_dd = A H_tf A^H for the given paths."""
-    if sfft is None:
-        sfft = sfft_matrix(cfg)
     h_tf = build_tf_channel(paths, cfg)
-    return DdChannel(paths=tuple(paths), h_tf=h_tf, h_dd=_conjugated(h_tf, sfft))
+    return DdChannel(paths=tuple(paths), h_tf=h_tf, h_dd=_conjugated(h_tf, sfft_matrix(cfg)))
 
 
 def _conjugated(h_tf: np.ndarray, sfft: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -92,38 +89,30 @@ def build_mimo_channel(cfg: SystemConfig, rng: np.random.Generator) -> MimoChann
     The generator is split once into n_rx*n_tx children; antenna pair
     (rx, tx) uses child rx*n_tx + tx, so block realizations are independent
     and reproducible regardless of assembly order. The one-realization case
-    of :func:`build_mimo_channels`: all pairs integrate in one call.
+    of :func:`build_mimo_channels`.
     """
     return next(build_mimo_channels(cfg, [rng]))
 
 
-def build_mimo_channels(cfg: SystemConfig, rngs: Iterable[np.random.Generator],
-                        sfft: np.ndarray | None = None) -> Iterator[MimoChannel]:
-    """:func:`build_mimo_channel` of each generator in `rngs`, in order, in blocks.
+def build_mimo_channels(cfg: SystemConfig,
+                        rngs: Iterable[np.random.Generator]) -> Iterator[MimoChannel]:
+    """:func:`build_mimo_channel` of each generator in `rngs`, in order.
 
-    The generators are taken a block at a time. A block draws every antenna
-    pair of each of its realizations and integrates all their path rows in
-    one `ambiguity_table` call; the channels are then assembled one per
-    `next`, each pair conjugated with `sfft` (built once if not given)
-    straight into its block of the stacked matrix, and none is kept once
-    handed out. A block holds as many realizations as keep its table rows
-    times the pulse's nodes per T0 within one quadrature chunk of `pulse`,
-    which keeps the tables it holds near one chunk, and at least one.
+    Every antenna pair of each realization is drawn when the quadrature of
+    `pulse.coupling_matrices` asks for its path set, so the generators are
+    taken as its calls need them: the pairs of consecutive realizations
+    share `ambiguity_table` calls of about one quadrature chunk each. The
+    channels are assembled one per `next`, each pair conjugated with the
+    config's SFFT straight into its block of the stacked matrix, and none
+    is kept once handed out.
     """
-    if sfft is None:
-        sfft = sfft_matrix(cfg)
+    sfft = sfft_matrix(cfg)
     pairs = cfg.n_rx * cfg.n_tx
-    # a realization's table rows times nodes per T0; sampled Dopplers lie
-    # within nu_max, so every draw shares the config's pulse
-    size = cfg.L * (2 * cfg.N - 1) * pairs * lattice_pulse(cfg, []).nodes_per_t0
-    per_block = max(1, _CHUNK_NODES // size)
-    rngs = iter(rngs)
-    while draws := [[sample_paths(cfg, child) for child in rng.spawn(pairs)]
-                    for rng in islice(rngs, per_block)]:
-        h_tf = coupling_matrices(cfg, [paths for draw in draws for paths in draw])
-        for draw in draws:
-            yield MimoChannel(paths=[draw[i:i + cfg.n_tx] for i in range(0, pairs, cfg.n_tx)],
-                              matrix=_stacked(cfg, h_tf, sfft))
+    draws, sets = tee([sample_paths(cfg, child) for child in rng.spawn(pairs)] for rng in rngs)
+    h_tf = coupling_matrices(cfg, chain.from_iterable(sets))
+    for draw in draws:
+        yield MimoChannel(paths=[draw[i:i + cfg.n_tx] for i in range(0, pairs, cfg.n_tx)],
+                          matrix=_stacked(cfg, h_tf, sfft))
 
 
 def _stacked(cfg: SystemConfig, h_tf: Iterator[np.ndarray], sfft: np.ndarray) -> np.ndarray:

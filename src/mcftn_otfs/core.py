@@ -14,6 +14,7 @@ import dataclasses
 import math
 import zlib
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -163,10 +164,17 @@ def sfft_matrix(cfg: SystemConfig) -> np.ndarray:
     the delay-Doppler grid is the Kronecker product F_N (x) F_M^H of unitary
     DFTs; the 1/sqrt(NM) of the double-sum definition is absorbed by the
     unitary normalization. The inverse transform is the conjugate transpose.
+    It is built once per (M, N) and handed out read-only, so every config of
+    one grid shares it.
     """
-    f_m = dft_matrix(cfg.M)
-    f_n = dft_matrix(cfg.N)
-    return np.kron(f_n, f_m.conj().T)
+    return _sfft(cfg.M, cfg.N)
+
+
+@lru_cache(maxsize=16)
+def _sfft(M: int, N: int) -> np.ndarray:
+    sfft = np.kron(dft_matrix(N), dft_matrix(M).conj().T)
+    sfft.flags.writeable = False
+    return sfft
 
 
 def rng_stream(seed: int, *key) -> np.random.Generator:

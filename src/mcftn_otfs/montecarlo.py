@@ -47,7 +47,7 @@ def _mimo_factor(cfg, gram, D):
 
 
 def _stacked_factor(cfg, gram, D):
-    return modes(D.conj().T @ D, gram.matrix, cfg.n_tx)
+    return modes(D.conj().T @ D, gram.matrix)
 
 
 SCHEME_TABLE = {
@@ -216,9 +216,9 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     """Execute the sweep; deterministic for a fixed spec.
 
     Realizations are independent; each one draws its channel from the stream
-    (seed, "paths", r) (the channels of a block of realizations integrate
-    in one quadrature call, see `build_mimo_channels`, with the same values
-    as alone), whitens it once, runs each distinct factor of the
+    (seed, "paths", r) (the channels of consecutive realizations share
+    quadrature calls, see `build_mimo_channels`, with the same values as
+    alone), whitens it once, runs each distinct factor of the
     requested schemes once on that D, then walks the SNR grid, where only
     the power allocation is redone.
     For the BER metric each cell equalizes on that same D with white noise;
@@ -239,7 +239,7 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     digests = []
 
     streams = (rng_stream(cfg.seed, "paths", r) for r in range(spec.n_realizations))
-    channels = build_mimo_channels(cfg, streams, sfft)
+    channels = build_mimo_channels(cfg, streams)
     for r in range(spec.n_realizations):
         mimo = next(channels)   # enumerate's cached tuple would keep it into the next draw
         digests.append(paths_digest(mimo.paths))

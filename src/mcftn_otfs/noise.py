@@ -46,19 +46,12 @@ def make_noise_model(N0: float, gram: GramMatrix, sfft: np.ndarray) -> NoiseMode
     return NoiseModel(N0=N0, coloring=coloring, covariance=covariance)
 
 
-def _standard_complex(rng: np.random.Generator, shape) -> np.ndarray:
-    # real parts drawn before imaginary parts, fixed order per stream
-    re = rng.standard_normal(shape)
-    im = rng.standard_normal(shape)
-    return (re + 1j * im) / np.sqrt(2.0)
-
-
 def draw_dd_noise(model: NoiseModel, rng: np.random.Generator, n: int | None = None) -> np.ndarray:
-    """One delay-Doppler noise vector, or a (grid, n) batch when n is given."""
+    """One delay-Doppler noise vector, or a (grid, n) batch when n is given,
+    from the normals of one antenna of `draw_standard_noise`."""
     size = model.coloring.shape[1]
-    shape = (size,) if n is None else (size, n)
-    w = _standard_complex(rng, shape)
-    return np.sqrt(model.N0) * (model.coloring @ w)
+    re, im = draw_standard_noise(model.N0, rng, 1, (size,) if n is None else (size, n))[0]
+    return np.sqrt(model.N0) * (model.coloring @ ((re + 1j * im) / np.sqrt(2.0)))
 
 
 def draw_standard_noise(N0: float, rng: np.random.Generator, n_rx: int, shape) -> np.ndarray:

@@ -33,16 +33,13 @@ STRUCTURED_TOL = 1e-9   # relative gain in bits below which wf_structured stops
 
 def build_mimo_effective(gram: GramMatrix, h_mimo: np.ndarray, sfft: np.ndarray,
                          n_rx: int) -> np.ndarray:
-    """Whitened stacked channel (I (x) G^{-1/2} A^H) H, block row by block row."""
+    """Whitened stacked channel (I (x) G^{-1/2} A^H) H, every block row in one product."""
     h_mimo = np.asarray(h_mimo, dtype=complex)
     n = gram.size
     if h_mimo.shape[0] != n_rx * n or h_mimo.shape[1] % n != 0:
         raise ConfigError(f"stacked channel shape {h_mimo.shape} does not tile {n}-sized blocks")
     w = gram.inv_sqrt @ sfft.conj().T
-    out = np.empty_like(h_mimo)
-    for r in range(n_rx):
-        out[r * n:(r + 1) * n, :] = w @ h_mimo[r * n:(r + 1) * n, :]
-    return out
+    return (w @ h_mimo.reshape(n_rx, n, -1)).reshape(h_mimo.shape)
 
 
 def _check_mimo_args(cfg: SystemConfig, D: np.ndarray, gram: GramMatrix) -> None:
@@ -143,7 +140,7 @@ def wf_baseline(cfg: SystemConfig, D: np.ndarray, gram: GramMatrix):
     design should approach at high SNR. Returns (P, normalized capacity).
     """
     _check_mimo_args(cfg, D, gram)
-    return relaxed_fill(cfg, *modes(D.conj().T @ D, gram.matrix, cfg.n_tx))
+    return relaxed_fill(cfg, *modes(D.conj().T @ D, gram.matrix))
 
 
 def wf_structured(cfg: SystemConfig, D: np.ndarray, gram: GramMatrix, max_sweeps: int = 30):

@@ -96,13 +96,14 @@ def waterfill(lam_d: np.ndarray, phi: np.ndarray, sigma_x2: float, N0: float,
     return lam_p, xi
 
 
-def modes(normal: np.ndarray, G: np.ndarray, n_blocks: int = 1):
+def modes(normal: np.ndarray, G: np.ndarray):
     """SNR-independent half of the kernel: eigenbasis and mode weights.
 
     Diagonalizes the Hermitian `normal` (D^H D, or a stream's quadratic
     form) with eigenvalues in descending order and weighs each eigenvector
-    by phi[c] = u_c^H (I_{n_blocks} (x) G) u_c, one G-sized block at a time
-    without forming the Kronecker product. Returns (U, lam, phi).
+    by phi[c] = u_c^H (I (x) G) u_c, one G-sized block at a time without
+    forming the Kronecker product; `normal` spans as many blocks as G
+    divides its size into. Returns (U, lam, phi).
     """
     herm = np.conj(normal, dtype=np.result_type(normal, 0.5)).T   # the one temporary
     herm += normal      # the same sum as normal + normal^H
@@ -111,7 +112,7 @@ def modes(normal: np.ndarray, G: np.ndarray, n_blocks: int = 1):
     evals, evecs = np.linalg.eigh(herm)
     lam = np.maximum(evals[::-1], 0.0)
     U = evecs[:, ::-1]
-    ur = U.reshape(n_blocks, G.shape[0], U.shape[1])
+    ur = U.reshape(-1, G.shape[0], U.shape[1])
     phi = np.einsum("tjc,tjc->c", ur.conj(), G @ ur).real
     return U, lam, np.maximum(phi, 0.0)
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from itertools import groupby
+from itertools import groupby, islice
 from numbers import Number, Real
 from operator import itemgetter
 
@@ -486,18 +486,24 @@ def _checked_paths(paths) -> list:
 def coupling_matrices(cfg: SystemConfig, path_sets) -> Iterator[np.ndarray]:
     """`coupling_matrix` of each path set in `path_sets`, in order.
 
-    Every set is checked first. Consecutive sets with as many paths and the
-    same lattice pulse (so all sets of a draw whose Dopplers lie within
-    nu_max) integrate in one `ambiguity_table` call, a table per set, so a
-    set's matrix is the same, bit for bit, whichever sets share its call.
+    The sets are taken lazily, a call's worth at a time, and each call's
+    sets are checked before its quadrature. Consecutive sets with as many
+    paths and the same lattice pulse (so all sets of draws whose Dopplers
+    lie within nu_max) share `ambiguity_table` calls, a table per set, so a
+    set's matrix is the same, bit for bit, whichever sets share its call. A
+    call holds as many sets of one such run as keep their table rows times
+    the pulse's nodes per T0 within one quadrature chunk, and at least one.
     Each matrix is gathered and phased when it is asked for, one at a time;
-    the (2N-1)(2M-1) table values per path are held, no matrix handed out.
+    the (2N-1)(2M-1) table values per path of one call are held, no matrix
+    handed out.
     """
-    sets = [_checked_paths(paths) for paths in path_sets]
-    keys = [(lattice_pulse(cfg, [doppler for _, _, doppler in paths]), len(paths))
-            for paths in sets]
-    for (pulse, _), run in groupby(zip(keys, sets), key=itemgetter(0)):
-        yield from _assemble(cfg, pulse, [paths for _, paths in run])
+    keyed = ((lattice_pulse(cfg, [doppler for _, _, doppler in paths]), len(paths), paths)
+             for paths in map(_checked_paths, path_sets))
+    for (pulse, count), run in groupby(keyed, key=itemgetter(0, 1)):
+        per_call = max(1, _CHUNK_NODES // max(1, count * (2 * cfg.N - 1) * pulse.nodes_per_t0))
+        run = map(itemgetter(2), run)
+        while sets := list(islice(run, per_call)):
+            yield from _assemble(cfg, pulse, sets)
 
 
 def _assemble(cfg: SystemConfig, pulse: RrcPulse, sets: list) -> Iterator[np.ndarray]:

@@ -247,12 +247,11 @@ def test_mimo_channels_in_blocks_equal_per_pair_builds(monkeypatch):
     channels += list(blocked)
     assert len(channels) == 5 and len(calls) == 2
     monkeypatch.undo()
-    sfft = sfft_matrix(cfg)
     for r, mimo in enumerate(channels):
         np.testing.assert_array_equal(mimo.matrix,
                                       build_mimo_channel(cfg, rng_stream(8, "paths", r)).matrix)
         for k, child in enumerate(rng_stream(8, "paths", r).spawn(16)):
-            alone = build_dd_channel(sample_paths(cfg, child), cfg, sfft)
+            alone = build_dd_channel(sample_paths(cfg, child), cfg)
             rx, tx = divmod(k, 4)
             assert mimo.paths[rx][tx] == alone.paths
             block = mimo.matrix[rx * cfg.mn:(rx + 1) * cfg.mn, tx * cfg.mn:(tx + 1) * cfg.mn]

@@ -131,6 +131,18 @@ def test_sfft_matches_double_sum(M, N):
     np.testing.assert_allclose(a, ref, atol=1e-12)
 
 
+def test_sfft_is_built_once_per_grid_and_read_only():
+    cfg = SystemConfig(M=4, N=2, alpha=0.9, beta=0.9)
+    a = sfft_matrix(cfg)
+    assert sfft_matrix(cfg.with_snr_db(5.0)) is a
+    assert sfft_matrix(cfg.replace(alpha=0.95)) is a
+    other = sfft_matrix(SystemConfig(M=2, N=4))
+    assert other.shape == a.shape and not np.array_equal(other, a)
+    with pytest.raises(ValueError):
+        a[0, 0] = 0.0
+    np.testing.assert_array_equal(a, np.kron(dft_matrix(2), dft_matrix(4).conj().T))
+
+
 def test_sfft_unitary_and_inverse():
     cfg = SystemConfig(M=4, N=3)
     a = sfft_matrix(cfg)

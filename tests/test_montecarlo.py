@@ -489,7 +489,7 @@ BLOCKED = SweepSpec(config=SystemConfig(M=8, N=4, alpha=0.9, beta=0.9, theta=0.2
 def test_sweep_over_blocks_equals_per_realization_loop(monkeypatch):
     blocked = run_sweep(BLOCKED)
     monkeypatch.setattr(montecarlo, "build_mimo_channels",
-                        lambda cfg, rngs, sfft: (build_mimo_channel(cfg, rng) for rng in rngs))
+                        lambda cfg, rngs: (build_mimo_channel(cfg, rng) for rng in rngs))
     alone = run_sweep(BLOCKED)
     assert blocked.channel_digests == alone.channel_digests
     assert blocked.values.keys() == alone.values.keys()

@@ -94,7 +94,7 @@ def test_modes_leaves_its_argument_alone(dtype):
     re, im = np.random.default_rng(9).standard_normal((2, 6, 6))
     normal = {complex: re + 1j * im, float: re, int: np.round(10 * re).astype(int)}[dtype]
     before = normal.copy()
-    _, lam, _ = modes(normal, np.eye(3), 2)
+    _, lam, _ = modes(normal, np.eye(3))
     np.testing.assert_array_equal(normal, before)
     evals = np.linalg.eigh(0.5 * (before + before.conj().T))[0]
     np.testing.assert_array_equal(lam, np.maximum(evals[::-1], 0.0))

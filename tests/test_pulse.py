@@ -717,6 +717,35 @@ def test_block_quadrature_memory_does_not_grow_with_its_tables():
     assert block < 3 * 2 ** 20
 
 
+def test_coupling_matrices_take_their_sets_a_call_at_a_time(monkeypatch):
+    # seven 16x16 sets fit a quadrature chunk: the first matrix needs only
+    # them drawn and integrated, and the eighth set is a second call
+    cfg = SystemConfig(M=16, N=16, alpha=0.9, beta=0.9, theta=0.25)
+    sets, pulled, calls = draw_sets(cfg, 8), [], []
+    table = pulse_module.ambiguity_table
+    monkeypatch.setattr(pulse_module, "ambiguity_table",
+                        lambda *args, **kwargs: calls.append(1) or table(*args, **kwargs))
+
+    def drawn(sets):
+        for paths in sets:
+            pulled.append(paths)
+            yield paths
+
+    matrices = coupling_matrices(cfg, drawn(sets))
+    got = [next(matrices)]
+    assert len(pulled) == 7 and len(calls) == 1
+    got += list(matrices)
+    assert len(pulled) == 8 and len(calls) == 2
+    monkeypatch.undo()
+    for h, paths in zip(got, sets, strict=True):
+        np.testing.assert_array_equal(h, coupling_matrix(cfg, paths))
+    matrices = coupling_matrices(cfg, [*sets[:7], [(1.0, None, 0.0)]])
+    for _ in range(7):
+        next(matrices)
+    with pytest.raises(ConfigError, match="path"):
+        next(matrices)
+
+
 def test_huge_frequency_offset_is_a_config_error():
     # a Doppler of 1e6 would ask for a 2.5-million-node rule per T0
     cfg = SystemConfig(M=2, N=2, theta=0.25)

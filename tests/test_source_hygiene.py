@@ -1,7 +1,7 @@
 """Static checks on the package source with the standard-library `ast`:
-no unused imports, no dead module-level private names, no private
-method or cached property of a class that nothing reads, and no linear
-solve in the stream designs."""
+no unused imports, no dead module-level private names, no private name
+imported from another module, no private method or cached property of a
+class that nothing reads, and no linear solve in the stream designs."""
 
 import ast
 from pathlib import Path
@@ -73,6 +73,16 @@ def test_every_private_module_name_is_referenced():
                 continue
             dead += [f"{name}: {d}" for d in defined if _private(d) and d not in referenced]
     assert not dead, f"private names nothing in src/ uses: {dead}"
+
+
+def test_no_module_imports_another_modules_private_name():
+    # a private name is its module's own; one that another module needs is
+    # part of an interface and belongs behind a public name
+    imported = [f"{name}: from .{node.module} import {alias.name}"
+                for name, tree in _modules().items() for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom)
+                for alias in node.names if _private(alias.name)]
+    assert not imported, f"private names imported across modules: {imported}"
 
 
 def test_every_private_method_and_cached_property_is_read():
