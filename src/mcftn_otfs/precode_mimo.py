@@ -26,7 +26,7 @@ import numpy as np
 
 from .core import ConfigError, SystemConfig, is_integer
 from .pulse import GramMatrix
-from .precode_siso import LN2, fill_modes, modes, normalized_capacity, relaxed_fill
+from .precode_siso import fill_modes, mode_bits, modes, normalized_capacity, relaxed_fill
 
 STRUCTURED_TOL = 1e-9   # relative gain in bits below which wf_structured stops
 
@@ -115,20 +115,20 @@ def per_stream_rates(cfg: SystemConfig, D: np.ndarray, p_blocks) -> np.ndarray:
                           f"the {D.shape[1]} columns of D with square blocks")
     c = cfg.snr
     B = np.concatenate([D[:, t * n:(t + 1) * n] @ p_t for t, p_t in enumerate(p_blocks)], axis=1)
-    return np.array([_log2det(c, _stream_form(B[:, k:k + n], B[:, :k], c))
+    return np.array([_log2det(cfg, _stream_form(B[:, k:k + n], B[:, :k], c))
                      for k in range(0, D.shape[1], n)])
 
 
-def _log2det(c: float, k: np.ndarray) -> float:
-    """log2 det(I + c K) for a Hermitian PSD K as log1p of its eigenvalues, which,
-    unlike a determinant of I + c K, keeps its relative accuracy for c K << I."""
-    return float(np.sum(np.log1p(c * np.maximum(np.linalg.eigvalsh(k), 0.0)))) / LN2
+def _log2det(cfg: SystemConfig, k: np.ndarray) -> float:
+    """log2 det(I + c K), c = cfg.snr, for a Hermitian PSD K: `mode_bits` of its eigenvalues,
+    which, unlike a determinant of I + c K, keeps its relative accuracy for c K << I."""
+    return mode_bits(1.0, np.maximum(np.linalg.eigvalsh(k), 0.0), cfg.sigma_x2, cfg.N0)
 
 
 def _logdet_bits(cfg: SystemConfig, D: np.ndarray, P: np.ndarray) -> float:
     """log2 det(I + c B^H B), B = D P, on the smaller Gram side of B."""
     b = D @ P
-    return _log2det(cfg.snr, b.conj().T @ b if b.shape[1] <= b.shape[0] else b @ b.conj().T)
+    return _log2det(cfg, b.conj().T @ b if b.shape[1] <= b.shape[0] else b @ b.conj().T)
 
 
 def wf_baseline(cfg: SystemConfig, D: np.ndarray, gram: GramMatrix):

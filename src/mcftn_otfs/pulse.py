@@ -184,39 +184,33 @@ class RrcPulse:
         for (tables, rows) arrays of delays and Dopplers, given
         carriers[k, j] = exp(-2j pi dm_j f_step t_k) on the grid nodes t.
 
-        Each table is integrated as it would be alone: its rows enter the
-        GEMMs in chunks of _CHUNK_NODES grid nodes counted from its first row,
-        so the BLAS sees the same operands (a one-row chunk goes to GEMV)
-        whichever tables share the call. The per-row work outside the GEMMs
-        runs on groups of consecutive chunks, as many as keep a group's
+        `_rows` integrates groups of whole tables: as many as keep a group's
         direct-evaluation windows within half a chunk of nodes (about a dozen
-        arrays of them are live at once), and at least one; so no temporary
-        grows with the rows of a call.
+        arrays of them are live at once), and at least one; a longer table
+        goes in runs of whole chunks, at least one. So no temporary grows with
+        the rows of a call, and since every table is chunked from its first
+        row, a row's value does not depend on its group.
         """
         n_tables, rows = taus.shape
-        size = max(1, _CHUNK_NODES // len(self._grid[0]))
-        # chunk c covers the flat rows bounds[c] .. bounds[c + 1]
-        bounds = [b * rows + c for b in range(n_tables) for c in range(0, rows, size)]
-        bounds.append(n_tables * rows)
+        size = max(1, _CHUNK_NODES // len(self._grid[0]))    # rows per GEMM chunk
         window = int(2.0 * self._reach / self.T0 * self.nodes_per_t0) + 1    # nodes per row
         most = _CHUNK_NODES // (2 * window)    # rows per group
-        taus, dopplers = taus.ravel(), dopplers.ravel()
-        out = np.empty((n_tables * rows, carriers.shape[1]), dtype=complex)
-        first = 0
-        while first < len(bounds) - 1:
-            last = first + 1
-            while last < len(bounds) - 1 and bounds[last + 1] - bounds[first] <= most:
-                last += 1
-            group = slice(bounds[first], bounds[last])
-            out[group] = self._rows(taus[group], dopplers[group], carriers, f_step,
-                                    [b - group.start for b in bounds[first:last + 1]])
-            first = last
-        return out.reshape(n_tables, rows, carriers.shape[1])
+        per_group = max(1, most // max(1, rows))    # whole tables
+        run = max(1, rows) if rows <= most else max(1, most // size) * size    # or whole chunks
+        out = np.empty((n_tables, rows, carriers.shape[1]), dtype=complex)
+        for b in range(0, n_tables, per_group):
+            for r in range(0, rows, run):
+                group = np.s_[b:b + per_group, r:r + run]
+                out[group] = self._rows(taus[group], dopplers[group], carriers, f_step)
+        return out
 
     def _rows(self, taus: np.ndarray, dopplers: np.ndarray, carriers: np.ndarray,
-              f_step: float, bounds: list) -> np.ndarray:
-        """The rows of `_ambiguities` for one group, chunk c being rows bounds[c] .. bounds[c + 1].
+              f_step: float) -> np.ndarray:
+        """`_ambiguities` of one group, a (tables, rows) block of delays and Dopplers.
 
+        Each table's rows enter the GEMMs in chunks of _CHUNK_NODES grid
+        nodes counted from its first row, so the BLAS sees the same operands
+        (a one-row chunk goes to GEMV) whichever tables share the group.
         g(t - tau) follows from the grid rows by angle addition (its numerator
         is one small GEMM per chunk), except where that cancels (u =
         (t - tau)/T0 near 0 and |1 - 4 theta |u|| < 1/2): there, inside a
@@ -229,7 +223,9 @@ class RrcPulse:
         """
         t, _, grid_rows = self._grid
         th, T0, S, n = self.theta, self.T0, self.support, self.nodes_per_t0
-        n_off = carriers.shape[1]
+        n_off, rows = carriers.shape[1], taus.shape[1]
+        size = max(1, _CHUNK_NODES // len(t))
+        taus, dopplers = taus.ravel(), dopplers.ravel()
         f_values = (np.arange(n_off) - (n_off - 1) // 2) * f_step - dopplers[:, None]
 
         right = taus >= 0.0    # g(t - tau) is cut at tau - S, else at tau + S
@@ -262,27 +258,28 @@ class RrcPulse:
         coef = np.stack([np.cos(minus), -np.sin(minus), -k * taus * cos_plus,
                          -k * taus * sin_plus, k * cos_plus, k * sin_plus], axis=1) / scale
         out = np.empty((len(taus), n_off), dtype=complex)
-        for r, end in zip(bounds, bounds[1:]):
-            chunk = slice(r, end)
-            g = coef[chunk] @ grid_rows
-            s = t - taus[chunk, None]
-            with np.errstate(divide="ignore", invalid="ignore"):
-                g /= s
-                s *= s
-                s *= -k * k
-                s += 1.0
-                g /= s
-            del s    # before the complex integrand, which sets the chunk's peak memory
-            nodes = slice(*np.searchsorted(i, [r, end]))
-            g[i[nodes] - r, cols[nodes]] = direct[nodes]
-            for row, c, keep_after in zip(g, cut[chunk], right[chunk]):
-                if keep_after:
-                    row[:c] = 0.0
-                else:
-                    row[c:] = 0.0
-            integrand = self._phased(dopplers[chunk])
-            integrand *= g
-            out[chunk] = integrand @ carriers
+        for first in range(0, len(taus), rows):    # each table, in chunks from its first row
+            for r in range(first, first + rows, size):
+                chunk = slice(r, min(r + size, first + rows))
+                g = coef[chunk] @ grid_rows
+                s = t - taus[chunk, None]
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    g /= s
+                    s *= s
+                    s *= -k * k
+                    s += 1.0
+                    g /= s
+                del s    # before the complex integrand, which sets the chunk's peak memory
+                nodes = slice(*np.searchsorted(i, [chunk.start, chunk.stop]))
+                g[i[nodes] - r, cols[nodes]] = direct[nodes]
+                for row, c, keep_after in zip(g, cut[chunk], right[chunk]):
+                    if keep_after:
+                        row[:c] = 0.0
+                    else:
+                        row[c:] = 0.0
+                integrand = self._phased(dopplers[chunk])
+                integrand *= g
+                out[chunk] = integrand @ carriers
         # the edge panels: exp(-2j pi f t_edge) along the offsets by angle
         # addition, one exp for the first offset and one for the step
         term = (self._norm ** 2 * w_edge * values[i.size:].reshape(2, -1, n).prod(axis=0)
@@ -291,11 +288,11 @@ class RrcPulse:
         for column in out.T:
             column += term.sum(axis=1)
             term *= step
-        # the carriers ran in t; A takes its phase in t - tau. In place: from
-        # 256 KiB on, numpy elides `out * exp(...)` into the exp temporary, whose
-        # multiply loop can round a row's last bit differently
-        out *= np.exp(2j * np.pi * taus[:, None] * f_values)
-        return out
+        # the carriers ran in t; A takes its phase in t - tau. Out of place and
+        # with the exp named, so that numpy elides no temporary: multiplied in
+        # place, a one-element product can round its last bit differently
+        phase = np.exp(2j * np.pi * taus[:, None] * f_values)
+        return (out * phase).reshape(-1, rows, n_off)
 
     def _phased(self, dopplers: np.ndarray) -> np.ndarray:
         """g(t) w exp(2j pi doppler t) on the grid, one row per Doppler.

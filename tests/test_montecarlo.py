@@ -11,6 +11,7 @@ from mcftn_otfs import (
     BerPoint,
     CapacityPoint,
     ConfigError,
+    NumericalError,
     SweepSpec,
     SystemConfig,
     build_dd_channel,
@@ -476,6 +477,46 @@ def test_realization_values_do_not_depend_on_the_count(cfg, metric, constellatio
     assert long.channel_digests[:k] == short.channel_digests
     for cell, values in short.values.items():
         np.testing.assert_array_equal(long.values[cell][:k], values)
+
+
+def test_one_realization_equals_the_first_of_many_at_one_slot():
+    # at M = N = L = 1 a lone realization's channel is a one-row table at one offset
+    for seed in range(12):
+        cfg = SystemConfig(M=1, N=1, alpha=0.9, beta=0.9, theta=0.25, L=1, seed=seed)
+        one, many = (run_sweep(SweepSpec(config=cfg, snr_points_db=(0.0, 10.0),
+                                         n_realizations=n, schemes=SCHEMES))
+                     for n in (1, 24))
+        assert many.channel_digests[:1] == one.channel_digests
+        for cell, values in one.values.items():
+            np.testing.assert_array_equal(many.values[cell][:1], values, err_msg=f"seed {seed}")
+
+
+def test_small_alpha_sweeps_raise_only_typed_errors_and_stay_in_range():
+    # allow_small_alpha lifts the alpha >= 1/(1+theta) guard; the Gram may then
+    # lose every mode, which is a typed error, but no value may leave its range
+    rng = np.random.default_rng(11)
+    finished = 0
+    for metric in montecarlo.METRICS * 10:
+        theta = float(rng.choice([0.05, 0.25, 1.0]))
+        n_tx, n_rx = (int(v) for v in rng.integers(1, 3, size=2))
+        cfg = SystemConfig(M=int(rng.integers(1, 5)), N=int(rng.integers(1, 5)),
+                           alpha=float(rng.uniform(0.01, 1.0 / (1.0 + theta))),
+                           beta=float(rng.uniform(0.01, 1.0)), theta=theta, n_tx=n_tx,
+                           n_rx=n_rx, seed=int(rng.integers(2 ** 31)), allow_small_alpha=True)
+        schemes = [s for s in SCHEMES if n_tx == n_rx == 1 or not s.startswith("siso_")]
+        spec = SweepSpec(config=cfg, snr_points_db=(-150.0, 0.0, 150.0), n_realizations=2,
+                         schemes=schemes, metric=metric, n_frames=4, constellation="qpsk")
+        try:
+            res = run_sweep(spec)
+        except (ConfigError, NumericalError):
+            continue
+        finished += 1
+        for values in res.values.values():
+            if metric == "capacity":
+                assert np.all(np.isfinite(values)) and np.all(values >= 0.0), cfg
+            else:
+                assert np.all((values >= 0) & (values <= res.bits_per_realization)), cfg
+    assert finished >= 10
 
 
 # ---------------------------------------------------------------- blocks ----

@@ -694,6 +694,65 @@ def test_ambiguity_table_rows_do_not_depend_on_the_rows_beside_them():
                                   ambiguity_table(pulse, cfg, delays[:45], dopplers[:45]))
 
 
+def test_one_row_one_offset_sets_equal_their_batched_call():
+    # at M = N = L = 1 a set alone is a one-row table at one offset
+    cfg = SystemConfig(M=1, N=1, alpha=0.9, beta=0.9, theta=0.25, L=1)
+    sets = draw_sets(cfg, 40)
+    for h, paths in zip(coupling_matrices(cfg, sets), sets, strict=True):
+        np.testing.assert_array_equal(h, coupling_matrix(cfg, paths))
+
+
+def test_ambiguity_table_of_no_rows_is_empty():
+    cfg = SystemConfig(M=3, N=2, theta=0.25)
+    pulse = RrcPulse(cfg.theta)
+    for shape in [(0,), (0, 4), (4, 0)]:
+        table = ambiguity_table(pulse, cfg, np.zeros(shape))
+        assert table.shape == (*shape, 2 * cfg.M - 1)
+    assert pulse.ambiguity_batch(np.array([]), 0.3).shape == (0,)
+
+
+def quadrature_groups(monkeypatch, cfg, sets):
+    """`coupling_matrices(cfg, sets)` as a list, the pulse's rows per chunk and, per
+    `_ambiguities` call, its (tables, rows) shape and its `_rows` groups' shapes."""
+    calls = []
+    ambiguities, group_rows = RrcPulse._ambiguities, RrcPulse._rows
+    monkeypatch.setattr(RrcPulse, "_ambiguities", lambda self, taus, *args: (
+        calls.append((taus.shape, [])) or ambiguities(self, taus, *args)))
+    monkeypatch.setattr(RrcPulse, "_rows", lambda self, taus, *args: (
+        calls[-1][1].append(taus.shape) or group_rows(self, taus, *args)))
+    matrices = list(coupling_matrices(cfg, sets))
+    monkeypatch.undo()
+    return matrices, _CHUNK_NODES // len(lattice_pulse(cfg, [])._grid[0]), calls
+
+
+def test_tiny_roll_off_batched_assembly_equals_per_set_calls(monkeypatch):
+    # at theta = 0.01 the direct windows of one chunk's rows exceed a group's
+    # budget, so each group holds a single chunk
+    cfg = SystemConfig(M=4, N=3, alpha=0.9, beta=0.9, theta=0.01, allow_small_alpha=True)
+    sets = draw_sets(cfg, 4)
+    matrices, size, calls = quadrature_groups(monkeypatch, cfg, sets)
+    assert all(tables == 1 and rows <= size for _, groups in calls for tables, rows in groups)
+    for h, paths in zip(matrices, sets, strict=True):
+        assert np.all(np.isfinite(h))
+        np.testing.assert_array_equal(h, coupling_matrix(cfg, paths))
+
+
+@pytest.mark.parametrize("M, N, n_draws", [(8, 4, 12), (16, 16, 2), (1, 16, 4)])
+def test_quadrature_groups_are_whole_tables_or_runs_of_whole_chunks(monkeypatch, M, N, n_draws):
+    cfg = SystemConfig(M=M, N=N, alpha=0.9, beta=0.9, theta=0.25)
+    _, size, calls = quadrature_groups(monkeypatch, cfg, draw_sets(cfg, n_draws))
+    for (n_tables, n_rows), groups in calls:
+        first = 0    # the flat row a group starts at
+        for tables, rows in groups:
+            if rows == n_rows:
+                assert first % n_rows == 0
+            else:
+                assert tables == 1 and first % n_rows % size == 0
+                assert rows % size == 0 or (first + rows) % n_rows == 0
+            first += tables * rows
+        assert first == n_tables * n_rows
+
+
 def test_block_quadrature_memory_does_not_grow_with_its_tables():
     # a 16x16 block holds the draws whose rows times nodes per T0 fit one
     # chunk; the call's temporaries stay those of one table
