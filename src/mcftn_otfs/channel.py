@@ -22,7 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import SystemConfig, sfft_matrix
+from .core import SystemConfig, dft_matrix
 from .pulse import coupling_matrices, coupling_matrix
 
 
@@ -68,11 +68,16 @@ class DdChannel:
 def build_dd_channel(paths: Sequence[DdPath], cfg: SystemConfig) -> DdChannel:
     """Delay-Doppler channel H_dd = A H_tf A^H for the given paths."""
     h_tf = build_tf_channel(paths, cfg)
-    return DdChannel(paths=tuple(paths), h_tf=h_tf, h_dd=_conjugated(h_tf, sfft_matrix(cfg)))
+    return DdChannel(paths=tuple(paths), h_tf=h_tf, h_dd=_conjugated(cfg, h_tf))
 
 
-def _conjugated(h_tf: np.ndarray, sfft: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    return np.matmul(sfft @ h_tf, sfft.conj().T, out=out)
+def _conjugated(cfg: SystemConfig, h_tf: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """A H_tf A^H by the DFT factors of A = F_N (x) F_M^H in O((M+N)(MN)^2): F_N and F_M^H on
+    the rows' (n, m), F_N^H and F_M on the columns' (both DFTs are symmetric). `out`: (MN, N, M)."""
+    f_n, f_m = dft_matrix(cfg.N), dft_matrix(cfg.M)
+    x = np.matmul(f_m.conj(), (f_n @ h_tf.reshape(cfg.N, -1)).reshape(cfg.N, cfg.M, -1))
+    x = np.matmul(f_n.conj(), x.reshape(cfg.mn, cfg.N, cfg.M))
+    return np.matmul(x, f_m, out=out).reshape(cfg.mn, cfg.mn)
 
 
 @dataclass
@@ -102,24 +107,23 @@ def build_mimo_channels(cfg: SystemConfig,
     `pulse.coupling_matrices` asks for its path set, so the generators are
     taken as its calls need them: the pairs of consecutive realizations
     share `ambiguity_table` calls of about one quadrature chunk each. The
-    channels are assembled one per `next`, each pair conjugated with the
-    config's SFFT straight into its block of the stacked matrix, and none
-    is kept once handed out.
+    channels are assembled one per `next`, each pair conjugated by the
+    SFFT's DFT factors straight into its block of the stacked matrix, and
+    none is kept once handed out.
     """
-    sfft = sfft_matrix(cfg)
     pairs = cfg.n_rx * cfg.n_tx
     draws, sets = tee([sample_paths(cfg, child) for child in rng.spawn(pairs)] for rng in rngs)
     h_tf = coupling_matrices(cfg, chain.from_iterable(sets))
     for draw in draws:
         yield MimoChannel(paths=[draw[i:i + cfg.n_tx] for i in range(0, pairs, cfg.n_tx)],
-                          matrix=_stacked(cfg, h_tf, sfft))
+                          matrix=_stacked(cfg, h_tf))
 
 
-def _stacked(cfg: SystemConfig, h_tf: Iterator[np.ndarray], sfft: np.ndarray) -> np.ndarray:
+def _stacked(cfg: SystemConfig, h_tf: Iterator[np.ndarray]) -> np.ndarray:
     """The next n_rx * n_tx matrices of `h_tf` conjugated into matrix[rx, :, tx], made here."""
-    matrix = np.empty((cfg.n_rx, cfg.mn, cfg.n_tx, cfg.mn), dtype=complex)
+    matrix = np.empty((cfg.n_rx, cfg.mn, cfg.n_tx, cfg.N, cfg.M), dtype=complex)
     for k in range(cfg.n_rx * cfg.n_tx):
-        _conjugated(next(h_tf), sfft, out=matrix[k // cfg.n_tx, :, k % cfg.n_tx])
+        _conjugated(cfg, next(h_tf), out=matrix[k // cfg.n_tx, :, k % cfg.n_tx])
     return matrix.reshape(cfg.n_rx * cfg.mn, -1)
 
 

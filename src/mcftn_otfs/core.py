@@ -165,7 +165,7 @@ def sfft_matrix(cfg: SystemConfig) -> np.ndarray:
     DFTs; the 1/sqrt(NM) of the double-sum definition is absorbed by the
     unitary normalization. The inverse transform is the conjugate transpose.
     It is built once per (M, N) and handed out read-only, so every config of
-    one grid shares it.
+    one grid shares it; the channel applies its two DFT factors instead.
     """
     return _sfft(cfg.M, cfg.N)
 

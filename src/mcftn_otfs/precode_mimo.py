@@ -38,8 +38,7 @@ def build_mimo_effective(gram: GramMatrix, h_mimo: np.ndarray, sfft: np.ndarray,
     n = gram.size
     if h_mimo.shape[0] != n_rx * n or h_mimo.shape[1] % n != 0:
         raise ConfigError(f"stacked channel shape {h_mimo.shape} does not tile {n}-sized blocks")
-    w = gram.inv_sqrt @ sfft.conj().T
-    return (w @ h_mimo.reshape(n_rx, n, -1)).reshape(h_mimo.shape)
+    return (gram.whitening(sfft) @ h_mimo.reshape(n_rx, n, -1)).reshape(h_mimo.shape)
 
 
 def _check_mimo_args(cfg: SystemConfig, D: np.ndarray, gram: GramMatrix) -> None:

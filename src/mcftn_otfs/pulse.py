@@ -321,13 +321,14 @@ class RrcPulse:
                                  carrier, 0.0)[0, :, 0]
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class GramMatrix:
     """Pulse Gram with its eigendecomposition and inverse square root.
 
     Eigenvalues are stored in descending order. Modes whose eigenvalue falls
     below FLOOR_REL times the largest eigenvalue are deactivated: they are
-    excluded from `inv_sqrt`, which projects onto the active subspace.
+    excluded from `inv_sqrt`, which projects onto the active subspace. The
+    arrays are read-only: `build_gram` hands one Gram to every caller.
     """
 
     matrix: np.ndarray
@@ -374,12 +375,26 @@ class GramMatrix:
 
         inv_diag = np.where(active, 1.0 / np.sqrt(np.maximum(evals, floor)), 0.0)
         inv_sqrt = (evecs * inv_diag) @ evecs.conj().T
+        for a in (herm, evals, evecs, active, inv_sqrt):
+            a.flags.writeable = False
         return cls(matrix=herm, eigenvalues=evals, eigenvectors=evecs, active=active,
                    inv_sqrt=inv_sqrt)
 
     @property
     def size(self) -> int:
         return self.matrix.shape[0]
+
+    def whitening(self, sfft: np.ndarray) -> np.ndarray:
+        """G^{-1/2} A^H for the SFFT matrix `sfft`, kept read-only for the last read-only
+        `sfft` given (the cached `core.sfft_matrix`) and served to calls with that object."""
+        kept = vars(self).get("_whitening", (None, None))
+        if kept[0] is sfft:
+            return kept[1]
+        w = self.inv_sqrt @ sfft.conj().T
+        if not sfft.flags.writeable:    # a writeable sfft could change in place
+            w.flags.writeable = False
+            vars(self)["_whitening"] = (sfft, w)
+        return w
 
     @property
     def n_active(self) -> int:
@@ -577,5 +592,14 @@ def build_gram(cfg: SystemConfig) -> GramMatrix:
 
         G[n1*M + m1, n2*M + m2] = A((m1-m2) beta delta_f0, (n1-n2) alpha T0)
                                   * exp(2j pi m2 beta delta_f0 (n1-n2) alpha T0)
+
+    Built once per lattice (M, N, alpha, beta and the `lattice_pulse`: theta, T0,
+    the nodes nu_max sets), the last 8 kept; every config on it shares it, read-only.
     """
-    return GramMatrix.from_matrix(coupling_matrix(cfg, ((1.0, 0.0, 0.0),)))
+    return _gram(cfg.M, cfg.N, cfg.alpha, cfg.beta, lattice_pulse(cfg, [0.0]))
+
+
+@lru_cache(maxsize=8)
+def _gram(M: int, N: int, alpha: float, beta: float, pulse: RrcPulse) -> GramMatrix:
+    cfg = SystemConfig(M, N, alpha, beta, pulse.theta, pulse.T0, allow_small_alpha=True)
+    return GramMatrix.from_matrix(next(_assemble(cfg, pulse, [[(1.0, 0.0, 0.0)]])))

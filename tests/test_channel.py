@@ -158,6 +158,18 @@ def test_dd_channel_unitary_conjugation():
     assert np.linalg.norm(ch.h_dd) == pytest.approx(np.linalg.norm(ch.h_tf), rel=1e-12)
 
 
+@pytest.mark.parametrize("M, N", [(1, 1), (1, 16), (16, 1), (4, 2), (8, 4), (16, 8), (16, 16)],
+                         ids=lambda v: str(v))
+def test_dd_channel_matches_dense_conjugation(M, N):
+    # the channel applies the SFFT through its DFT factors; the dense product is the reference
+    cfg = SystemConfig(M=M, N=N, alpha=0.9, beta=0.9, theta=0.25)
+    ch = build_dd_channel(sample_paths(cfg, rng_stream(9, "paths", 0)), cfg)
+    a = sfft_matrix(cfg)
+    dense = a @ ch.h_tf @ a.conj().T
+    assert np.linalg.norm(ch.h_dd - dense) <= 1e-14 * np.linalg.norm(dense)
+    assert not build_dd_channel((), cfg).h_dd.any()
+
+
 def test_dd_channel_matches_quadruple_sum_oracle():
     cfg = SystemConfig(M=2, N=2, alpha=0.9, beta=0.85, theta=0.25)
     rng = np.random.default_rng(17)

@@ -546,8 +546,12 @@ def test_sweep_integrates_once_per_gram_and_block(monkeypatch):
     table = pulse.ambiguity_table
     monkeypatch.setattr(pulse, "ambiguity_table",
                         lambda *args, **kwargs: calls.append(1) or table(*args, **kwargs))
+    pulse._gram.cache_clear()
     run_sweep(BLOCKED)
     assert len(calls) == 1 + 2
+    # the next sweep on the lattice reuses its Gram and integrates its channels only
+    run_sweep(SweepSpec(**{**vars(BLOCKED), "config": BLOCKED.config.replace(seed=9)}))
+    assert len(calls) == 1 + 2 + 2
     assert montecarlo.build_mimo_channels is build_mimo_channels
 
 

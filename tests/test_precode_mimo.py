@@ -10,6 +10,7 @@ from mcftn_otfs import (
     build_gram,
     build_mimo_channel,
     build_mimo_effective,
+    dft_matrix,
     per_stream_rates,
     rng_stream,
     sfft_matrix,
@@ -46,6 +47,23 @@ def direct_logdet_bits(cfg, d, p):
 
 
 # ----------------------------------------------------- effective channel ----
+
+def test_mimo_effective_whitens_with_the_sfft_it_is_given():
+    # the product for the cached SFFT is kept with the Gram; another unitary, given
+    # before or after it, read-only or not, gets its own
+    cfg, gram, mimo, _ = mimo_instance(71, M=4, N=2)
+    sfft = sfft_matrix(cfg)
+    other = np.kron(dft_matrix(2).conj(), dft_matrix(4))
+    frozen = other.copy()
+    frozen.flags.writeable = False
+    for a in (other, sfft, other, frozen, sfft):
+        d = build_mimo_effective(gram, mimo.matrix, a, cfg.n_rx)
+        w = gram.inv_sqrt @ a.conj().T
+        for r in range(cfg.n_rx):
+            rows = slice(r * cfg.mn, (r + 1) * cfg.mn)
+            np.testing.assert_array_equal(d[rows], w @ mimo.matrix[rows])
+    assert gram.whitening(sfft) is gram.whitening(sfft)
+
 
 def test_mimo_effective_matches_kron_form():
     cfg, gram, mimo, d = mimo_instance(70)

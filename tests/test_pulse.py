@@ -1,5 +1,6 @@
 """Pulse shape, cross-ambiguity quadrature and Gram matrix tests."""
 
+import dataclasses
 import tracemalloc
 import weakref
 
@@ -407,6 +408,49 @@ def test_gram_compression_loses_no_hermitianity():
     asym = np.max(np.abs(gram.matrix - gram.matrix.conj().T))
     assert asym < 1e-13
     assert gram.size == 12
+
+
+LATTICE = SystemConfig(M=4, N=2, alpha=0.9, beta=0.9, theta=0.25)
+GRAM_ARRAYS = ("matrix", "eigenvalues", "eigenvectors", "active", "inv_sqrt")
+
+
+def _nodes(cfg):
+    return lattice_pulse(cfg, [0.0]).nodes_per_t0
+
+
+@pytest.mark.parametrize("change", [{"seed": 5}, {"N0": 0.1}, {"sigma_x2": 2.0}, {"E0": 3.0},
+                                    {"L": 6}, {"n_tx": 2}, {"n_rx": 3}, {"tau_max": 0.5},
+                                    {"nu_max": 0.15}], ids=lambda c: next(iter(c)))
+def test_build_gram_shares_one_gram_per_lattice(change):
+    cfg = LATTICE.replace(**change)
+    assert _nodes(cfg) == _nodes(LATTICE)
+    assert build_gram(cfg) is build_gram(LATTICE)
+
+
+@pytest.mark.parametrize("change", [{"M": 3}, {"N": 3}, {"alpha": 0.95}, {"beta": 0.95},
+                                    {"theta": 0.3}, {"T0": 2.0}, {"nu_max": 2.0}],
+                         ids=lambda c: next(iter(c)))
+def test_build_gram_of_another_lattice_equals_an_uncached_build(change):
+    cfg = LATTICE.replace(**change)
+    gram = build_gram(cfg)
+    assert gram is not build_gram(LATTICE)
+    assert gram is build_gram(cfg.replace(seed=1))
+    if "nu_max" in change:
+        assert _nodes(cfg) != _nodes(LATTICE)
+    direct = GramMatrix.from_matrix(coupling_matrix(cfg, ((1.0, 0.0, 0.0),)))
+    for name in GRAM_ARRAYS:
+        np.testing.assert_array_equal(getattr(gram, name), getattr(direct, name), err_msg=name)
+
+
+def test_cached_gram_is_read_only():
+    gram = build_gram(LATTICE)
+    for name in GRAM_ARRAYS:
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(gram, name)[0] = 0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        gram.matrix = np.eye(gram.size)
+    with pytest.raises(ValueError, match="read-only"):
+        gram.whitening(sfft_matrix(LATTICE))[0] = 0
 
 
 def test_gram_theta_zero_guard():
