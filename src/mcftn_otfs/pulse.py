@@ -18,7 +18,7 @@ and the eigenpairs from which `noise` forms the square root.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import groupby, islice
 from numbers import Number, Real
@@ -335,7 +335,6 @@ class GramMatrix:
     eigenvalues: np.ndarray          # descending, real
     eigenvectors: np.ndarray         # columns match eigenvalue order
     active: np.ndarray               # bool mask over modes
-    inv_sqrt: np.ndarray = field(repr=False)
 
     FLOOR_REL = 1e-10
     PSD_TOL = 1e-8
@@ -373,16 +372,20 @@ class GramMatrix:
         if not np.any(active):
             raise DegenerateConfigurationError("all gram eigenvalues below the floor")
 
-        inv_diag = np.where(active, 1.0 / np.sqrt(np.maximum(evals, floor)), 0.0)
-        inv_sqrt = (evecs * inv_diag) @ evecs.conj().T
-        for a in (herm, evals, evecs, active, inv_sqrt):
+        for a in (herm, evals, evecs, active):
             a.flags.writeable = False
-        return cls(matrix=herm, eigenvalues=evals, eigenvectors=evecs, active=active,
-                   inv_sqrt=inv_sqrt)
+        return cls(matrix=herm, eigenvalues=evals, eigenvectors=evecs, active=active)
 
     @property
     def size(self) -> int:
         return self.matrix.shape[0]
+
+    @property
+    def inv_sqrt(self) -> np.ndarray:
+        """G^{-1/2} on the active modes, formed from the eigenpairs at each access."""
+        floor = self.FLOOR_REL * float(self.eigenvalues[0])
+        inv_diag = np.where(self.active, 1.0 / np.sqrt(np.maximum(self.eigenvalues, floor)), 0.0)
+        return (self.eigenvectors * inv_diag) @ self.eigenvectors.conj().T
 
     def whitening(self, sfft: np.ndarray) -> np.ndarray:
         """G^{-1/2} A^H for the SFFT matrix `sfft`, kept read-only for the last read-only

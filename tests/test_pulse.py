@@ -411,7 +411,7 @@ def test_gram_compression_loses_no_hermitianity():
 
 
 LATTICE = SystemConfig(M=4, N=2, alpha=0.9, beta=0.9, theta=0.25)
-GRAM_ARRAYS = ("matrix", "eigenvalues", "eigenvectors", "active", "inv_sqrt")
+GRAM_ARRAYS = ("matrix", "eigenvalues", "eigenvectors", "active")
 
 
 def _nodes(cfg):
@@ -438,7 +438,7 @@ def test_build_gram_of_another_lattice_equals_an_uncached_build(change):
     if "nu_max" in change:
         assert _nodes(cfg) != _nodes(LATTICE)
     direct = GramMatrix.from_matrix(coupling_matrix(cfg, ((1.0, 0.0, 0.0),)))
-    for name in GRAM_ARRAYS:
+    for name in GRAM_ARRAYS + ("inv_sqrt",):
         np.testing.assert_array_equal(getattr(gram, name), getattr(direct, name), err_msg=name)
 
 
