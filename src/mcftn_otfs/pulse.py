@@ -26,14 +26,8 @@ from operator import itemgetter
 
 import numpy as np
 
-from .core import (
-    ConfigError,
-    DegenerateConfigurationError,
-    NumericalError,
-    SystemConfig,
-    is_finite,
-    is_integer,
-)
+from .core import (ConfigError, DegenerateConfigurationError, NumericalError, SystemConfig,
+                   is_finite, is_integer, sfft_matrix)
 
 SPAN = 32    # truncation half-width of every pulse, in units of T0
 # nodes per ambiguity_table chunk: keeps each temporary near 0.5 MiB at any grid
@@ -388,15 +382,14 @@ class GramMatrix:
         return (self.eigenvectors * inv_diag) @ self.eigenvectors.conj().T
 
     def whitening(self, sfft: np.ndarray) -> np.ndarray:
-        """G^{-1/2} A^H for the SFFT matrix `sfft`, kept read-only for the last read-only
-        `sfft` given (the cached `core.sfft_matrix`) and served to calls with that object."""
-        kept = vars(self).get("_whitening", (None, None))
-        if kept[0] is sfft:
-            return kept[1]
-        w = self.inv_sqrt @ sfft.conj().T
-        if not sfft.flags.writeable:    # a writeable sfft could change in place
-            w.flags.writeable = False
-            vars(self)["_whitening"] = (sfft, w)
+        """G^{-1/2} A^H for the SFFT matrix `sfft`. A Gram from `build_gram` keeps it, read-only,
+        for its grid's cached `core.sfft_matrix` only; any other `sfft` gets its own product."""
+        kept, w = vars(self).get("_whitening", (None, None))
+        if sfft is not kept or w is None:
+            w = self.inv_sqrt @ sfft.conj().T
+            if sfft is kept:
+                w.flags.writeable = False
+                vars(self)["_whitening"] = (sfft, w)
         return w
 
     @property
@@ -597,12 +590,14 @@ def build_gram(cfg: SystemConfig) -> GramMatrix:
                                   * exp(2j pi m2 beta delta_f0 (n1-n2) alpha T0)
 
     Built once per lattice (M, N, alpha, beta and the `lattice_pulse`: theta, T0,
-    the nodes nu_max sets), the last 8 kept; every config on it shares it, read-only.
+    the nodes nu_max sets), the last 4 kept; every config on it shares it, read-only.
     """
     return _gram(cfg.M, cfg.N, cfg.alpha, cfg.beta, lattice_pulse(cfg, [0.0]))
 
 
-@lru_cache(maxsize=8)
+@lru_cache(maxsize=4)
 def _gram(M: int, N: int, alpha: float, beta: float, pulse: RrcPulse) -> GramMatrix:
     cfg = SystemConfig(M, N, alpha, beta, pulse.theta, pulse.T0, allow_small_alpha=True)
-    return GramMatrix.from_matrix(next(_assemble(cfg, pulse, [[(1.0, 0.0, 0.0)]])))
+    gram = GramMatrix.from_matrix(next(_assemble(cfg, pulse, [[(1.0, 0.0, 0.0)]])))
+    vars(gram)["_whitening"] = (sfft_matrix(cfg), None)    # formed on first use
+    return gram

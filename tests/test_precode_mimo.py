@@ -49,20 +49,37 @@ def direct_logdet_bits(cfg, d, p):
 # ----------------------------------------------------- effective channel ----
 
 def test_mimo_effective_whitens_with_the_sfft_it_is_given():
-    # the product for the cached SFFT is kept with the Gram; another unitary, given
-    # before or after it, read-only or not, gets its own
+    # the product for the cached SFFT is kept with the Gram; any other unitary, given before
+    # or after it, gets its own, even read-only: a read-only view of a writeable array and an
+    # array made writeable again can both change between calls
     cfg, gram, mimo, _ = mimo_instance(71, M=4, N=2)
     sfft = sfft_matrix(cfg)
     other = np.kron(dft_matrix(2).conj(), dft_matrix(4))
     frozen = other.copy()
     frozen.flags.writeable = False
-    for a in (other, sfft, other, frozen, sfft):
+    base = other.copy()
+    view = base.view()
+    view.flags.writeable = False
+
+    def check(a):
         d = build_mimo_effective(gram, mimo.matrix, a, cfg.n_rx)
         w = gram.inv_sqrt @ a.conj().T
         for r in range(cfg.n_rx):
             rows = slice(r * cfg.mn, (r + 1) * cfg.mn)
             np.testing.assert_array_equal(d[rows], w @ mimo.matrix[rows])
+
+    for a in (other, sfft, other, view):
+        check(a)
+    base *= 1j
+    check(view)
+    check(frozen)
+    frozen.flags.writeable = True
+    frozen *= -1j
+    check(frozen)
+    check(sfft)
     assert gram.whitening(sfft) is gram.whitening(sfft)
+    fresh = GramMatrix.from_matrix(gram.matrix)    # not from build_gram: keeps nothing
+    assert fresh.whitening(sfft) is not fresh.whitening(sfft)
 
 
 def test_mimo_effective_matches_kron_form():
