@@ -1,13 +1,17 @@
 """Command line front end: capacity sweeps, BER sweeps and Gram dumps.
 
-Every flag parses straight into its JSON config key. The settings are the
-CLI's own defaults (an 8x4 grid and the 0-20 dB SNR grid), then the optional
-JSON file, then the flags given; they split into SystemConfig and SweepSpec
-fields, which supply every other default and reject every invalid value.
-Outputs are RFC-4180 CSV files with a matching gnuplot script so nothing here
-ever needs a plotting dependency. Exit codes: 0 success, 1 configuration
-error, 2 numerical failure. The output directory is the --out flag if given,
-else the MCFTN_OTFS_OUT environment variable, else the working directory.
+Each command takes only the flags that change its output (gram the lattice,
+capacity also the channel and the sweep, ber also the frames and the
+constellation), and every flag parses straight into its JSON config key. The
+settings are the CLI's own defaults (an 8x4 grid and the 0-20 dB SNR grid),
+then the optional JSON file (any key some command reads, but not N0 or
+sigma_x2: each SNR point sets sigma_x2/N0), then the flags given; they split
+into SystemConfig and SweepSpec fields, which supply every other default and
+reject every invalid value. Outputs are RFC-4180 CSV files with a matching
+gnuplot script so nothing here ever needs a plotting dependency. Exit codes:
+0 success, 1 configuration error, 2 numerical failure. The output directory
+is the --out flag if given, else the MCFTN_OTFS_OUT environment variable,
+else the working directory.
 """
 
 from __future__ import annotations
@@ -18,6 +22,8 @@ import json
 import os
 import sys
 from dataclasses import fields
+
+import numpy as np
 
 from .core import ConfigError, NumericalError, SystemConfig
 from .link import CONSTELLATIONS
@@ -37,9 +43,12 @@ _OUTPUTS = {
 }
 
 _DEFAULTS = {"M": 8, "N": 4, "snr_db": (0.0, 5.0, 10.0, 15.0, 20.0)}
-_SYSTEM_KEYS = {f.name for f in fields(SystemConfig)}
+_SNR_KEYS = {"N0", "sigma_x2"}
+_SYSTEM_KEYS = {f.name for f in fields(SystemConfig)} - _SNR_KEYS
 _SWEEP_KEYS = {"snr_db", "n_realizations", "schemes", "n_frames", "constellation"}
 _INT_KEYS = {f.name for f in fields(SystemConfig) + fields(SweepSpec) if f.type == "int"}
+_LATTICE_FLAGS = ("M", "N", "alpha", "beta", "theta")   # all the Gram reads
+_LINK_FLAGS = ("L", "n_tx", "n_rx", "seed")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -69,6 +78,9 @@ def load_config(path: str | None) -> dict:
     if not isinstance(raw, dict):
         raise ConfigError(f"config file {path} must hold a JSON object")
     for key in raw:
+        if key in _SNR_KEYS:
+            raise ConfigError(f"config key {key!r} in {path} is not a setting: each sweep "
+                              f"point sets the SNR sigma_x2/N0 from snr_db")
         if key not in _SYSTEM_KEYS | _SWEEP_KEYS:
             raise ConfigError(f"unknown config key {key!r} in {path}")
     for key in _INT_KEYS & raw.keys():
@@ -94,7 +106,7 @@ def build_parser() -> _Parser:
         p = sub.add_parser(name, help=help_text, argument_default=argparse.SUPPRESS)
         p.add_argument("--config", help="JSON config file")
         p.add_argument("--out", help="output directory (default: $MCFTN_OTFS_OUT or '.')")
-        for key in ("M", "N", "alpha", "beta", "theta", "L", "n_tx", "n_rx", "seed"):
+        for key in _LATTICE_FLAGS + (_LINK_FLAGS if name != "gram" else ()):
             p.add_argument("--" + key.replace("_", "-"), type=int if key in _INT_KEYS else float)
         if name != "gram":
             p.add_argument("--snr", dest="snr_db", metavar="SNR", type=_list,
@@ -103,8 +115,9 @@ def build_parser() -> _Parser:
                            type=int)
             p.add_argument("--schemes", type=_list,
                            help=f"comma-separated subset of: {', '.join(SCHEMES)}")
+        if name == "ber":
             p.add_argument("--frames", dest="n_frames", metavar="FRAMES", type=int,
-                           help="frames per realization (ber)")
+                           help="frames per realization")
             p.add_argument("--constellation", choices=CONSTELLATIONS)
     return parser
 
@@ -121,6 +134,7 @@ def _write_csv(path: str, header, rows) -> None:
         writer.writerow(header)
         for row in rows:
             writer.writerow([_fmt(v) for v in row])
+    print(f"wrote {path}")
 
 
 def _plot_script(csv_name: str, schemes, ylabel: str, logscale: bool) -> str:
@@ -152,12 +166,10 @@ def _cmd_sweep(spec: SweepSpec, out: str | None) -> int:
         for p in run_sweep(spec).points
     ]
     out = _out_dir(out)
-    csv_path = os.path.join(out, f"{spec.metric}.csv")
-    _write_csv(csv_path, header, rows)
+    _write_csv(os.path.join(out, f"{spec.metric}.csv"), header, rows)
     gp_path = os.path.join(out, f"{spec.metric}.gp")
     with open(gp_path, "w", encoding="utf-8") as fh:
         fh.write(_plot_script(f"{spec.metric}.csv", spec.schemes, ylabel, logscale))
-    print(f"wrote {csv_path}")
     print(f"wrote {gp_path}")
     return 0
 
@@ -165,22 +177,11 @@ def _cmd_sweep(spec: SweepSpec, out: str | None) -> int:
 def _cmd_gram(cfg: SystemConfig, out: str | None) -> int:
     gram = build_gram(cfg)
     out = _out_dir(out)
-
-    g = gram.matrix
-    rows = [
-        (i, j, g[i, j].real, g[i, j].imag)
-        for i in range(g.shape[0])
-        for j in range(g.shape[1])
-    ]
-    gram_path = os.path.join(out, "gram.csv")
-    _write_csv(gram_path, GRAM_HEADER, rows)
+    rows = [(i, j, v.real, v.imag) for (i, j), v in np.ndenumerate(gram.matrix)]
+    _write_csv(os.path.join(out, "gram.csv"), GRAM_HEADER, rows)
     eig_rows = [(i, float(v)) for i, v in enumerate(gram.eigenvalues)]
-    eigs_path = os.path.join(out, "gram_eigs.csv")
-    _write_csv(eigs_path, GRAM_EIGS_HEADER, eig_rows)
-
-    print(f"wrote {gram_path}")
-    print(f"wrote {eigs_path}")
-    print(f"size {g.shape[0]}, active modes {gram.n_active}, "
+    _write_csv(os.path.join(out, "gram_eigs.csv"), GRAM_EIGS_HEADER, eig_rows)
+    print(f"size {gram.size}, active modes {gram.n_active}, "
           f"condition number {_fmt(gram.condition_number)}")
     return 0
 

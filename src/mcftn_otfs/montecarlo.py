@@ -99,7 +99,7 @@ class SweepSpec:
         for s in self.schemes:
             if s not in SCHEMES:
                 raise ConfigError(f"unknown scheme {s!r}; valid: {', '.join(SCHEMES)}")
-            if s.startswith("siso_") and not single:
+            if s in SISO_DESIGNS and not single:
                 raise ConfigError(f"scheme {s!r} needs n_tx = n_rx = 1")
         if self.metric not in METRICS:
             raise ConfigError(f"unknown metric {self.metric!r}")

@@ -24,11 +24,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import ConfigError, SystemConfig, is_integer
+from .core import ConfigError, SystemConfig
 from .pulse import GramMatrix
 from .precode_siso import fill_modes, mode_bits, modes, normalized_capacity, relaxed_fill
 
 STRUCTURED_TOL = 1e-9   # relative gain in bits below which wf_structured stops
+MAX_SWEEPS = 30         # sweeps wf_structured makes at most, the SIC sweep included
 
 
 def build_mimo_effective(gram: GramMatrix, h_mimo: np.ndarray, sfft: np.ndarray,
@@ -142,25 +143,23 @@ def wf_baseline(cfg: SystemConfig, D: np.ndarray, gram: GramMatrix):
     return relaxed_fill(cfg, *modes(D.conj().T @ D, gram.matrix))
 
 
-def wf_structured(cfg: SystemConfig, D: np.ndarray, gram: GramMatrix, max_sweeps: int = 30):
+def wf_structured(cfg: SystemConfig, D: np.ndarray, gram: GramMatrix):
     """Block-diagonal water-filling by repeated :func:`_sweep` passes.
 
     The first sweep is :func:`sic_precode`; each later sweep re-solves every
     stream against the interference of all the others. A re-solve
     water-fills with the Gram weights in the stream's own eigenbasis, a
     coordinate maximization only where the Gram commutes with the stream's
-    form, so a sweep can lose bits. It stops after `max_sweeps` sweeps in
+    form, so a sweep can lose bits. It stops after MAX_SWEEPS sweeps in
     all, once a sweep gains at most STRUCTURED_TOL relative bits (the SIC
     sweep is measured against 0 bits), or once one loses bits, and then
     keeps the sweep before it: it never reports less than SIC. Returns (P,
     normalized capacity).
     """
-    if not is_integer(max_sweeps) or max_sweeps < 1:
-        raise ConfigError(f"max_sweeps must be a positive integer, got {max_sweeps!r}")
     _check_mimo_args(cfg, D, gram)
     P = np.zeros((D.shape[1],) * 2, dtype=complex)
     best, best_bits = P, 0.0
-    for sweep in range(max_sweeps):
+    for sweep in range(MAX_SWEEPS):
         bits = _sweep(cfg, D, gram, P)
         if sweep:   # later streams saw the old designs, so count P's own log det
             bits = _logdet_bits(cfg, D, P)

@@ -40,9 +40,7 @@ def build_effective_channel(gram: GramMatrix, h_dd: np.ndarray, sfft: np.ndarray
     """
     if np.shape(h_dd) != gram.matrix.shape:
         raise ConfigError(f"channel shape {np.shape(h_dd)} does not match gram {gram.matrix.shape}")
-    # imported on call: precode_mimo imports this module at load time
-    from .precode_mimo import build_mimo_effective
-    return build_mimo_effective(gram, h_dd, sfft, 1)
+    return gram.whitening(sfft) @ np.asarray(h_dd, dtype=complex)
 
 
 def waterfill(lam_d: np.ndarray, phi: np.ndarray, sigma_x2: float, N0: float,
@@ -100,18 +98,19 @@ def modes(normal: np.ndarray, G: np.ndarray):
     """SNR-independent half of the kernel: eigenbasis and mode weights.
 
     Diagonalizes the Hermitian `normal` (D^H D, or a stream's quadratic
-    form) with eigenvalues in descending order and weighs each eigenvector
-    by phi[c] = u_c^H (I (x) G) u_c, one G-sized block at a time without
-    forming the Kronecker product; `normal` spans as many blocks as G
-    divides its size into. Returns (U, lam, phi).
+    form) with eigenvalues in descending order, those at or below numpy
+    matrix_rank's tolerance size * eps * largest (eigh's rounding) set to
+    0, and weighs each eigenvector by phi[c] = u_c^H (I (x) G) u_c, one
+    G-sized block at a time without forming the Kronecker product; `normal`
+    spans as many blocks as G divides its size into. Returns (U, lam, phi).
     """
     herm = np.conj(normal, dtype=np.result_type(normal, 0.5)).T   # the one temporary
     herm += normal      # the same sum as normal + normal^H
     del normal          # a temporary argument is freed before eigh
     herm *= 0.5
     evals, evecs = np.linalg.eigh(herm)
-    lam = np.maximum(evals[::-1], 0.0)
-    U = evecs[:, ::-1]
+    evals, U = evals[::-1], evecs[:, ::-1]
+    lam = np.where(evals > evals.size * np.finfo(float).eps * evals[0], evals, 0.0)
     ur = U.reshape(-1, G.shape[0], U.shape[1])
     phi = np.einsum("tjc,tjc->c", ur.conj(), G @ ur).real
     return U, lam, np.maximum(phi, 0.0)

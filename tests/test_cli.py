@@ -278,43 +278,96 @@ def test_out_flag_beats_env_var(tmp_path, monkeypatch):
     assert not (tmp_path / "env").exists()
 
 
-SWEEP_OPTIONS = ["--snr", "--realizations", "--schemes", "--frames", "--constellation"]
-SYSTEM_OPTIONS = ["-h", "--help", "--config", "--out", "--M", "--N", "--alpha", "--beta",
-                  "--theta", "--L", "--n-tx", "--n-rx", "--seed"]
+LATTICE_OPTIONS = ["-h", "--help", "--config", "--out", "--M", "--N", "--alpha", "--beta",
+                   "--theta"]
+SWEEP_OPTIONS = LATTICE_OPTIONS + ["--L", "--n-tx", "--n-rx", "--seed", "--snr",
+                                   "--realizations", "--schemes"]
+
+# flag, its JSON keys, and any base keys the setting needs to show (a second
+# antenna needs a multi-antenna scheme)
+SWEEP_CASES = [
+    (["--M", "3"], {"M": 3}, {}),
+    (["--N", "3"], {"N": 3}, {}),
+    (["--alpha", "0.95"], {"alpha": 0.95}, {}),
+    (["--beta", "0.95"], {"beta": 0.95}, {}),
+    (["--theta", "0.5"], {"theta": 0.5}, {}),
+    (["--L", "2"], {"L": 2}, {}),
+    (["--n-tx", "2"], {"n_tx": 2}, {"schemes": ["sic"]}),
+    (["--n-rx", "2"], {"n_rx": 2}, {"schemes": ["sic"]}),
+    (["--seed", "1"], {"seed": 1}, {}),
+    (["--snr", "0,7"], {"snr_db": [0.0, 7.0]}, {}),
+    (["--realizations", "3"], {"n_realizations": 3}, {}),
+    (["--schemes", "siso_nopa,siso_pa"], {"schemes": ["siso_nopa", "siso_pa"]}, {}),
+]
+SURFACE_CASES = (
+    [("capacity", *case) for case in SWEEP_CASES]
+    + [("ber", *case) for case in SWEEP_CASES]
+    + [("ber", ["--frames", "4"], {"n_frames": 4}, {}),
+       ("ber", ["--constellation", "qpsk"], {"constellation": "qpsk"}, {})]
+    + [("gram", *case) for case in SWEEP_CASES[:5]]
+)
 
 
 def test_cli_surface_flags_match_json_keys(tmp_path):
-    # no subcommand gains or loses an option
+    # each command takes exactly the flags that change its output
     sub = next(a for a in cli.build_parser()._actions
                if isinstance(a, argparse._SubParsersAction))
     options = {name: [o for a in p._actions for o in a.option_strings]
                for name, p in sub.choices.items()}
-    assert options == {"capacity": SYSTEM_OPTIONS + SWEEP_OPTIONS,
-                       "ber": SYSTEM_OPTIONS + SWEEP_OPTIONS,
-                       "gram": SYSTEM_OPTIONS}
+    assert options == {"capacity": SWEEP_OPTIONS,
+                       "ber": SWEEP_OPTIONS + ["--frames", "--constellation"],
+                       "gram": LATTICE_OPTIONS}
+    covered = {}
+    for command, flags, _, _ in SURFACE_CASES:
+        covered.setdefault(command, []).append(flags[0])
+    assert {c: sorted(f) for c, f in covered.items()} == {
+        c: sorted(o for o in opts if o not in ("-h", "--help", "--config", "--out"))
+        for c, opts in options.items()}
 
-    # each sweep setting changes the output, and its flag and its JSON key
-    # write the same bytes over the same base file
+    # each setting changes the output, and its flag and its JSON key write
+    # the same bytes over the same base file
     base = {"M": 2, "N": 2, "alpha": 0.9, "beta": 0.9, "snr_db": [0.0, 8.0],
             "n_realizations": 2, "n_frames": 2}
-    cases = [
-        ("capacity", ["--snr", "0,7"], {"snr_db": [0.0, 7.0]}),
-        ("capacity", ["--realizations", "3"], {"n_realizations": 3}),
-        ("capacity", ["--schemes", "siso_nopa,siso_pa"], {"schemes": ["siso_nopa", "siso_pa"]}),
-        ("ber", ["--frames", "4"], {"n_frames": 4}),
-        ("ber", ["--constellation", "qpsk"], {"constellation": "qpsk"}),
-        ("ber", ["--n-tx", "2", "--n-rx", "2", "--schemes", "sic"],
-         {"n_tx": 2, "n_rx": 2, "schemes": ["sic"]}),
-    ]
+    outputs = {}
 
-    def run(command, name, flags, settings):
-        conf = tmp_path / f"{name}.json"
-        conf.write_text(json.dumps(settings))
-        out = tmp_path / name
-        assert cli.main([command, "--config", str(conf), "--out", str(out)] + flags) == 0
-        return (out / f"{command}.csv").read_bytes()
+    def run(command, flags, settings):
+        key = (command, tuple(flags), json.dumps(settings, sort_keys=True))
+        if key not in outputs:
+            conf = tmp_path / f"{len(outputs)}.json"
+            conf.write_text(json.dumps(settings))
+            out = tmp_path / str(len(outputs))
+            assert cli.main([command, "--config", str(conf), "--out", str(out)] + flags) == 0
+            outputs[key] = (out / f"{command}.csv").read_bytes()
+        return outputs[key]
 
-    for i, (command, flags, keys) in enumerate(cases):
-        by_flag = run(command, f"flag{i}", flags, base)
-        assert by_flag == run(command, f"key{i}", [], {**base, **keys}), flags
-        assert by_flag != run(command, f"base{i}", [], base), flags
+    for command, flags, keys, needs in SURFACE_CASES:
+        start = {**base, **needs}
+        by_flag = run(command, flags, start)
+        assert by_flag == run(command, [], {**start, **keys}), (command, flags)
+        assert by_flag != run(command, [], start), (command, flags)
+
+
+@pytest.mark.parametrize("args", [
+    ["capacity", "--frames", "3"],
+    ["capacity", "--constellation", "qpsk"],
+    ["gram", "--L", "2"],
+    ["gram", "--n-tx", "2"],
+    ["gram", "--n-rx", "2"],
+    ["gram", "--seed", "1"],
+], ids=lambda args: " ".join(args))
+def test_flags_a_command_does_not_read_exit_1(tmp_path, capsys, args):
+    assert cli.main(args + ["--M", "2", "--N", "2", "--out", str(tmp_path)]) == 1
+    assert "config error" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("command", ["capacity", "ber", "gram"])
+@pytest.mark.parametrize("key", ["N0", "sigma_x2"])
+def test_snr_parts_are_not_config_keys(tmp_path, capsys, command, key):
+    # every sweep point sets N0 from snr_db, and only sigma_x2 / N0 matters
+    conf = tmp_path / "snr.json"
+    conf.write_text(json.dumps({"M": 2, "N": 2, "n_realizations": 1, key: 2.0}))
+    assert cli.main([command, "--config", str(conf), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and key in err and "snr_db" in err
+    assert not (tmp_path / "out").exists()

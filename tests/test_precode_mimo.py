@@ -1,5 +1,7 @@
 """Per-stream SIC precoding, telescoping identity and baseline tests."""
 
+import inspect
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,8 @@ from mcftn_otfs import (
     wf_baseline,
     wf_structured,
 )
+from mcftn_otfs import precode_mimo
+from mcftn_otfs.precode_siso import normalized_capacity
 
 LN2 = np.log(2.0)
 
@@ -237,33 +241,29 @@ def test_wf_baseline_capacity_is_its_own_logdet():
                                 abs=1e-9)
 
 
-def test_wf_structured_first_sweep_is_sic():
+def test_wf_structured_first_sweep_is_sic(monkeypatch):
     cfg, gram, _, d = mimo_instance(96)
     p_sic, cap_sic = sic_precode(cfg, d, gram)
-    p1, cap1 = wf_structured(cfg, d, gram, max_sweeps=1)
+    monkeypatch.setattr(precode_mimo, "MAX_SWEEPS", 1)
+    p1, cap1 = wf_structured(cfg, d, gram)
     np.testing.assert_allclose(p1, p_sic, atol=1e-10)
     assert cap1 == pytest.approx(cap_sic, rel=1e-10)
 
 
-@pytest.mark.parametrize("max_sweeps", [0, -3, True, 2.5, "3", None])
-def test_wf_structured_rejects_bad_sweep_counts(max_sweeps):
-    cfg, gram, _, d = mimo_instance(96)
-    with pytest.raises(ConfigError):
-        wf_structured(cfg, d, gram, max_sweeps=max_sweeps)
+def test_wf_structured_takes_only_the_design_inputs():
+    # the sweep cap is a module constant, not a parameter
+    assert list(inspect.signature(wf_structured).parameters) == ["cfg", "D", "gram"]
+    assert precode_mimo.MAX_SWEEPS == 30
 
 
-def test_wf_structured_takes_numpy_sweep_counts():
-    cfg, gram, _, d = mimo_instance(96)
-    _, cap = wf_structured(cfg, d, gram, max_sweeps=np.int64(2))
-    assert cap == wf_structured(cfg, d, gram, max_sweeps=2)[1]
-
-
-def test_wf_structured_ascends_and_stays_block_diagonal():
+def test_wf_structured_ascends_and_stays_block_diagonal(monkeypatch):
     cfg, gram, _, d = mimo_instance(97)
     _, cap_sic = sic_precode(cfg, d, gram)
-    caps = [
-        wf_structured(cfg, d, gram, max_sweeps=k)[1] for k in (1, 2, 5, 30)
-    ]
+    caps = []
+    for k in (1, 2, 5, 30):
+        monkeypatch.setattr(precode_mimo, "MAX_SWEEPS", k)
+        caps.append(wf_structured(cfg, d, gram)[1])
+    monkeypatch.undo()
     assert all(c2 >= c1 - 1e-12 for c1, c2 in zip(caps, caps[1:]))
     assert caps[0] == pytest.approx(cap_sic, rel=1e-10)
     p, cap = wf_structured(cfg, d, gram)
@@ -294,17 +294,15 @@ def test_capacity_grows_with_antennas():
     assert caps[1] > caps[0]
 
 
-def test_sic_is_the_first_structured_sweep_and_its_bits_are_its_log_det():
+def test_sic_is_the_first_structured_sweep_and_its_bits_are_its_log_det(monkeypatch):
     # sic is wf_structured's first sweep bit for bit, and the stream bits it
     # sums are log2 det(I + c D P P^H D^H) of its own precoder
-    from mcftn_otfs import precode_mimo
-    from mcftn_otfs.precode_siso import normalized_capacity
-
     cfg, gram, _, d = mimo_instance(97)
+    monkeypatch.setattr(precode_mimo, "MAX_SWEEPS", 1)
     for snr_db in (-150.0, 0.0, 150.0):
         cfg_s = cfg.with_snr_db(snr_db)
         p_sic, cap_sic = sic_precode(cfg_s, d, gram)
-        p_one, cap_one = wf_structured(cfg_s, d, gram, max_sweeps=1)
+        p_one, cap_one = wf_structured(cfg_s, d, gram)
         np.testing.assert_array_equal(p_one, p_sic)
         assert cap_one == cap_sic
         cap_logdet = normalized_capacity(precode_mimo._logdet_bits(cfg_s, d, p_sic), cfg_s)

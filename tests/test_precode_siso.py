@@ -100,6 +100,17 @@ def test_modes_leaves_its_argument_alone(dtype):
     np.testing.assert_array_equal(lam, np.maximum(evals[::-1], 0.0))
 
 
+@pytest.mark.parametrize("seed", range(5))
+def test_modes_counts_no_rounding_as_a_mode(seed):
+    # b^H b of a 4x6 b has rank 4: its null-space eigenvalues come out of eigh
+    # as rounding (up to 3e-15 here), which would carry bits at high SNR
+    rng = np.random.default_rng(seed)
+    b = rng.standard_normal((4, 6)) + 1j * rng.standard_normal((4, 6))
+    _, lam, _ = modes(b.conj().T @ b, np.eye(6))
+    np.testing.assert_array_equal(lam[4:], 0.0)
+    np.testing.assert_allclose(lam[:4], np.linalg.svd(b, compute_uv=False) ** 2, rtol=1e-12)
+
+
 # ---------------------------------------------------------- water-filling ----
 
 def test_waterfill_single_mode_takes_whole_budget():

@@ -1,7 +1,8 @@
 """Static checks on the package source with the standard-library `ast`:
 no unused imports, no dead module-level private names, no private name
 imported from another module, no private method or cached property of a
-class that nothing reads, and no linear solve in the stream designs."""
+class that nothing reads, no import inside a function, and no linear solve
+in the stream designs."""
 
 import ast
 from pathlib import Path
@@ -100,6 +101,17 @@ def test_every_private_method_and_cached_property_is_read():
                 if (cached or _private(node.name)) and node.name not in referenced:
                     dead.append(f"{name}: {cls.name}.{node.name}")
     assert not dead, f"private methods or cached properties nothing in src/ reads: {dead}"
+
+
+def test_no_import_inside_a_function():
+    # every dependency is visible at the top of its module; an import made on
+    # call hides an import cycle instead of removing it
+    nested = [f"{name}:{node.lineno}"
+              for name, tree in _modules().items()
+              for func in ast.walk(tree)
+              if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
+              for node in ast.walk(func) if isinstance(node, (ast.Import, ast.ImportFrom))]
+    assert not nested, f"imports inside functions: {nested}"
 
 
 def test_every_lru_cache_has_a_finite_maxsize():
