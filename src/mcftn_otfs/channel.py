@@ -2,8 +2,8 @@
 
 A channel realization is a small set of paths (gain, delay, Doppler). Its
 time-frequency matrix is `pulse.coupling_matrix` of those paths: per path an
-ambiguity value at the offset (dm*beta*delta_f0 - doppler,
-dn*alpha*T0 - delay) times two phase factors, the same lattice formula whose
+ambiguity value at the offset (dm*beta - doppler, dn*alpha - delay), in
+units of 1/T0 and T0, times two phase factors, the same lattice formula whose
 unit path is the pulse Gram. Conjugating with the SFFT gives the
 delay-Doppler matrix the equalizer works in. Matrices are never sampled
 directly: they are rebuilt deterministically from the paths. The antenna

@@ -7,11 +7,13 @@ settings are the CLI's own defaults (an 8x4 grid and the 0-20 dB SNR grid),
 then the optional JSON file (any key some command reads, but not N0 or
 sigma_x2: each SNR point sets sigma_x2/N0), then the flags given; they split
 into SystemConfig and SweepSpec fields, which supply every other default and
-reject every invalid value. Outputs are RFC-4180 CSV files with a matching
-gnuplot script so nothing here ever needs a plotting dependency. Exit codes:
-0 success, 1 configuration error, 2 numerical failure. The output directory
-is the --out flag if given, else the MCFTN_OTFS_OUT environment variable,
-else the working directory.
+reject every invalid value. Units are normalized: time (tau_max) in the
+Nyquist symbol interval T0, frequency (nu_max) in 1/T0 and energy per unit
+symbol energy, so there are no T0 or E0 keys. Outputs are RFC-4180 CSV
+files with a matching gnuplot script so nothing here ever needs a plotting
+dependency. Exit codes: 0 success, 1 configuration error, 2 numerical
+failure. The output directory is the --out flag if given, else the
+MCFTN_OTFS_OUT environment variable, else the working directory.
 """
 
 from __future__ import annotations

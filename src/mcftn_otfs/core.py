@@ -63,10 +63,12 @@ def check_snr_db(snr_db: float) -> float:
 class SystemConfig:
     """Static description of one transmission setup.
 
-    Compression factors below 1 pack symbols tighter than orthogonality
-    allows: alpha scales the symbol interval (alpha*T0), beta the carrier
-    spacing (beta*delta_f0). alpha >= 1/(1+theta) keeps the pulse Gram
-    well conditioned and is enforced unless `allow_small_alpha` is set.
+    Units are normalized: time in the Nyquist symbol interval T0, frequency
+    in the Nyquist carrier spacing 1/T0, energy per unit symbol energy. So
+    the symbol interval is alpha and the carrier spacing beta; compression
+    factors below 1 pack symbols tighter than orthogonality allows.
+    alpha >= 1/(1+theta) keeps the pulse Gram well conditioned and is
+    enforced unless `allow_small_alpha` is set.
     """
 
     M: int                        # carriers per block
@@ -74,23 +76,20 @@ class SystemConfig:
     alpha: float = 1.0            # time compression factor, 0 < alpha <= 1
     beta: float = 1.0             # frequency compression factor, 0 < beta <= 1
     theta: float = 0.25           # root raised cosine roll-off
-    T0: float = 1.0               # Nyquist symbol interval [s]
-    E0: float = 1.0               # reference symbol energy
     sigma_x2: float = 1.0         # data symbol variance
     N0: float = 1.0               # noise power spectral density
     L: int = 3                    # number of channel paths
     n_tx: int = 1                 # transmit antennas
     n_rx: int = 1                 # receive antennas
-    tau_max: float | None = None  # max path delay, default 2*T0
-    nu_max: float | None = None   # max |Doppler|, default 0.1*delta_f0
+    tau_max: float = 2.0          # max path delay
+    nu_max: float = 0.1           # max |Doppler|
     seed: int = 0                 # root seed for all derived RNG streams
     allow_small_alpha: bool = False  # lift the alpha >= 1/(1+theta) guard
 
     def __post_init__(self):
-        for name in ("alpha", "beta", "theta", "T0", "E0", "sigma_x2", "N0", "tau_max", "nu_max"):
+        for name in ("alpha", "beta", "theta", "sigma_x2", "N0", "tau_max", "nu_max"):
             v = getattr(self, name)
-            real = isinstance(v, (int, float, np.integer, np.floating)) and not isinstance(v, bool)
-            if not real and not (v is None and name in ("tau_max", "nu_max")):
+            if not isinstance(v, (int, float, np.integer, np.floating)) or isinstance(v, bool):
                 raise ConfigError(f"{name} must be a real number, got {v!r}")
         for name in ("M", "N", "L", "n_tx", "n_rx"):
             v = getattr(self, name)
@@ -103,16 +102,10 @@ class SystemConfig:
         if not 0.0 <= self.theta <= 1.0:
             raise ConfigError(f"theta must lie in [0, 1], got {self.theta}")
         # NaN and inf pass every range comparison, so finiteness is its own test
-        for name in ("T0", "E0", "sigma_x2"):
-            v = getattr(self, name)
-            if not is_finite(v) or v <= 0.0:
-                raise ConfigError(f"{name} must be finite and positive, got {v!r}")
+        if not is_finite(self.sigma_x2) or self.sigma_x2 <= 0.0:
+            raise ConfigError(f"sigma_x2 must be finite and positive, got {self.sigma_x2!r}")
         if not is_integer(self.seed) or self.seed < 0:
             raise ConfigError(f"seed must be a non-negative integer, got {self.seed!r}")
-        if self.tau_max is None:
-            object.__setattr__(self, "tau_max", 2.0 * self.T0)
-        if self.nu_max is None:
-            object.__setattr__(self, "nu_max", 0.1 / self.T0)
         for name in ("N0", "tau_max", "nu_max"):
             v = getattr(self, name)
             if not is_finite(v) or v < 0.0:
@@ -125,11 +118,6 @@ class SystemConfig:
                 f"alpha={self.alpha} below 1/(1+theta)={1.0 / (1.0 + self.theta):.6f}; "
                 "set allow_small_alpha=True to override"
             )
-
-    @property
-    def delta_f0(self) -> float:
-        """Nyquist carrier spacing 1/T0."""
-        return 1.0 / self.T0
 
     @property
     def mn(self) -> int:
@@ -151,10 +139,14 @@ class SystemConfig:
         return dataclasses.replace(self, **kw)
 
 
+@lru_cache(maxsize=32)
 def dft_matrix(n: int) -> np.ndarray:
-    """Unitary n-point DFT matrix, F[j, k] = exp(-2j pi j k / n) / sqrt(n)."""
+    """Unitary n-point DFT matrix, F[j, k] = exp(-2j pi j k / n) / sqrt(n), built once per
+    size and handed out read-only."""
     idx = np.arange(n)
-    return np.exp(-2j * np.pi * np.outer(idx, idx) / n) / np.sqrt(n)
+    f = np.exp(-2j * np.pi * np.outer(idx, idx) / n) / np.sqrt(n)
+    f.flags.writeable = False
+    return f
 
 
 def sfft_matrix(cfg: SystemConfig) -> np.ndarray:

@@ -155,8 +155,9 @@ def unprecoded_fill(cfg: SystemConfig, U: np.ndarray, lam: np.ndarray, phi: np.n
 
 
 def normalized_capacity(bits: float, cfg: SystemConfig) -> float:
-    """Bits per unit of occupied time-frequency-energy, bits / (alpha beta M N E0)."""
-    return bits / (cfg.alpha * cfg.beta * cfg.mn * cfg.E0)
+    """Bits per unit of occupied time-frequency area, bits / (alpha beta M N), at unit
+    symbol energy."""
+    return bits / (cfg.alpha * cfg.beta * cfg.mn)
 
 
 # the single-antenna schemes: name -> design(cfg, U, lam, phi) -> (P, capacity)

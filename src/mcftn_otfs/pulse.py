@@ -1,14 +1,15 @@
 """Root raised cosine pulse, cross-ambiguity quadrature and the lattice assembler.
 
-Compressing the symbol interval to alpha*T0 and the carrier spacing to
-beta*delta_f0 makes the transmit pulses non-orthogonal. Both that
+Time is in units of the Nyquist interval T0 and frequency in units of 1/T0
+(see `SystemConfig`). Compressing the symbol interval to alpha and the
+carrier spacing to beta makes the transmit pulses non-orthogonal. Both that
 non-orthogonality and the channel's dispersion are cross-ambiguity values
 
     A(f, tau) = integral g(t - tau) g(t) exp(-2j pi f (t - tau)) dt
 
-on the lattice f = dm * beta * delta_f0, tau = dn * alpha * T0, shifted by
-each path's Doppler and delay. `coupling_matrix` assembles them for a set of
-(gain, delay, doppler) paths; the pulse Gram is the coupling of the unit
+on the lattice f = dm * beta, tau = dn * alpha, shifted by each path's
+Doppler and delay. `coupling_matrix` assembles them for a set of (gain,
+delay, doppler) paths; the pulse Gram is the coupling of the unit
 path (1, 0, 0). The Gram is Hermitian PSD with unit diagonal; its
 eigendecomposition (with a relative floor that deactivates numerically dead
 modes) provides the inverse square root used for whitening and precoding,
@@ -29,10 +30,10 @@ import numpy as np
 from .core import (ConfigError, DegenerateConfigurationError, NumericalError, SystemConfig,
                    is_finite, is_integer, sfft_matrix)
 
-SPAN = 32    # truncation half-width of every pulse, in units of T0
+SPAN = 32    # truncation half-width of every pulse
 # nodes per ambiguity_table chunk: keeps each temporary near 0.5 MiB at any grid
 _CHUNK_NODES = 2 ** 15
-# most quadrature nodes per T0: one chunk then holds a whole row of the 2*SPAN*T0 grid
+# most quadrature nodes per unit time: one chunk then holds a whole row of the 2*SPAN grid
 MAX_NODES_PER_T0 = _CHUNK_NODES // (2 * SPAN)
 
 
@@ -51,55 +52,47 @@ def _panel_rule(lo: np.ndarray, hi: np.ndarray, order: int) -> tuple[np.ndarray,
 
 @dataclass(frozen=True)
 class RrcPulse:
-    """Unit-energy root raised cosine pulse, truncated to |t| <= SPAN*T0 = 32*T0.
+    """Unit-energy root raised cosine pulse, truncated to |t| <= SPAN = 32.
 
-    The closed form (T0 the Nyquist interval, theta the roll-off):
+    The closed form (t in units of the Nyquist interval, theta the roll-off):
 
-        g(t) = (1/sqrt(T0)) [sin(pi u (1-theta)) + 4 theta u cos(pi u (1+theta))]
-                            / [pi u (1 - (4 theta u)^2)],   u = t/T0
+        g(t) = [sin(pi t (1-theta)) + 4 theta t cos(pi t (1+theta))]
+               / [pi t (1 - (4 theta t)^2)]
 
-    with its removable singularities at u = 0 and |u| = 1/(4 theta) taken in
+    with its removable singularities at t = 0 and |t| = 1/(4 theta) taken in
     closed form. The truncated pulse is renormalized to unit energy over its
     support: the amplitude tails decay like 1/t^2, so the raw truncation at
-    32*T0 would leave about 1e-6 of energy outside and poison every
+    32 would leave about 1e-6 of energy outside and poison every
     unit-energy invariant downstream; renormalizing pins A(0, 0) = 1 and the
     Gram diagonal at quadrature precision instead. At theta = 0 the same
-    form is sin(pi u)/(pi u), a sinc whose 1/t tails defeat the truncation
+    form is sin(pi t)/(pi t), a sinc whose 1/t tails defeat the truncation
     entirely; it is only usable on the uncompressed grid (alpha = beta = 1).
 
     The energy normalization and every ambiguity integral run on one grid,
-    cached per pulse: `_panel_rule` panels of `nodes_per_t0` nodes, one per T0
+    cached per pulse: `_panel_rule` panels of `nodes_per_t0` nodes, one per unit
     of the support. The offset it resolves grows with the node count, which
     `lattice_pulse` sets from the largest offset on a config's lattice; the
-    default of 64 serves direct calls and resolves offsets up to about 19/T0.
+    default of 64 serves direct calls and resolves offsets up to about 19.
     """
 
     theta: float
-    T0: float = 1.0
-    nodes_per_t0: int = 64    # quadrature nodes per T0 of overlap
+    nodes_per_t0: int = 64    # quadrature nodes per unit time of overlap
 
     def __post_init__(self):
         if not 0.0 <= self.theta <= 1.0:
             raise ConfigError(f"theta must lie in [0, 1], got {self.theta}")
-        if not (is_finite(self.T0) and self.T0 > 0.0):
-            raise ConfigError(f"T0 must be finite and positive, got {self.T0!r}")
         if not is_integer(self.nodes_per_t0) or not 2 <= self.nodes_per_t0 <= MAX_NODES_PER_T0:
             raise ConfigError(f"nodes_per_t0 must be an integer from 2 to {MAX_NODES_PER_T0}, "
                               f"got {self.nodes_per_t0!r}")
 
-    @property
-    def support(self) -> float:
-        """Half-width of the truncated support."""
-        return SPAN * self.T0
-
     @cached_property
     def _grid(self) -> tuple[np.ndarray, ...]:
         # nodes t, weights w, and six rows from which the numerator of g(t - tau)
-        # follows for any tau by angle addition: sin, cos of pi (1 - theta) t / T0,
-        # cos, sin of pi (1 + theta) t / T0, and t times that last pair
-        edges = self.T0 * np.arange(-SPAN, SPAN + 1.0)[:, None]
+        # follows for any tau by angle addition: sin, cos of pi (1 - theta) t,
+        # cos, sin of pi (1 + theta) t, and t times that last pair
+        edges = np.arange(-SPAN, SPAN + 1.0)[:, None]
         t, w = (a.ravel() for a in _panel_rule(edges[:-1], edges[1:], self.nodes_per_t0))
-        phase = np.pi * t / self.T0
+        phase = np.pi * t
         minus, plus = (1.0 - self.theta) * phase, (1.0 + self.theta) * phase
         cos_plus, sin_plus = np.cos(plus), np.sin(plus)
         return t, w, np.stack([np.sin(minus), np.cos(minus), cos_plus, sin_plus,
@@ -119,17 +112,16 @@ class RrcPulse:
         return self._norm ** 2 * w * self._raw_amplitude(t)
 
     def _raw_amplitude(self, t: np.ndarray) -> np.ndarray:
-        scale = 1.0 / np.sqrt(self.T0)
         th = self.theta
-        au = np.abs(t / self.T0)
+        au = np.abs(t)
         eps = 1.0 - 4.0 * th * au
-        inside = np.abs(t) <= self.support
-        # near |u| = 1/(4 theta) numerator and denominator both carry the
-        # factor eps = 1 - 4 theta |u| and cancel in floating point; within
+        inside = au <= SPAN
+        # near |t| = 1/(4 theta) numerator and denominator both carry the
+        # factor eps = 1 - 4 theta |t| and cancel in floating point; within
         # |eps| < 1/2 use the sum-to-product form of numerator / eps, which
-        # has no singularity, with pi |u| (1 + theta) = pi (|u| + 1/4 - eps/4).
+        # has no singularity, with pi |t| (1 + theta) = pi (|t| + 1/4 - eps/4).
         # The quarter shifts and the removal of whole periods of cos(pi x)
-        # are exact in binary, so the cosines lose no digits to a large |u|.
+        # are exact in binary, so the cosines lose no digits to a large |t|.
         band = inside & (np.abs(eps) < 0.5)
         ub, eb = au[band], eps[band]
         x1, x2 = ub - 0.25, ub + 0.25
@@ -138,7 +130,7 @@ class RrcPulse:
         bracket = (0.5 * np.pi * np.sinc(0.25 * eb) * np.cos(np.pi * x1)
                    - np.cos(np.pi * (x2 - 0.25 * eb)))
         out = np.zeros_like(au)
-        out[band] = scale * bracket / (np.pi * ub * (1.0 + 4.0 * th * ub))
+        out[band] = bracket / (np.pi * ub * (1.0 + 4.0 * th * ub))
 
         # the closed form on the rest of the support, in place where possible:
         # at quadrature sizes the temporaries, not the arithmetic, dominate the cost
@@ -153,11 +145,10 @@ class RrcPulse:
         np.cos(pu, out=pu)
         pu *= a
         value += pu
-        value *= scale
         with np.errstate(divide="ignore", invalid="ignore"):
             value /= den
         out[plain] = value
-        out[au < 1e-8] = scale * (1.0 - th + 4.0 * th / np.pi)
+        out[au < 1e-8] = 1.0 - th + 4.0 * th / np.pi
         return out
 
     def amplitude(self, t) -> np.ndarray:
@@ -169,8 +160,8 @@ class RrcPulse:
     @cached_property
     def _reach(self) -> float:
         # how far past tau the window of directly evaluated nodes of g(t - tau)
-        # reaches: one T0 past |u| = max(1.5, 3 / (8 theta))
-        return self.T0 * (1.0 + (max(1.5, 0.375 / self.theta) if self.theta > 0.0 else 1.5))
+        # reaches: one unit past |t - tau| = max(1.5, 3 / (8 theta))
+        return 1.0 + (max(1.5, 0.375 / self.theta) if self.theta > 0.0 else 1.5)
 
     def _ambiguities(self, taus: np.ndarray, dopplers: np.ndarray, carriers: np.ndarray,
                      f_step: float) -> np.ndarray:
@@ -187,7 +178,7 @@ class RrcPulse:
         """
         n_tables, rows = taus.shape
         size = max(1, _CHUNK_NODES // len(self._grid[0]))    # rows per GEMM chunk
-        window = int(2.0 * self._reach / self.T0 * self.nodes_per_t0) + 1    # nodes per row
+        window = int(2.0 * self._reach * self.nodes_per_t0) + 1    # nodes per row
         most = _CHUNK_NODES // (2 * window)    # rows per group
         per_group = max(1, most // max(1, rows))    # whole tables
         run = max(1, rows) if rows <= most else max(1, most // size) * size    # or whole chunks
@@ -206,9 +197,9 @@ class RrcPulse:
         nodes counted from its first row, so the BLAS sees the same operands
         (a one-row chunk goes to GEMV) whichever tables share the group.
         g(t - tau) follows from the grid rows by angle addition (its numerator
-        is one small GEMM per chunk), except where that cancels (u =
-        (t - tau)/T0 near 0 and |1 - 4 theta |u|| < 1/2): there, inside a
-        window of each row, the pulse is evaluated directly. The grid panels
+        is one small GEMM per chunk), except where that cancels (u = t - tau
+        near 0 and |1 - 4 theta |u|| < 1/2): there, inside a window of each
+        row, the pulse is evaluated directly. The grid panels
         inside the overlap of g(t) and g(t - tau) enter one GEMM per chunk,
         each row weighted by exp(2j pi doppler t), formed for that chunk's
         rows only; the panel cut by the truncation edge of g(t - tau) gets its
@@ -216,41 +207,39 @@ class RrcPulse:
         without overlap is an exact zero.
         """
         t, _, grid_rows = self._grid
-        th, T0, S, n = self.theta, self.T0, self.support, self.nodes_per_t0
+        th, n = self.theta, self.nodes_per_t0
         n_off, rows = carriers.shape[1], taus.shape[1]
         size = max(1, _CHUNK_NODES // len(t))
         taus, dopplers = taus.ravel(), dopplers.ravel()
         f_values = (np.arange(n_off) - (n_off - 1) // 2) * f_step - dopplers[:, None]
 
-        right = taus >= 0.0    # g(t - tau) is cut at tau - S, else at tau + S
-        edge = np.where(right, taus - S, taus + S)
-        a = np.floor((edge + S) / T0) * T0 - S    # the grid panel [a, a + T0] it cuts
+        right = taus >= 0.0    # g(t - tau) is cut at tau - SPAN, else at tau + SPAN
+        edge = np.where(right, taus - SPAN, taus + SPAN)
+        a = np.floor(edge + SPAN) - SPAN    # the grid panel [a, a + 1] it cuts
         t_edge, w_edge = _panel_rule(np.where(right, edge, a)[:, None],
-                                     np.where(right, a + T0, edge)[:, None], n)
-        # the grid panels inside the overlap: t > a + T0, else t < a
-        cut = np.where(right, np.searchsorted(t, a + T0, side="right"),
+                                     np.where(right, a + 1.0, edge)[:, None], n)
+        # the grid panels inside the overlap: t > a + 1, else t < a
+        cut = np.where(right, np.searchsorted(t, a + 1.0, side="right"),
                        np.searchsorted(t, a, side="left"))
         # the direct nodes, by the exact test, inside a window of each row
         lo = np.searchsorted(t, taus - self._reach)
         width = np.max(np.searchsorted(t, taus + self._reach) - lo, initial=0)
         window = np.minimum(lo[:, None] + np.arange(width), len(t) - 1)
         s = t[window] - taus[:, None]
-        u = s / T0
-        i, j = np.nonzero((np.abs(u) <= 1.5) | (np.abs(1.0 - 4.0 * th * np.abs(u)) < 0.5))
+        i, j = np.nonzero((np.abs(s) <= 1.5) | (np.abs(1.0 - 4.0 * th * np.abs(s)) < 0.5))
         direct, cols = s[i, j], window[i, j]
-        del s, u, window, j
+        del s, window, j
         # one direct evaluation for those nodes and both factors on the edge panels
         values = self._raw_amplitude(np.concatenate([direct, t_edge, t_edge - taus[:, None]],
                                                     axis=None))
         direct = values[:i.size]
 
-        # g(t - tau) = numerator / (scale s (1 - (k s)^2)), s = t - tau
-        k = 4.0 * th / T0
-        scale = np.pi * np.sqrt(T0) / T0
-        minus, plus = np.pi * (1.0 - th) / T0 * taus, np.pi * (1.0 + th) / T0 * taus
+        # g(t - tau) = numerator / (pi s (1 - (k s)^2)), s = t - tau
+        k = 4.0 * th
+        minus, plus = np.pi * (1.0 - th) * taus, np.pi * (1.0 + th) * taus
         cos_plus, sin_plus = np.cos(plus), np.sin(plus)
         coef = np.stack([np.cos(minus), -np.sin(minus), -k * taus * cos_plus,
-                         -k * taus * sin_plus, k * cos_plus, k * sin_plus], axis=1) / scale
+                         -k * taus * sin_plus, k * cos_plus, k * sin_plus], axis=1) / np.pi
         out = np.empty((len(taus), n_off), dtype=complex)
         for first in range(0, len(taus), rows):    # each table, in chunks from its first row
             for r in range(first, first + rows, size):
@@ -296,12 +285,12 @@ class RrcPulse:
         np.unique: its first call imports numpy.ma, about 2 MiB of resident
         memory) and gathered to the rows.
         """
-        t, T0, n = self._grid[0], self.T0, self.nodes_per_t0
+        t, n = self._grid[0], self.nodes_per_t0
         index = {}
         which = [index.setdefault(v, len(index)) for v in dopplers.tolist()]
         turns = 2j * np.pi * np.array(list(index), dtype=float)[:, None]
-        weighted = (np.exp(turns * T0 * np.arange(-SPAN, SPAN))[:, :, None]
-                    * np.exp(turns * (t[:n] + self.support))[:, None, :]).reshape(len(index), -1)
+        weighted = (np.exp(turns * np.arange(-SPAN, SPAN))[:, :, None]
+                    * np.exp(turns * (t[:n] + SPAN))[:, None, :]).reshape(len(index), -1)
         weighted *= self._weighted
         return weighted[which]
 
@@ -413,18 +402,18 @@ def _carriers(pulse: RrcPulse, f_step: float, M: int) -> np.ndarray:
 
 def ambiguity_table(pulse, cfg: SystemConfig, delays: np.ndarray,
                     doppler: float | np.ndarray = 0.0) -> np.ndarray:
-    """A(dm*beta*delta_f0 - doppler, tau) for all grid offsets.
+    """A(dm*beta - doppler, tau) for all grid offsets.
 
     Returns a (len(delays), 2M-1) table indexed by [dn + N - 1, dm + M - 1]
     when `delays` is the signed tau lattice. A 2-D `delays` holds several
     tables, one per row, and gives a (tables, rows, 2M-1) array; each table
     is the same, bit for bit, as when it is computed alone. `doppler` is one
     value for every row or one value per delay. The carriers are cached per
-    (pulse, beta*delta_f0, M); each distinct Doppler of a chunk of rows
+    (pulse, beta, M); each distinct Doppler of a chunk of rows
     costs one exp per grid node. `coupling_matrices` fills the MN x MN
     matrices of several path sets from one call, a table per set.
     """
-    f_step = cfg.beta * cfg.delta_f0
+    f_step = cfg.beta
     delays = np.atleast_1d(np.asarray(delays, dtype=float))
     dopplers = np.asarray(doppler, dtype=float)
     if delays.ndim > 2:
@@ -440,22 +429,24 @@ def ambiguity_table(pulse, cfg: SystemConfig, delays: np.ndarray,
 
 
 @lru_cache(maxsize=16)
-def _cached_pulse(theta: float, T0: float, nodes_per_t0: int) -> RrcPulse:
-    return RrcPulse(theta, T0, nodes_per_t0=nodes_per_t0)
+def _cached_pulse(theta: float, nodes_per_t0: int) -> RrcPulse:
+    return RrcPulse(theta, nodes_per_t0=nodes_per_t0)
 
 
 def lattice_pulse(cfg: SystemConfig, dopplers) -> RrcPulse:
     """The pulse of `cfg`, with enough quadrature nodes for its lattice.
 
     The largest frequency offset an ambiguity integral on the grid sees is
-    fmax = (M-1)*beta*delta_f0 + max(nu_max, max |doppler|) over the given
-    path Dopplers; the rule takes ceil(2.5*fmax*T0) + 16 Gauss-Legendre
-    nodes per T0 (the 16 resolve the pulse product itself, the slope the
+    fmax = (M-1)*beta + max(nu_max, max |doppler|) over the given path
+    Dopplers; the rule takes ceil(2.5*fmax) + 16 Gauss-Legendre nodes per
+    unit time (the 16 resolve the pulse product itself, the slope the
     carrier phase ramp), and ConfigError if that exceeds what RrcPulse
-    accepts. Its tables agree with 128-node ones to about 1e-14
+    accepts. The product is rounded to 9 decimals before the ceiling, so an
+    integer that the float lands a few ulps above (2.5 * 2.8000000000000003)
+    gets no extra node. Its tables agree with 128-node ones to about 1e-14
     from 1xN up to 16x16 at alpha = beta = 1 and roll-offs 0.05 to 1; at
     that 16x16 grid a fixed 24 nodes is off by 0.2. Pulses are cached per
-    (theta, T0, nodes), so the Gram and every channel of a config share one
+    (theta, nodes), so the Gram and every channel of a config share one
     quadrature grid, normalization and carrier table.
     """
     if cfg.theta == 0.0 and (cfg.alpha != 1.0 or cfg.beta != 1.0):
@@ -463,13 +454,13 @@ def lattice_pulse(cfg: SystemConfig, dopplers) -> RrcPulse:
             "theta = 0 raised cosine tails decay like 1/t and defeat truncation; "
             "use a small positive roll-off for compressed grids"
         )
-    fmax = (cfg.M - 1) * cfg.beta * cfg.delta_f0 + max([cfg.nu_max, *map(abs, dopplers)])
-    nodes = int(np.ceil(2.5 * fmax * cfg.T0)) + 16
+    fmax = (cfg.M - 1) * cfg.beta + max([cfg.nu_max, *map(abs, dopplers)])
+    nodes = int(np.ceil(round(2.5 * fmax, 9))) + 16
     if nodes > MAX_NODES_PER_T0:
         raise ConfigError(f"a largest frequency offset of {fmax:g} (carriers and Doppler) "
-                          f"needs {nodes} quadrature nodes per T0, more than the "
+                          f"needs {nodes} quadrature nodes per unit time, more than the "
                           f"{MAX_NODES_PER_T0} a pulse holds")
-    return _cached_pulse(cfg.theta, cfg.T0, nodes)
+    return _cached_pulse(cfg.theta, nodes)
 
 
 def _checked_paths(paths) -> list:
@@ -500,10 +491,10 @@ def coupling_matrices(cfg: SystemConfig, path_sets) -> Iterator[np.ndarray]:
     lie within nu_max) share `ambiguity_table` calls, a table per set, so a
     set's matrix is the same, bit for bit, whichever sets share its call. A
     call holds as many sets of one such run as keep their table rows times
-    the pulse's nodes per T0 within one quadrature chunk, and at least one.
-    Each matrix is gathered and phased when it is asked for, one at a time;
-    the (2N-1)(2M-1) table values per path of one call are held, no matrix
-    handed out.
+    the pulse's nodes per unit time within one quadrature chunk, and at least
+    one. Each matrix is gathered and phased when it is asked for, one at a
+    time; the (2N-1)(2M-1) table values per path of one call are held, no
+    matrix handed out.
     """
     keyed = ((lattice_pulse(cfg, [doppler for _, _, doppler in paths]), len(paths), paths)
              for paths in map(_checked_paths, path_sets))
@@ -521,7 +512,7 @@ def _assemble(cfg: SystemConfig, pulse: RrcPulse, sets: list) -> Iterator[np.nda
     if not count:
         yield from (np.zeros((cfg.mn, cfg.mn), dtype=complex) for _ in sets)
         return
-    f_step, t_step = cfg.beta * cfg.delta_f0, cfg.alpha * cfg.T0
+    f_step, t_step = cfg.beta, cfg.alpha
     gains, delays, dopplers = (np.array(v).reshape(len(sets), count)
                                for v in zip(*(path for paths in sets for path in paths)))
     taus = np.arange(1 - N, N) * t_step
@@ -560,17 +551,16 @@ def coupling_matrix(cfg: SystemConfig, paths) -> np.ndarray:
     and columns are flat indices n*M + m; entry (receive slot (m, n),
     transmit slot (m', n')) is
 
-        sum_p gain * A(dm beta delta_f0 - doppler, dt - delay)
-              * exp(2j pi [(doppler + m' beta delta_f0)(dt - delay)
-                           + doppler n' alpha T0])
+        sum_p gain * A(dm beta - doppler, dt - delay)
+              * exp(2j pi [(doppler + m' beta)(dt - delay) + doppler n' alpha])
 
-    with dm = m - m', dt = (n - n') alpha T0, for the config's pulse with
+    with dm = m - m', dt = (n - n') alpha, for the config's pulse with
     the node count of `lattice_pulse`. Only the (2N-1)(2M-1) distinct
     ambiguity values of each path are integrated, all paths' rows in one
     `ambiguity_table` call. The phase splits into exp(2j pi doppler
-    (n alpha T0 - delay)), which depends on the receive slot only,
-    exp(-2j pi m' beta delta_f0 delay), on the transmit carrier only, and
-    exp(2j pi m' beta delta_f0 (n - n') alpha T0), the same for every path
+    (n alpha - delay)), which depends on the receive slot only,
+    exp(-2j pi m' beta delay), on the transmit carrier only, and
+    exp(2j pi m' beta (n - n') alpha), the same for every path
     and applied once to their sum; so a path costs M + N exponentials and a
     gather, and cost scales with the quadrature rows rather than with the
     matrix size. Hermitian symmetry of the unit-path result is a property of
@@ -586,10 +576,10 @@ def build_gram(cfg: SystemConfig) -> GramMatrix:
 
     The coupling of the unit path (gain 1, no delay, no Doppler):
 
-        G[n1*M + m1, n2*M + m2] = A((m1-m2) beta delta_f0, (n1-n2) alpha T0)
-                                  * exp(2j pi m2 beta delta_f0 (n1-n2) alpha T0)
+        G[n1*M + m1, n2*M + m2] = A((m1-m2) beta, (n1-n2) alpha)
+                                  * exp(2j pi m2 beta (n1-n2) alpha)
 
-    Built once per lattice (M, N, alpha, beta and the `lattice_pulse`: theta, T0,
+    Built once per lattice (M, N, alpha, beta and the `lattice_pulse`: theta and
     the nodes nu_max sets), the last 4 kept; every config on it shares it, read-only.
     """
     return _gram(cfg.M, cfg.N, cfg.alpha, cfg.beta, lattice_pulse(cfg, [0.0]))
@@ -597,7 +587,7 @@ def build_gram(cfg: SystemConfig) -> GramMatrix:
 
 @lru_cache(maxsize=4)
 def _gram(M: int, N: int, alpha: float, beta: float, pulse: RrcPulse) -> GramMatrix:
-    cfg = SystemConfig(M, N, alpha, beta, pulse.theta, pulse.T0, allow_small_alpha=True)
+    cfg = SystemConfig(M, N, alpha, beta, pulse.theta, allow_small_alpha=True)
     gram = GramMatrix.from_matrix(next(_assemble(cfg, pulse, [[(1.0, 0.0, 0.0)]])))
     vars(gram)["_whitening"] = (sfft_matrix(cfg), None)    # formed on first use
     return gram

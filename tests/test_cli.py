@@ -57,22 +57,34 @@ def test_unknown_config_key_exits_1(tmp_path, capsys):
     {"n_realizations": "3"},
     {"n_frames": 2.5},
     {"tau_max": float("nan")},
-    {"T0": float("nan")},
+    {"nu_max": float("nan")},
     {"nu_max": float("inf")},
     {"M": True},
     {"alpha": True},
     {"theta": "x"},
     {"alpha": 0.7, "allow_small_alpha": "no"},
-    {"T0": 10 ** 400},
+    {"tau_max": 10 ** 400},
     {"nu_max": 1e6},
+    {"tau_max": None},
+    {"T0": 1.0},
+    {"E0": 1.0},
 ], ids=["seed-float", "snr-scalar", "snr-text", "realizations-text", "frames-float",
-        "tau-max-nan", "t0-nan", "nu-max-inf", "m-bool", "alpha-bool", "theta-text",
-        "small-alpha-text", "t0-huge-int", "nu-max-huge"])
+        "tau-max-nan", "nu-max-nan", "nu-max-inf", "m-bool", "alpha-bool", "theta-text",
+        "small-alpha-text", "tau-max-huge-int", "nu-max-huge", "tau-max-null", "t0-key",
+        "e0-key"])
 def test_malformed_config_value_exits_1(tmp_path, capsys, bad):
     conf = tmp_path / "bad.json"
     conf.write_text(json.dumps({"M": 2, "N": 2, "n_realizations": 1, **bad}))
     assert cli.main(["ber", "--config", str(conf), "--out", str(tmp_path)]) == 1
     assert "config error" in capsys.readouterr().err
+
+
+def test_config_keys_are_the_settings_in_normalized_units():
+    # time and frequency are in units of T0 and 1/T0 at unit symbol energy, so
+    # neither T0 nor E0 is a key; N0 and sigma_x2 come from snr_db
+    assert cli._SYSTEM_KEYS | cli._SWEEP_KEYS == {
+        "M", "N", "alpha", "beta", "theta", "L", "n_tx", "n_rx", "tau_max", "nu_max", "seed",
+        "allow_small_alpha", "snr_db", "n_realizations", "schemes", "n_frames", "constellation"}
 
 
 @pytest.mark.parametrize("command, ints", [

@@ -1,5 +1,7 @@
 """Configuration, transform and RNG stream tests."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -18,10 +20,19 @@ from reference import sfft_double_sum
 def test_config_defaults():
     cfg = SystemConfig(M=8, N=4)
     assert cfg.mn == 32
-    assert cfg.delta_f0 == 1.0
     assert cfg.tau_max == 2.0
-    assert cfg.nu_max == pytest.approx(0.1)
+    assert cfg.nu_max == 0.1
     assert cfg.snr == 1.0
+
+
+def test_config_has_no_unit_settings():
+    # time is in units of T0, frequency in 1/T0 and energy per unit symbol energy
+    names = [f.name for f in dataclasses.fields(SystemConfig)]
+    assert len(names) == 14 and not {"T0", "E0"} & set(names)
+    assert not hasattr(SystemConfig(M=8, N=4), "delta_f0")
+    for name in ("T0", "E0"):
+        with pytest.raises(TypeError, match=name):
+            SystemConfig(M=8, N=4, **{name: 1.0})
 
 
 def test_config_rejects_bad_values():
@@ -36,8 +47,6 @@ def test_config_rejects_bad_values():
     with pytest.raises(ConfigError):
         SystemConfig(M=8, N=4, theta=1.5)
     with pytest.raises(ConfigError):
-        SystemConfig(M=8, N=4, T0=0.0)
-    with pytest.raises(ConfigError):
         SystemConfig(M=8, N=4, N0=-1.0)
     with pytest.raises(ConfigError):
         SystemConfig(M=8, N=4, seed=-1)
@@ -47,13 +56,13 @@ def test_config_rejects_bad_values():
         SystemConfig(M=8, N=4, tau_max=-0.5)
     # NaN and inf slip past range comparisons; N0 = 0 stays valid
     nan, inf = float("nan"), float("inf")
-    for name in ("T0", "E0", "sigma_x2", "N0", "tau_max", "nu_max"):
+    for name in ("sigma_x2", "N0", "tau_max", "nu_max"):
         for bad in (nan, inf, -inf):
             with pytest.raises(ConfigError, match=name):
                 SystemConfig(M=8, N=4, **{name: bad})
     assert SystemConfig(M=8, N=4, N0=0.0).N0 == 0.0
     # an int beyond the float range is not finite either
-    for name in ("T0", "E0", "sigma_x2", "N0", "tau_max", "nu_max"):
+    for name in ("sigma_x2", "N0", "tau_max", "nu_max"):
         with pytest.raises(ConfigError, match=name):
             SystemConfig(M=8, N=4, **{name: 10 ** 400})
     # a non-empty string is truthy, so only a bool may lift the alpha guard
@@ -66,14 +75,11 @@ def test_config_rejects_bad_values():
         with pytest.raises(ConfigError, match=name):
             SystemConfig(**{"M": 8, "N": 4, name: True})
     # the float fields take Python or numpy reals, never bool, text or None
-    for name in ("alpha", "beta", "theta", "T0", "E0", "sigma_x2", "N0", "tau_max", "nu_max"):
-        for bad in (True, "1", [1]):
+    for name in ("alpha", "beta", "theta", "sigma_x2", "N0", "tau_max", "nu_max"):
+        for bad in (True, "1", [1], None):
             with pytest.raises(ConfigError, match=name):
                 SystemConfig(M=8, N=4, **{name: bad})
-        if name not in ("tau_max", "nu_max"):
-            with pytest.raises(ConfigError, match=name):
-                SystemConfig(M=8, N=4, **{name: None})
-    cfg = SystemConfig(M=8, N=4, alpha=np.float32(0.9), theta=np.int64(1), tau_max=None)
+    cfg = SystemConfig(M=8, N=4, alpha=np.float32(0.9), theta=np.int64(1))
     assert cfg.tau_max == 2.0
 
 
@@ -106,6 +112,14 @@ def test_config_snr_helpers():
 
 
 # ----------------------------------------------------------- transforms ----
+
+def test_dft_matrix_is_built_once_per_size_and_read_only():
+    f = dft_matrix(4)
+    assert dft_matrix(4) is f
+    assert dft_matrix(2) is not f
+    with pytest.raises(ValueError):
+        f[0, 0] = 0.0
+
 
 def test_dft_matrix_unitary():
     for n in (1, 2, 3, 8):

@@ -111,7 +111,7 @@ def test_sic_single_antenna_equals_siso():
     # outer product (eigenvector phases are arbitrary), which fixes the
     # eigenbasis and the powers, and the bits it carries
     np.testing.assert_allclose(p @ p.conj().T, p_siso @ p_siso.conj().T, atol=1e-9)
-    bits = cap_siso * (cfg.alpha * cfg.beta * cfg.mn * cfg.E0)
+    bits = cap_siso * (cfg.alpha * cfg.beta * cfg.mn)
     assert per_stream_rates(cfg, d, [p])[0] == pytest.approx(bits, rel=1e-10)
     assert cap == pytest.approx(cap_siso, rel=1e-10)
 
@@ -127,7 +127,7 @@ def test_sic_block_budgets_met_exactly():
 def test_sic_bits_equal_direct_logdet():
     cfg, gram, _, d = mimo_instance(74)
     p, cap = sic_precode(cfg, d, gram)
-    bits = cap * (cfg.alpha * cfg.beta * cfg.mn * cfg.E0)
+    bits = cap * (cfg.alpha * cfg.beta * cfg.mn)
     assert bits == pytest.approx(direct_logdet_bits(cfg, d, p), abs=1e-9)
 
 
@@ -143,7 +143,7 @@ def test_sic_decoupled_blocks_reduce_to_independent_siso():
     d_block = np.block([[d1, zero], [zero, d2]])
     cfg2 = cfg.replace(n_tx=2, n_rx=2)
     p, _ = sic_precode(cfg2, d_block, gram)
-    bits = [solve_siso(cfg, gram, h, a)[1] * (cfg.alpha * cfg.beta * cfg.mn * cfg.E0)
+    bits = [solve_siso(cfg, gram, h, a)[1] * (cfg.alpha * cfg.beta * cfg.mn)
             for h in (mimo.matrix, mimo2.matrix)]
     rates = per_stream_rates(cfg2, d_block, diagonal_blocks(p, 2))
     np.testing.assert_allclose(rates, bits, rtol=1e-9)
@@ -211,7 +211,7 @@ def test_per_stream_rates_of_designed_precoder():
     p, cap = sic_precode(cfg, d, gram)
     rates = per_stream_rates(cfg, d, diagonal_blocks(p, cfg.n_tx))
     # the design's capacity is its per-stream bits summed in stream order
-    assert cap * (cfg.alpha * cfg.beta * cfg.mn * cfg.E0) == pytest.approx(
+    assert cap * (cfg.alpha * cfg.beta * cfg.mn) == pytest.approx(
         float(np.sum(rates)), abs=1e-9)
 
 
@@ -237,7 +237,7 @@ def test_wf_baseline_capacity_is_its_own_logdet():
     cfg, gram, _, d = mimo_instance(95)
     p, cap = wf_baseline(cfg, d, gram)
     bits = direct_logdet_bits(cfg, d, p)
-    assert cap == pytest.approx(bits / (cfg.alpha * cfg.beta * cfg.mn * cfg.E0),
+    assert cap == pytest.approx(bits / (cfg.alpha * cfg.beta * cfg.mn),
                                 abs=1e-9)
 
 
@@ -270,7 +270,7 @@ def test_wf_structured_ascends_and_stays_block_diagonal(monkeypatch):
     np.testing.assert_allclose(p[:4, 4:], 0.0, atol=1e-15)
     np.testing.assert_allclose(p[4:, :4], 0.0, atol=1e-15)
     assert cap == pytest.approx(direct_logdet_bits(cfg, d, p)
-                                / (cfg.alpha * cfg.beta * cfg.mn * cfg.E0), abs=1e-9)
+                                / (cfg.alpha * cfg.beta * cfg.mn), abs=1e-9)
     # the relaxed baseline stays above the best structured solution
     _, cap_wf = wf_baseline(cfg, d, gram)
     assert cap_wf >= cap - 1e-10

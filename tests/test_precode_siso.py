@@ -274,7 +274,7 @@ def test_identity_channel_capacity_closed_form():
     np.testing.assert_allclose(lam, 1.0, atol=1e-12)
     # unit power on every mode: P is unitary
     np.testing.assert_allclose(P.conj().T @ P, np.eye(4), atol=1e-12)
-    bits = cap * (cfg.alpha * cfg.beta * cfg.mn * cfg.E0)
+    bits = cap * (cfg.alpha * cfg.beta * cfg.mn)
     assert bits == pytest.approx(4.0 * np.log2(11.0), rel=1e-12)
     assert cap == pytest.approx(np.log2(11.0), rel=1e-12)
 
@@ -298,8 +298,4 @@ def test_normalization_uses_occupancy():
     _, cap = solve_siso(cfg, gram, ch.h_dd, sfft_matrix(cfg))
     _, mode_set = effective_modes(cfg, gram, ch.h_dd)
     _, bits = fill_modes(*mode_set, cfg.sigma_x2, cfg.N0)
-    assert cap == pytest.approx(bits / (cfg.alpha * cfg.beta * cfg.mn * cfg.E0), rel=1e-14)
-    doubled = cfg.replace(E0=2.0)
-    assert solve_siso(doubled, gram, ch.h_dd, sfft_matrix(cfg))[1] == pytest.approx(
-        cap / 2.0, rel=1e-14
-    )
+    assert cap == pytest.approx(bits / (cfg.alpha * cfg.beta * cfg.mn), rel=1e-14)

@@ -145,7 +145,7 @@ def test_every_capacity_matches_a_50_digit_logdet(snr_db, seed):
         for scheme in schemes:
             factor, design = SCHEME_TABLE[scheme]
             p, cap = design(cfg_s, *factor(cfg, gram, d))
-            exact = _exact_bits(d @ p, cfg_s.snr) / (cfg.alpha * cfg.beta * cfg.mn * cfg.E0)
+            exact = _exact_bits(d @ p, cfg_s.snr) / (cfg.alpha * cfg.beta * cfg.mn)
             assert abs(cap - exact) <= 1e-12 * exact, (scheme, float(abs(cap - exact) / exact))
 
 

@@ -35,9 +35,9 @@ from reference import (
 )
 
 # closed-form value of the untruncated pulse at t = 0 for theta = 0.25:
-# (1 - theta + 4 theta / pi) / sqrt(T0)
+# 1 - theta + 4 theta / pi
 RRC_PEAK_THETA025 = 1.0683098861837907
-# ideal-pulse ambiguity at one carrier offset, A(delta_f0, 0) = theta / pi
+# ideal-pulse ambiguity at one carrier offset, A(1, 0) = theta / pi
 AMB_ONE_CARRIER_THETA025 = 0.07957747154594767
 
 
@@ -57,7 +57,7 @@ def test_amplitude_matches_reference_on_grid():
 
 
 def test_amplitude_singularity_continuous():
-    # removable singularity at |t| = T0 / (4 theta)
+    # removable singularity at |t| = 1 / (4 theta)
     pulse = RrcPulse(theta=0.25)
     t_sing = 1.0 / (4.0 * 0.25)
     assert pulse.amplitude(t_sing) == pytest.approx(rrc_ref(t_sing, 0.25), abs=1e-10)
@@ -68,7 +68,7 @@ def test_amplitude_singularity_continuous():
 
 @pytest.mark.parametrize("theta", [0.05, 0.25, 1.0])
 def test_amplitude_near_singularity_matches_mpmath(theta):
-    # |t| = T0 / (4 theta) is a removable singularity of the closed form; the
+    # |t| = 1 / (4 theta) is a removable singularity of the closed form; the
     # pulse keeps full precision on both sides of it and exactly on it
     mpmath = pytest.importorskip("mpmath")
 
@@ -98,15 +98,7 @@ def test_amplitude_even_and_truncated():
     np.testing.assert_allclose(pulse.amplitude(t), pulse.amplitude(-t), atol=1e-15)
     assert pulse.amplitude(32.0001) == 0.0
     assert pulse.amplitude(-50.0) == 0.0
-    assert pulse.support == 32.0
-
-
-def test_amplitude_t0_scaling():
-    # stretching time by T0 scales amplitude by 1/sqrt(T0)
-    p1 = RrcPulse(theta=0.25, T0=1.0)
-    p2 = RrcPulse(theta=0.25, T0=2.0)
-    assert p2.amplitude(0.0) == pytest.approx(p1.amplitude(0.0) / np.sqrt(2.0), rel=1e-12)
-    assert p2.amplitude(1.0) == pytest.approx(p1.amplitude(0.5) / np.sqrt(2.0), rel=1e-12)
+    assert pulse.amplitude(32.0) != 0.0 and pulse_module.SPAN == 32
 
 
 def test_amplitude_unit_energy():
@@ -131,10 +123,8 @@ def test_pulse_validation():
         RrcPulse(theta=-0.1)
     with pytest.raises(ConfigError):
         RrcPulse(theta=1.5)
-    # T0 must be finite and positive, as in SystemConfig
-    for bad in (0.0, -1.0, float("nan"), float("inf"), 10 ** 400):
-        with pytest.raises(ConfigError, match="T0"):
-            RrcPulse(theta=0.25, T0=bad)
+    # time is in units of T0, so the pulse has no T0 of its own
+    assert [f.name for f in dataclasses.fields(RrcPulse)] == ["theta", "nodes_per_t0"]
     # the node count sizes the pulse's quadrature grid: an integer of at least
     # 2, and at most the 512 of which one chunk of a table holds a 64 T0 row
     for bad in (1, 0, 2.5, "64", True, None, 513):
@@ -245,7 +235,7 @@ def test_ambiguity_quadrature_converged():
     reference = RrcPulse(theta=0.25, nodes_per_t0=128)
     for M, N in ((16, 16), (1, 16)):
         cfg = SystemConfig(M=M, N=N, alpha=1.0, beta=1.0, theta=0.25)
-        taus = np.arange(-(N - 1), N) * cfg.alpha * cfg.T0
+        taus = np.arange(-(N - 1), N) * cfg.alpha
         for doppler in (cfg.nu_max, -cfg.nu_max):
             pulse = lattice_pulse(cfg, [doppler])
             assert pulse.nodes_per_t0 < reference.nodes_per_t0
@@ -274,10 +264,10 @@ EDGE_CASES = {
 def test_ambiguity_table_edges_match_oracle(case):
     theta, M, N, alpha, doppler, delay_shift, entries = EDGE_CASES[case]
     cfg = SystemConfig(M=M, N=N, alpha=alpha, beta=alpha, theta=theta)
-    taus = np.arange(-(N - 1), N) * cfg.alpha * cfg.T0
+    taus = np.arange(-(N - 1), N) * cfg.alpha
     table = ambiguity_table(lattice_pulse(cfg, [doppler]), cfg, taus - delay_shift, doppler)
     for i, j in entries:
-        f = (j - (M - 1)) * cfg.beta * cfg.delta_f0 - doppler
+        f = (j - (M - 1)) * cfg.beta - doppler
         ref = ambiguity_time(f, float(taus[i] - delay_shift), theta)
         assert table[i, j] == pytest.approx(ref, abs=1e-10), (i, j)
 
@@ -292,9 +282,9 @@ def test_ambiguity_table_near_cancelling_nodes_matches_oracle(theta, u):
     cfg = SystemConfig(M=4, N=3, alpha=1.0, beta=1.0, theta=theta)
     pulse = lattice_pulse(cfg, [0.02])
     x, _ = np.polynomial.legendre.leggauss(pulse.nodes_per_t0)
-    delay = 0.5 * (x[0] + 1.0) * cfg.T0 - (u + 1e-11) * cfg.T0   # first node of panel [0, T0]
+    delay = 0.5 * (x[0] + 1.0) - (u + 1e-11)   # first node of panel [0, 1]
     table = ambiguity_table(pulse, cfg, np.array([delay]), 0.02)
-    ref = ambiguity_time(cfg.beta * cfg.delta_f0 - 0.02, delay, theta)
+    ref = ambiguity_time(cfg.beta - 0.02, delay, theta)
     assert table[0, 4] == pytest.approx(ref, abs=1e-10)
 
 
@@ -302,9 +292,9 @@ def test_ambiguity_table_near_cancelling_nodes_matches_oracle(theta, u):
 def test_ambiguity_table_at_largest_doppler_matches_oracle(sign):
     cfg = SystemConfig(M=8, N=4, alpha=0.9, beta=0.9, theta=0.25)
     doppler = sign * cfg.nu_max
-    taus = np.arange(-(cfg.N - 1), cfg.N) * cfg.alpha * cfg.T0
+    taus = np.arange(-(cfg.N - 1), cfg.N) * cfg.alpha
     table = ambiguity_table(lattice_pulse(cfg, [doppler]), cfg, taus - cfg.tau_max, doppler)
-    ref = ambiguity_time(cfg.beta * cfg.delta_f0 - doppler, taus[4] - cfg.tau_max, cfg.theta)
+    ref = ambiguity_time(cfg.beta - doppler, taus[4] - cfg.tau_max, cfg.theta)
     assert table[4, 8] == pytest.approx(ref, abs=1e-10)
 
 
@@ -315,7 +305,7 @@ def test_ambiguity_table_rows_without_overlap_are_exact_zeros():
     pulse = lattice_pulse(cfg, [0.0])
     table = ambiguity_table(pulse, cfg, np.array([63.5, 64.0, 70.0, -64.0, -80.0]), 0.01)
     assert np.all(table[1:] == 0.0)
-    ref = ambiguity_time(-cfg.beta * cfg.delta_f0 - 0.01, 63.5, cfg.theta)
+    ref = ambiguity_time(-cfg.beta - 0.01, 63.5, cfg.theta)
     assert table[0, 0] == pytest.approx(ref, abs=1e-10)
     assert table[0, 0] != 0.0
 
@@ -418,9 +408,21 @@ def _nodes(cfg):
     return lattice_pulse(cfg, [0.0]).nodes_per_t0
 
 
-@pytest.mark.parametrize("change", [{"seed": 5}, {"N0": 0.1}, {"sigma_x2": 2.0}, {"E0": 3.0},
-                                    {"L": 6}, {"n_tx": 2}, {"n_rx": 3}, {"tau_max": 0.5},
-                                    {"nu_max": 0.15}], ids=lambda c: next(iter(c)))
+def test_node_count_takes_no_node_from_rounding():
+    # (M - 1) beta + nu_max = 2.7 + 0.1 is 2.8000000000000003 in floats, and 2.5
+    # times it lands a few ulps above 7; the rule's ceil(7) + 16 = 23 nodes, as
+    # for nu_max = 0, so both configs share one pulse and one Gram
+    still = LATTICE.replace(nu_max=0.0)
+    assert _nodes(LATTICE) == _nodes(still) == 23
+    assert lattice_pulse(LATTICE, [0.1]) is lattice_pulse(still, [0.0])
+    assert build_gram(LATTICE) is build_gram(still)
+    # so with nu_max = 0: 3 * 0.8 is 2.4000000000000004, and ceil(6) + 16 = 22
+    assert _nodes(SystemConfig(M=4, N=2, beta=0.8, nu_max=0.0)) == 22
+
+
+@pytest.mark.parametrize("change", [{"seed": 5}, {"N0": 0.1}, {"sigma_x2": 2.0}, {"L": 6},
+                                    {"n_tx": 2}, {"n_rx": 3}, {"tau_max": 0.5},
+                                    {"nu_max": 0.05}], ids=lambda c: next(iter(c)))
 def test_build_gram_shares_one_gram_per_lattice(change):
     cfg = LATTICE.replace(**change)
     assert _nodes(cfg) == _nodes(LATTICE)
@@ -428,7 +430,7 @@ def test_build_gram_shares_one_gram_per_lattice(change):
 
 
 @pytest.mark.parametrize("change", [{"M": 3}, {"N": 3}, {"alpha": 0.95}, {"beta": 0.95},
-                                    {"theta": 0.3}, {"T0": 2.0}, {"nu_max": 2.0}],
+                                    {"theta": 0.3}, {"nu_max": 2.0}],
                          ids=lambda c: next(iter(c)))
 def test_build_gram_of_another_lattice_equals_an_uncached_build(change):
     cfg = LATTICE.replace(**change)
@@ -453,6 +455,25 @@ def test_cached_gram_is_read_only():
         gram.whitening(sfft_matrix(LATTICE))[0] = 0
 
 
+@pytest.mark.parametrize("cfg", [
+    SystemConfig(M=8, N=4, alpha=0.9, beta=0.9),
+    SystemConfig(M=16, N=8, alpha=0.5, beta=0.5, allow_small_alpha=True),
+], ids=["8x4-0.9", "16x8-0.5"])
+def test_active_modes_do_not_grow_as_the_floor_rises(monkeypatch, cfg):
+    # the Gram's degrees of freedom are the eigenvalues above FLOOR_REL times
+    # the largest; a higher floor can only drop modes
+    matrix = build_gram(cfg).matrix
+    counts = []
+    for floor in (1e-10, 1e-8, 1e-6, 1e-4, 1e-2):
+        monkeypatch.setattr(GramMatrix, "FLOOR_REL", floor)
+        counts.append(GramMatrix.from_matrix(matrix).n_active)
+    assert counts == sorted(counts, reverse=True)
+    if cfg.alpha == 0.9:
+        assert counts == [32] * 5    # criterion 07's most compressed point loses none
+    else:
+        assert counts[-1] < counts[0] == cfg.mn
+
+
 def test_gram_theta_zero_guard():
     # the guard sits in the lattice assembler, so channels get it too
     cfg = SystemConfig(M=2, N=2, alpha=0.9, beta=1.0, theta=0.0,
@@ -465,13 +486,13 @@ def test_gram_theta_zero_guard():
 
 def test_ambiguity_table_layout():
     cfg = SystemConfig(M=3, N=2, alpha=0.9, beta=0.9, theta=0.25)
-    pulse = RrcPulse(cfg.theta, cfg.T0)
-    taus = np.arange(-1, 2) * cfg.alpha * cfg.T0
+    pulse = RrcPulse(cfg.theta)
+    taus = np.arange(-1, 2) * cfg.alpha
     table = ambiguity_table(pulse, cfg, taus - 0.3, doppler=0.05)
     assert table.shape == (3, 5)
     for i, tau in enumerate(taus):
         for j, dm in enumerate(range(-2, 3)):
-            expect = pulse.ambiguity_batch(dm * cfg.beta * cfg.delta_f0 - 0.05,
+            expect = pulse.ambiguity_batch(dm * cfg.beta - 0.05,
                                            float(tau) - 0.3)[0]
             assert table[i, j] == pytest.approx(expect, abs=1e-13)
 
@@ -483,15 +504,15 @@ def test_ambiguity_table_matches_per_row_batches(delay_shift):
     # A shift of 64.5 leaves some rows without overlap (exact zeros) next to
     # rows of one short panel.
     cfg = SystemConfig(M=3, N=6, alpha=0.85, beta=0.9, theta=0.25)
-    pulse = RrcPulse(cfg.theta, cfg.T0)
-    taus = np.arange(-(cfg.N - 1), cfg.N) * cfg.alpha * cfg.T0
-    f_values = np.arange(-(cfg.M - 1), cfg.M) * cfg.beta * cfg.delta_f0 - 0.07
+    pulse = RrcPulse(cfg.theta)
+    taus = np.arange(-(cfg.N - 1), cfg.N) * cfg.alpha
+    f_values = np.arange(-(cfg.M - 1), cfg.M) * cfg.beta - 0.07
     table = ambiguity_table(pulse, cfg, taus - delay_shift, doppler=0.07)
     for i, tau in enumerate(taus):
         np.testing.assert_allclose(table[i], pulse.ambiguity_batch(f_values, tau - delay_shift),
                                    rtol=0.0, atol=1e-13)
-    empty = np.abs(taus - delay_shift) >= 2 * pulse.support
-    assert np.any(empty) == (abs(delay_shift) > pulse.support)
+    empty = np.abs(taus - delay_shift) >= 2 * pulse_module.SPAN
+    assert np.any(empty) == (abs(delay_shift) > pulse_module.SPAN)
     assert np.all(table[empty] == 0.0)
 
 
@@ -500,7 +521,7 @@ def test_ambiguity_table_per_row_doppler_matches_per_path_calls():
     # than one chunk of the grid holds
     cfg = SystemConfig(M=4, N=6, alpha=0.9, beta=0.9, theta=0.25)
     pulse = lattice_pulse(cfg, [cfg.nu_max])
-    taus = np.arange(1 - cfg.N, cfg.N) * cfg.alpha * cfg.T0
+    taus = np.arange(1 - cfg.N, cfg.N) * cfg.alpha
     paths = ((cfg.tau_max, cfg.nu_max), (0.37, -cfg.nu_max), (0.0, 0.0))
     delays = np.concatenate([taus - delay for delay, _ in paths])
     dopplers = np.repeat([doppler for _, doppler in paths], len(taus))
@@ -516,7 +537,7 @@ def test_ambiguity_table_per_row_doppler_matches_per_path_calls():
 def test_ambiguity_table_rejects_doppler_of_another_length():
     cfg = SystemConfig(M=2, N=2, theta=0.25)
     pulse = lattice_pulse(cfg, [0.0])
-    taus = np.arange(-1, 2) * cfg.alpha * cfg.T0
+    taus = np.arange(-1, 2) * cfg.alpha
     for bad in ([0.01, 0.02], np.zeros(4), np.zeros((3, 1))):
         with pytest.raises(ConfigError, match="doppler"):
             ambiguity_table(pulse, cfg, taus, bad)
@@ -526,7 +547,7 @@ def coupling_per_entry(cfg, paths):
     """The docstring formula of `coupling_matrix`: one `ambiguity_table` per
     path and one exp of the whole exponent per entry."""
     pulse = lattice_pulse(cfg, [doppler for _, _, doppler in paths])
-    f_step, t_step = cfg.beta * cfg.delta_f0, cfg.alpha * cfg.T0
+    f_step, t_step = cfg.beta, cfg.alpha
     n, m = np.divmod(np.arange(cfg.mn), cfg.M)       # transmit slot (m', n') per column
     dn, dm = n[:, None] - n, m[:, None] - m
     taus = np.arange(1 - cfg.N, cfg.N) * t_step
@@ -562,7 +583,7 @@ def gather_and_sum(cfg, pulse, sets):
     count = len(sets[0])
     if not count:
         return [np.zeros((cfg.mn, cfg.mn), dtype=complex) for _ in sets]
-    f_step, t_step = cfg.beta * cfg.delta_f0, cfg.alpha * cfg.T0
+    f_step, t_step = cfg.beta, cfg.alpha
     gains, delays, dopplers = (np.array(v).reshape(len(sets), count)
                                for v in zip(*(path for paths in sets for path in paths)))
     taus = np.arange(1 - N, N) * t_step
@@ -662,7 +683,7 @@ def draw_sets(cfg, n_draws, seed=5):
 
 def stacked_rows(cfg, sets):
     """Delays and Dopplers of the sets' table rows, one table per set."""
-    taus = np.arange(1 - cfg.N, cfg.N) * cfg.alpha * cfg.T0
+    taus = np.arange(1 - cfg.N, cfg.N) * cfg.alpha
     delays = np.array([np.concatenate([taus - delay for _, delay, _ in paths]) for paths in sets])
     dopplers = np.array([np.repeat([doppler for *_, doppler in paths], len(taus))
                          for paths in sets])
@@ -714,7 +735,7 @@ def test_batched_assembly_of_mixed_sets_equals_per_set_calls(monkeypatch):
 def test_ambiguity_table_stacked_tables_equal_single_calls():
     # 9 rows a table at 8 rows a chunk: alone, a table ends in a one-row chunk
     cfg = SystemConfig(M=3, N=5, alpha=0.9, beta=0.9, theta=0.25)
-    pulse = RrcPulse(cfg.theta, cfg.T0, nodes_per_t0=64)
+    pulse = RrcPulse(cfg.theta, nodes_per_t0=64)
     assert _CHUNK_NODES // (64 * 64) == 8
     sets = [[(1.0, 0.0, 0.02)], [(1.0, 0.4, -0.05)], [(1.0, 1.3, 0.1)]]
     delays, dopplers = stacked_rows(cfg, sets)
